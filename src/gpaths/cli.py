@@ -65,11 +65,17 @@ def _parse_weights(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return vals[0], vals[1], vals[2]
 
 
+def _check_nonnegative(flag: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise GPathError(f"{flag} must be nonnegative; got {value}")
+
+
 def _fmt(value) -> str:
     return str(value)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    _check_nonnegative("--length", args.length)
     family = _family_from_args(args)
     for steps in iter_step_strings(family, args.length, args.max_n_override):
         print(steps if steps else "(empty)")
@@ -77,6 +83,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    _check_nonnegative("--length", args.length)
+    _check_nonnegative("--nmax", args.nmax)
     family = _family_from_args(args)
     weighting = args.weighting or DEFAULT_WEIGHTING[args.family]
     if weighting not in WEIGHTINGS:
@@ -132,6 +140,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_riordan(args: argparse.Namespace) -> int:
+    _check_nonnegative("--nmax", args.nmax)
     order = max(args.nmax + 1, 8)
     array = RiordanArray(
         parse_series_expr(args.d, order), parse_series_expr(args.h, order)
@@ -150,6 +159,7 @@ def _table_rows(stat: str, method: str, nmax: int) -> list[list[int]]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    _check_nonnegative("--nmax", args.nmax)
     methods = (
         list(methods_for(args.stat)) if args.method == "all" else [args.method]
     )
@@ -189,6 +199,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_nonnegative("--nmax", args.nmax)
     results = run_suite(args.suite, args.nmax)
     failed = 0
     for result in results:

@@ -22,7 +22,7 @@ from typing import Iterator
 
 from .errors import SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
-from .series import catalan_series
+from .series import catalan_series, square_coeff
 from .weights import WEIGHTINGS, Polynomial
 
 MAX_N_DEFAULT = 12
@@ -68,7 +68,11 @@ def _dfs_params(family: PathFamily):
     avoid3 = frozenset(p for p in family.avoid if len(p) == 3)
     first = None
     if family.prefixes:
-        assert all(len(p) == 1 for p in family.prefixes)
+        if any(len(p) != 1 for p in family.prefixes):
+            raise ValueError(
+                f"family {family.describe()!r} has a prefix longer than one "
+                "letter; the DFS supports one-letter prefixes only"
+            )
         first = frozenset(p[0] for p in family.prefixes)
     return letters, geom, avoid2, avoid3, first
 
@@ -192,22 +196,16 @@ _C = Polynomial.var("c")
 def guvu_coeffs(n_max: int) -> list[Polynomial]:
     """Weighted counts of uvu-avoiding paths, from
     G = 1 + bx + (a-b+abx) x G + (b+cx) x G^2, coefficientwise."""
+    a_minus_b, ab = _A - _B, _A * _B
     g: list[Polynomial] = [Polynomial.const(1)]
+    g_squared: list[Polynomial] = []  # [x^m] G^2, each computed once
     for n in range(1, n_max + 1):
-        total = (_A - _B) * g[n - 1]
+        g_squared.append(square_coeff(g, n - 1))
+        total = a_minus_b * g[n - 1] + _B * g_squared[n - 1]
         if n == 1:
             total = total + _B
         if n >= 2:
-            total = total + _A * _B * g[n - 2]
-        conv1 = Polynomial()
-        for k in range(n):
-            conv1 = conv1 + g[k] * g[n - 1 - k]
-        total = total + _B * conv1
-        if n >= 2:
-            conv2 = Polynomial()
-            for k in range(n - 1):
-                conv2 = conv2 + g[k] * g[n - 2 - k]
-            total = total + _C * conv2
+            total = total + ab * g[n - 2] + _C * g_squared[n - 2]
         g.append(total)
     return g
 
@@ -216,17 +214,12 @@ def gfull_coeffs(n_max: int) -> list[Polynomial]:
     """Weighted counts of unrestricted paths, from
     G = 1 + a x G + b x G^2 + c x^2 G^2."""
     g: list[Polynomial] = [Polynomial.const(1)]
+    g_squared: list[Polynomial] = []  # [x^m] G^2, each computed once
     for n in range(1, n_max + 1):
-        total = _A * g[n - 1]
-        conv1 = Polynomial()
-        for k in range(n):
-            conv1 = conv1 + g[k] * g[n - 1 - k]
-        total = total + _B * conv1
+        g_squared.append(square_coeff(g, n - 1))
+        total = _A * g[n - 1] + _B * g_squared[n - 1]
         if n >= 2:
-            conv2 = Polynomial()
-            for k in range(n - 1):
-                conv2 = conv2 + g[k] * g[n - 2 - k]
-            total = total + _C * conv2
+            total = total + _C * g_squared[n - 2]
         g.append(total)
     return g
 
@@ -246,7 +239,10 @@ def _dyck_ab(n: int) -> Polynomial:
     terms = {}
     for k in range(1, n + 1):
         num = comb(n, k - 1) * comb(n, k)
-        assert num % n == 0, "Narayana coefficient must be integral"
+        if num % n:
+            raise ArithmeticError(
+                f"Narayana coefficient C({n},{k - 1}) C({n},{k}) / {n} is not integral"
+            )
         terms[(k, n - k, 0)] = num // n
     return Polynomial(terms)
 
@@ -362,7 +358,8 @@ def ballot_coeff(m: int, k: int) -> int:
     if m < 0 or k < 0:
         return 0
     value = (catalan_series(m) ** k).coeff(m)
-    assert isinstance(value, int)
+    if not isinstance(value, int):
+        raise TypeError(f"ballot number [x^{m}] C^{k} is {value!r}, not an int")
     return value
 
 
@@ -371,5 +368,6 @@ def ballot_closed_form(m: int, k: int) -> int:
     if m == 0 and k == 0:
         return 1
     num = k * comb(2 * m + k, m)
-    assert num % (2 * m + k) == 0
+    if num % (2 * m + k):
+        raise ArithmeticError(f"{k} C({2 * m + k},{m}) is not divisible by {2 * m + k}")
     return num // (2 * m + k)

@@ -151,22 +151,6 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}{more}], order={self.order})"
 
 
-def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return f + g
-
-
-def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return f * g
-
-
-def series_pow(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    return f**n
-
-
-def series_recip(f: TruncatedSeries) -> TruncatedSeries:
-    return f.recip()
-
-
 # ---------------------------------------------------------------------------
 # named series
 # ---------------------------------------------------------------------------
@@ -257,7 +241,11 @@ def parse_series_expr(expr: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 
 class RiordanArray:
-    """(d, h) with d(0) = 1 and h(0) = 0; entry (n, i) is [x^n] d h^i."""
+    """(d, h) with d(0) = 1 and h(0) = 0; entry (n, i) is [x^n] d h^i.
+
+    Column i is the series d h^i.  Columns are built on demand, in a loop,
+    each as the previous column times h (column 0 is d), and kept.
+    """
 
     def __init__(self, d: TruncatedSeries, h: TruncatedSeries):
         if d.coeff(0) != 1:
@@ -267,14 +255,13 @@ class RiordanArray:
         self.d = d
         self.h = h
         self.order = min(d.order, h.order)
-        self._columns: dict[int, TruncatedSeries] = {}
+        self._columns: list[TruncatedSeries] = [d.truncate(self.order)]
 
     def _column(self, i: int) -> TruncatedSeries:
-        col = self._columns.get(i)
-        if col is None:
-            col = self.d * self.h**i
-            self._columns[i] = col
-        return col
+        columns = self._columns
+        while len(columns) <= i:
+            columns.append(columns[-1] * self.h)
+        return columns[i]
 
     def entry(self, n: int, i: int) -> int:
         if n > self.order:
@@ -315,15 +302,31 @@ def riordan_matrix(d: TruncatedSeries, h: TruncatedSeries, n_max: int) -> list[l
 def guvu_series_at(a, b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """G(a,b,c;x) through (1/(1-ax)) C(x (b+cx) / ((1-ax)^2 (1+bx))).
 
-    Solves F = 1 + t F^2 for the Catalan composite by fixed-point iteration;
-    t has positive valuation, so each pass fixes one more coefficient.
+    Solves F = 1 + t F^2 for the Catalan composite coefficientwise: t has
+    positive valuation, so F_n = sum_{k>=1} t_k [x^(n-k)] F^2, and
+    [x^m] F^2 needs only F_0 .. F_m.  Each [x^m] F^2 is computed once.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     one_minus_ax = TruncatedSeries([1, -a], order)
     one_plus_bx = TruncatedSeries([1, b], order)
     numer = TruncatedSeries([0, b, c], order)
     t = numer * (one_minus_ax**2 * one_plus_bx).recip()
-    f = TruncatedSeries([1], order)
-    for _ in range(order + 1):
-        f = t * f * f + 1
-    return one_minus_ax.recip() * f
+    f = [Fraction(1)]
+    f_squared = []
+    for n in range(1, order + 1):
+        f_squared.append(square_coeff(f, n - 1))
+        f.append(sum(t.coeffs[k] * f_squared[n - k] for k in range(1, n + 1)))
+    return one_minus_ax.recip() * TruncatedSeries(f, order)
+
+
+def square_coeff(f, m: int):
+    """[x^m] F^2 from the coefficients f_0 .. f_m of F (numbers or
+    polynomials); each unordered pair of distinct indices is multiplied
+    once and doubled."""
+    total = 0
+    for k in range((m + 1) // 2):
+        total = total + f[k] * f[m - k]
+    total = total + total
+    if m % 2 == 0:
+        total = total + f[m // 2] * f[m // 2]
+    return total

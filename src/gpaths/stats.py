@@ -32,6 +32,7 @@ from .paths import GMOTZKIN_UVU, STEP_GEOMETRY
 from .series import (
     DEFAULT_ORDER,
     RiordanArray,
+    TruncatedSeries,
     big_schroder_series,
     parse_series_expr,
 )
@@ -115,57 +116,75 @@ _ARRAY_EXPRS = {
 _COLUMN_EXPR = "x*S^2"
 
 
-@lru_cache(maxsize=None)
-def _riordan_array(stat: str, order: int) -> RiordanArray:
-    return RiordanArray(
-        parse_series_expr(_ARRAY_EXPRS[stat], order),
-        parse_series_expr(_COLUMN_EXPR, order),
+# One array (or series) per key, rebuilt only when a row beyond its order is
+# asked for.  A rebuild at least doubles the order, so a table through row n
+# builds O(log n) arrays per statistic.  Entries are exact coefficients, so
+# they do not depend on the order an array happens to be built at.
+_BUILT: dict[str, RiordanArray | TruncatedSeries] = {}
+
+
+def _built(key: str, n: int, build):
+    """build(order) for some order >= n, cached under key."""
+    value = _BUILT.get(key)
+    if value is None or value.order < n:
+        order = max(DEFAULT_ORDER, n + 1, 2 * value.order if value else 0)
+        value = _BUILT[key] = build(order)
+    return value
+
+
+def _riordan_array(stat: str, n: int) -> RiordanArray:
+    return _built(
+        stat,
+        n,
+        lambda order: RiordanArray(
+            parse_series_expr(_ARRAY_EXPRS[stat], order),
+            parse_series_expr(_COLUMN_EXPR, order),
+        ),
     )
 
 
-@lru_cache(maxsize=None)
-def _p_r_axis_series(order: int):
+def _p_r_axis_series(n: int) -> TruncatedSeries:
     # Points on the axis over restricted paths: s + x s^2 S / (1+x).  The
     # second term counts axis returns; it must be x times the u_r axis
     # column s^2 S / (1+x), since every return closes exactly one excursion
     # opened by a u-step to level 1.
-    return parse_series_expr("s", order) + parse_series_expr(
-        "x*s^2*S*one_over_1px", order
+    return _built(
+        "p_r axis",
+        n,
+        lambda order: parse_series_expr("s", order)
+        + parse_series_expr("x*s^2*S*one_over_1px", order),
     )
 
 
-def _schroder_number(n: int, order: int) -> int:
-    return big_schroder_series(max(order, n)).coeff(n)
+def _schroder_number(n: int) -> int:
+    return big_schroder_series(n).coeff(n)
 
 
 def stat_riordan(stat: str, n: int, i: int) -> int:
     _check_stat(stat)
     if n < 0 or i < 0:
         return 0
-    order = max(DEFAULT_ORDER, n + 1)
-    if stat in ("U", "u_r"):
-        return _riordan_array(stat, order).entry(n, i)
+    if stat in ("U", "u_r", "H", "h_r"):
+        return _riordan_array(stat, n).entry(n, i)
     if stat in ("V", "v_r"):
         base = "U" if stat == "V" else "u_r"
         return stat_riordan(base, n, i) - stat_riordan(base, n - 1, i)
     if stat in ("D", "d_r"):
         return stat_riordan("U" if stat == "D" else "u_r", n, i)
-    if stat in ("H", "h_r"):
-        return _riordan_array(stat, order).entry(n, i)
     if stat == "P":
         if i == 0:
             if n == 0:
                 return 1
             return (
-                _schroder_number(n, order)
+                _schroder_number(n)
                 + stat_riordan("U", n - 1, 0)
                 + stat_riordan("H", n - 1, 0)
             )
-        return _riordan_array("P", order).entry(n - 1, i - 1)
+        return _riordan_array("P", n - 1).entry(n - 1, i - 1)
     # p_r
     if i == 0:
-        return _p_r_axis_series(order).coeff(n)
-    return _riordan_array("p_r", order).entry(n - 1, i - 1)
+        return _p_r_axis_series(n).coeff(n)
+    return _riordan_array("p_r", n - 1).entry(n - 1, i - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +247,7 @@ def stat_formula(stat: str, n: int, i: int) -> int:
         if n == 0:
             return 1
         return (
-            _schroder_number(n, DEFAULT_ORDER)
+            _schroder_number(n)
             + _u_formula(n - 1, 0)
             + _h_formula(n - 1, 0)
         )

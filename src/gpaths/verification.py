@@ -760,7 +760,13 @@ def _counts_suite(n_max: int | None) -> list[CheckResult]:
 def _bijections_suite(n_max: int | None) -> list[CheckResult]:
     if n_max is None:
         return check_bijections()
-    return check_bijections(n_max, theta_n_max=max(n_max, 1))
+    if n_max < 1:
+        # varphi, psi and varphi_theta are certified from size 1 up
+        raise ValueError(
+            f"--nmax {n_max} is too small for the bijections suite; "
+            "the smallest supported --nmax is 1"
+        )
+    return check_bijections(n_max, theta_n_max=n_max)
 
 
 def _stats_suite(n_max: int | None) -> list[CheckResult]:

@@ -153,12 +153,26 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["count", "--length", "1", "--weights", "1"],
         ["map", "--bijection", "sigma", "--input", "uvu"],
         ["riordan", "--d", "T^2", "--h", "x*S^2"],
+        ["table", "--stat", "U", "--method", "all", "--nmax", "-1"],
+        ["riordan", "--d", "S", "--h", "x*S^2", "--nmax", "-1"],
+        ["enumerate", "--length", "-1"],
+        ["count", "--length", "-1"],
+        ["count", "--nmax", "-1"],
+        ["verify", "--suite", "identities", "--nmax", "-1"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = run(capsys, argv)
-    assert code == 2
-    assert err.startswith("error: ")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["bijections", "all"])
+def test_verify_bijections_below_smallest_nmax_is_a_usage_error(capsys, suite):
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--nmax", "0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "smallest supported --nmax is 1" in err
 
 
 def test_unknown_subcommand_is_an_argparse_error(capsys):

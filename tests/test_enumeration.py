@@ -32,6 +32,7 @@ from gpaths.paths import (
     MOTZKIN,
     PSI_IMAGE,
     SCHRODER,
+    PathFamily,
     parse,
 )
 from gpaths.weights import Polynomial
@@ -118,15 +119,21 @@ def test_guvu_recurrence_matches_enumeration():
 
 
 def test_gfull_recurrence_matches_enumeration():
-    g = gfull_coeffs(6)
-    for n in range(7):
+    g = gfull_coeffs(7)
+    for n in range(8):
         assert g[n] == weighted_count(GMOTZKIN, n, "gmotzkin_abc")
-        assert g[n].eval_at(1, 1, 1) == GFULL_COUNTS[n]
+    assert [p.eval_at(1, 1, 1) for p in g[:7]] == GFULL_COUNTS
+
+
+def test_dfs_rejects_multi_letter_prefixes():
+    family = PathFamily("dyck", prefixes=("ud",))
+    with pytest.raises(ValueError, match="one-letter prefixes"):
+        next(iter_step_strings(family, 2))
 
 
 def test_prop21_both_variants_match_recurrence():
-    g = guvu_coeffs(6)
-    for n in range(7):
+    g = guvu_coeffs(25)
+    for n in range(26):
         assert prop21(n, "first") == g[n]
         assert prop21(n, "second") == g[n]
     with pytest.raises(ValueError):

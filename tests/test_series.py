@@ -19,6 +19,7 @@ from gpaths.series import (
     parse_series_expr,
     riordan_entry,
     riordan_matrix,
+    square_coeff,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -149,6 +150,22 @@ def test_riordan_pascal():
     ]
 
 
+def test_riordan_columns_are_d_times_powers_of_h():
+    d = parse_series_expr("S^3*one_over_1px", 30)
+    h = parse_series_expr("x*S^2", 30)
+    array = RiordanArray(d, h)
+    # a late column first: the earlier ones are filled in on the way
+    assert array.entry(30, 20) == (d * h**20).coeff(30)
+    for i in (0, 1, 7, 19):
+        assert [array.entry(n, i) for n in range(31)] == list((d * h**i).coeffs)
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=9))
+def test_square_coeff_is_the_convolution(f):
+    for m in range(len(f)):
+        assert square_coeff(f, m) == sum(f[k] * f[m - k] for k in range(m + 1))
+
+
 def test_riordan_entry_matches_printed_table_value():
     order = 10
     d = parse_series_expr("S^3*one_over_1px", order)
@@ -175,3 +192,12 @@ def test_guvu_series_at_rational_weights():
     f = guvu_series_at(*point, order=7)
     expected = [p.eval_at(*point) for p in guvu_coeffs(7)]
     assert [f.coeff(n) for n in range(8)] == expected
+
+
+def test_guvu_series_at_matches_the_recurrence_past_the_default_order():
+    from gpaths.enumeration import guvu_coeffs
+
+    f = guvu_series_at(-3, 4, 16, order=30)
+    assert f.order == 30
+    assert list(f.coeffs) == [p.eval_at(-3, 4, 16) for p in guvu_coeffs(30)]
+    assert all(type(c) is Fraction for c in f.coeffs)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gpaths import stats
 from gpaths.errors import DomainViolation
 from gpaths.stats import (
     FORMULA_STATS,
@@ -89,6 +90,23 @@ def test_riordan_spot_values():
     assert stat_riordan("V", 4, 0) == 472
     assert stat_riordan("U", 8, 0) == 385889
     assert stat_riordan("U", -1, 0) == 0
+
+
+@pytest.mark.parametrize("stat", FORMULA_STATS)
+def test_riordan_matches_formula_past_the_default_order(stat):
+    # two independent routes; rows past 24 need a rebuilt, larger array
+    assert stat_table(stat, "riordan", 30).rows == stat_table(stat, "formula", 30).rows
+
+
+def test_riordan_entries_do_not_depend_on_request_order():
+    requests = [(s, n, i) for n, i in ((40, 3), (5, 2)) for s in STAT_IDS]
+    stats._BUILT.clear()
+    large_first = [stat_riordan(*r) for r in requests]
+    stats._BUILT.clear()
+    small_first = [stat_riordan(*r) for r in reversed(requests)][::-1]
+    assert large_first == small_first
+    assert large_first[0] == stat_formula("U", 40, 3)
+    assert large_first[len(STAT_IDS)] == GOLDEN["U"][5][2]
 
 
 def test_formula_spot_values():
