@@ -19,20 +19,9 @@ from .paths import BASE_FAMILIES, PathFamily, parse
 from .series import RiordanArray, named_series, parse_series_expr
 from .stats import STAT_IDS, methods_for, stat_table
 from .verification import run_suite
-from .weights import WEIGHTINGS
+from .weights import DEFAULT_WEIGHTING, WEIGHTINGS
 
 AVOIDABLE = ("uvu", "uu", "uh", "hu")
-
-DEFAULT_WEIGHTING = {
-    "gmotzkin": "gmotzkin_abc",
-    "dyck": "dyck_peak_ab",
-    "motzkin": "motzkin_ab",
-    "schroder": "schroder_ab",
-    "bicolored_motzkin": "bicolored_motzkin_ab",
-    "hstring": "hstring_ab",
-    "colored_dyck": "dyck_peak_ab",
-    "psi_image": "psi_image_ab",
-}
 
 
 def _family_from_args(args: argparse.Namespace) -> PathFamily:

@@ -1,11 +1,15 @@
 """Exhaustive path generation and exact counting formulas.
 
-Generation is a deterministic depth-first search in a fixed per-family step
-order, so output order is reproducible byte for byte.  Exhaustive sizes are
-guarded: the pattern-avoiding and classical families stop at x-length 12,
-the unrestricted gmotzkin family (whose free v steps inflate growth) at 9.
-GPATHS_MAX_N in the environment, or an explicit override argument, moves
-the cap; exceeding it raises SizeLimitExceeded rather than grinding.
+Each family's word rules (its letter order, which is the order of
+`family.alphabet`, a one-letter prefix, avoided factors of one to three
+letters, D only after u, no horizontal step on the axis) are compiled once
+into a step automaton.  Generation and weighted counting are two walks over
+that automaton that check only geometry, so output order is reproducible
+byte for byte.  Exhaustive sizes are guarded: the pattern-avoiding and
+classical families stop at x-length 12, the unrestricted gmotzkin family
+(whose free v steps inflate growth) at 9.  GPATHS_MAX_N in the environment,
+or an explicit override argument, moves the cap; exceeding it raises
+SizeLimitExceeded rather than grinding.
 
 The counting side is exact integer/polynomial arithmetic throughout:
 recurrence coefficients for the two generating-function equations, the
@@ -20,24 +24,13 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator
 
-from .errors import SizeLimitExceeded
+from .errors import FamilyMismatch, SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
 from .series import catalan_series, square_coeff
-from .weights import WEIGHTINGS, Polynomial
+from .weights import DEFAULT_WEIGHTING, WEIGHTINGS, Polynomial, weight_exponents
 
 MAX_N_DEFAULT = 12
 MAX_N_UNRESTRICTED_GMOTZKIN = 9
-
-_STEP_ORDER = {
-    "gmotzkin": "uhvd",
-    "dyck": "ud",
-    "motzkin": "uhd",
-    "schroder": "uHd",
-    "bicolored_motzkin": "uabd",
-    "hstring": "ab",
-    "colored_dyck": "udD",
-    "psi_image": "uaAbdD",
-}
 
 
 def size_cap(family: PathFamily, max_n_override: int | None = None) -> int:
@@ -61,20 +54,48 @@ def _check_size(family: PathFamily, n: int, max_n_override: int | None) -> None:
         )
 
 
-def _dfs_params(family: PathFamily):
-    letters = _STEP_ORDER[family.base]
-    geom = [STEP_GEOMETRY[c] for c in letters]
-    avoid2 = frozenset(p for p in family.avoid if len(p) == 2)
-    avoid3 = frozenset(p for p in family.avoid if len(p) == 3)
-    first = None
-    if family.prefixes:
-        if any(len(p) != 1 for p in family.prefixes):
-            raise ValueError(
-                f"family {family.describe()!r} has a prefix longer than one "
-                "letter; the DFS supports one-letter prefixes only"
-            )
-        first = frozenset(p[0] for p in family.prefixes)
-    return letters, geom, avoid2, avoid3, first
+# ---------------------------------------------------------------------------
+# the step automaton and the two walks over it
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _automaton(family: PathFamily) -> tuple[dict, bool]:
+    """The family's word rules as a table (state, on_axis) -> moves.
+
+    A state is the last two letters of the word so far ("" before the first
+    step); a move is (letter, dx, dy, next state), in alphabet order.  The
+    flag says whether the empty word is a path of the family.
+    """
+    if any(len(p) != 1 for p in family.prefixes):
+        raise ValueError(
+            f"family {family.describe()!r} has a prefix longer than one "
+            "letter; the DFS supports one-letter prefixes only"
+        )
+    if any(not 1 <= len(p) <= 3 for p in family.avoid):
+        raise ValueError(
+            f"family {family.describe()!r} avoids a factor longer than three "
+            "letters; the DFS supports avoided factors of one to three letters"
+        )
+    alphabet = family.alphabet
+    states = [""] + list(alphabet) + [x + y for x in alphabet for y in alphabet]
+    table = {}
+    for state in states:
+        for on_axis in (False, True):
+            moves = []
+            for letter in alphabet:
+                dx, dy = STEP_GEOMETRY[letter]
+                word = state + letter
+                if not state and family.prefixes and letter not in family.prefixes:
+                    continue
+                if any(word.endswith(p) for p in family.avoid):
+                    continue
+                if family.base == "colored_dyck" and letter == "D" and not state.endswith("u"):
+                    continue
+                if family.no_h_on_axis and on_axis and dy == 0:
+                    continue
+                moves.append((letter, dx, dy, word[-2:]))
+            table[state, on_axis] = tuple(moves)
+    return table, not family.prefixes
 
 
 def iter_step_strings(
@@ -82,44 +103,23 @@ def iter_step_strings(
 ) -> Iterator[str]:
     """All step strings of the family with x-length n, in DFS order."""
     _check_size(family, n, max_n_override)
-    letters, geom, avoid2, avoid3, first = _dfs_params(family)
-    has_v = "v" in family.alphabet
-    no_h = family.no_h_on_axis
-    peak_d = family.base == "colored_dyck"
-    chars: list[str] = []
-
-    def rec(rem: int, level: int):
+    table, empty_ok = _automaton(family)
+    bounded = "v" not in family.alphabet  # then the level cannot exceed the x-length left
+    stack = [(n, 0, "", "")]
+    while stack:
+        rem, level, state, word = stack.pop()
         if rem == 0 and level == 0:
-            if chars or first is None:
-                yield "".join(chars)
-            if not has_v:
-                return
-        depth = len(chars)
-        prev1 = chars[-1] if depth else ""
-        prev2 = chars[-2] if depth > 1 else ""
-        for idx, letter in enumerate(letters):
-            dx, dy = geom[idx]
+            # a leaf: on the axis at x-length 0 every letter overshoots or dips
+            if state or empty_ok:
+                yield word
+            continue
+        # pushed last to first, so they are popped in alphabet order
+        for letter, dx, dy, nxt in reversed(table[state, level == 0]):
             rem2 = rem - dx
             lvl2 = level + dy
-            if rem2 < 0 or lvl2 < 0:
+            if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
                 continue
-            if not has_v and lvl2 > rem2:
-                continue
-            if depth == 0 and first is not None and letter not in first:
-                continue
-            if no_h and dy == 0 and level == 0:
-                continue
-            if peak_d and letter == "D" and prev1 != "u":
-                continue
-            if avoid2 and prev1 + letter in avoid2:
-                continue
-            if avoid3 and depth > 1 and prev2 + prev1 + letter in avoid3:
-                continue
-            chars.append(letter)
-            yield from rec(rem2, lvl2)
-            chars.pop()
-
-    yield from rec(n, 0)
+            stack.append((rem2, lvl2, nxt, word + letter))
 
 
 def generate(
@@ -130,7 +130,41 @@ def generate(
 
 
 def count_paths(family: PathFamily, n: int, max_n_override: int | None = None) -> int:
-    return sum(1 for _ in iter_step_strings(family, n, max_n_override))
+    """The number of paths: the weighted count at a = b = c = 1 under the
+    family's default weighting, still reached one path at a time."""
+    weighting = DEFAULT_WEIGHTING[family.base]
+    return sum(weighted_count(family, n, weighting, max_n_override).terms.values())
+
+
+@lru_cache(maxsize=None)
+def _weighted_automaton(family: PathFamily, weighting: str):
+    """The automaton's table with each move's exponent triple in front.
+
+    A step's weight may depend on the letter before it (a peak), so it is
+    the weight of prev+letter less the weight of prev.
+    """
+    missing = sorted(set(family.alphabet) - set(WEIGHTINGS[weighting][1]))
+    if missing:
+        raise FamilyMismatch(
+            f"weighting {weighting!r} gives no weight to step {missing[0]!r} "
+            f"of family {family.base!r}"
+        )
+    base = family.base
+
+    def exponents(state: str, letter: str) -> tuple[int, int, int]:
+        prev = state[-1:]
+        whole = weight_exponents(prev + letter, weighting, base)
+        head = weight_exponents(prev, weighting, base)
+        return (whole[0] - head[0], whole[1] - head[1], whole[2] - head[2])
+
+    table, empty_ok = _automaton(family)
+    weighted = {
+        key: tuple(
+            (*exponents(key[0], letter), dx, dy, nxt) for letter, dx, dy, nxt in moves
+        )
+        for key, moves in table.items()
+    }
+    return weighted, empty_ok
 
 
 def weighted_count(
@@ -141,46 +175,23 @@ def weighted_count(
 ) -> Polynomial:
     """Sum of monomial weights over every path of x-length n."""
     _check_size(family, n, max_n_override)
-    table = WEIGHTINGS[weighting][1]
-    peaks = weighting == "dyck_peak_ab" and family.base == "dyck"
-    letters, geom, avoid2, avoid3, first = _dfs_params(family)
-    has_v = "v" in family.alphabet
-    no_h = family.no_h_on_axis
-    peak_d = family.base == "colored_dyck"
+    table, empty_ok = _weighted_automaton(family, weighting)
+    bounded = "v" not in family.alphabet
     acc: dict[tuple[int, int, int], int] = {}
-
-    def rec(rem, level, depth, prev1, prev2, ea, eb, ec):
+    stack = [(n, 0, "", 0, 0, 0)]
+    while stack:
+        rem, level, state, ea, eb, ec = stack.pop()
         if rem == 0 and level == 0:
-            if depth or first is None:
+            if state or empty_ok:
                 key = (ea, eb, ec)
                 acc[key] = acc.get(key, 0) + 1
-            if not has_v:
-                return
-        for idx, letter in enumerate(letters):
-            dx, dy = geom[idx]
+            continue
+        for wa, wb, wc, dx, dy, nxt in table[state, level == 0]:
             rem2 = rem - dx
             lvl2 = level + dy
-            if rem2 < 0 or lvl2 < 0:
+            if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
                 continue
-            if not has_v and lvl2 > rem2:
-                continue
-            if depth == 0 and first is not None and letter not in first:
-                continue
-            if no_h and dy == 0 and level == 0:
-                continue
-            if peak_d and letter == "D" and prev1 != "u":
-                continue
-            if avoid2 and prev1 + letter in avoid2:
-                continue
-            if avoid3 and depth > 1 and prev2 + prev1 + letter in avoid3:
-                continue
-            if peaks and letter == "d" and prev1 == "u":
-                wa, wb, wc = 1, 0, 0
-            else:
-                wa, wb, wc = table[letter]
-            rec(rem2, lvl2, depth + 1, letter, prev1, ea + wa, eb + wb, ec + wc)
-
-    rec(n, 0, 0, "", "", 0, 0, 0)
+            stack.append((rem2, lvl2, nxt, ea + wa, eb + wb, ec + wc))
     return Polynomial(acc)
 
 

@@ -173,10 +173,6 @@ def parse(text: str, family: PathFamily) -> Path:
     return Path(family, text)
 
 
-def render(path: Path) -> str:
-    return path.steps
-
-
 def x_length(path: Path) -> int:
     return sum(STEP_GEOMETRY[c][0] for c in path.steps)
 
@@ -200,10 +196,6 @@ def step_level(path: Path, index: int) -> int:
     for c in steps[: index + 1]:
         level += STEP_GEOMETRY[c][1]
     return level
-
-
-def contains_pattern(path: Path, pattern: str) -> bool:
-    return pattern in path.steps
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +272,6 @@ def first_return_decompose(path: Path) -> FirstReturn:
             Path(family, tail),
         )
     return FirstReturn(Path(family, block), None, None, Path(family, tail))
-
-
-def matching_index(path: Path, u_index: int) -> int:
-    return match_index_str(path.steps, u_index)
 
 
 def is_primitive(path: Path) -> bool:

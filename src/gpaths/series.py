@@ -286,14 +286,6 @@ def _as_int(value) -> int:
     raise ValueError(f"non-numeric Riordan entry {value!r}")
 
 
-def riordan_entry(d: TruncatedSeries, h: TruncatedSeries, n: int, i: int) -> int:
-    return RiordanArray(d, h).entry(n, i)
-
-
-def riordan_matrix(d: TruncatedSeries, h: TruncatedSeries, n_max: int) -> list[list[int]]:
-    return RiordanArray(d, h).matrix(n_max)
-
-
 # ---------------------------------------------------------------------------
 # the weighted generating function as a series in x at rational weights
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .enumeration import ballot_coeff, iter_step_strings
+from .enumeration import ballot_coeff, iter_step_strings, size_cap
 from .errors import DomainViolation
-from .paths import GMOTZKIN_UVU, STEP_GEOMETRY
+from .paths import GMOTZKIN_UVU, STEP_GEOMETRY, PathFamily
 from .series import (
     DEFAULT_ORDER,
     RiordanArray,
@@ -72,13 +72,12 @@ def _check_stat(stat: str) -> tuple[str, int, int, bool]:
 
 
 @lru_cache(maxsize=None)
-def _brute_counts(m: int, restricted: bool, max_n_override):
+def _brute_counts(family: PathFamily, m: int, cap: int):
     """Aggregate (letter, level) step counts and point counts over all
-    uvu-avoiding paths of x-length m."""
-    family = GMOTZKIN_UVU_RESTRICTED if restricted else GMOTZKIN_UVU
+    paths of the family of x-length m, enumerated under the size cap `cap`."""
     step_counts: dict[tuple[str, int], int] = {}
     point_counts: dict[int, int] = {}
-    for steps in iter_step_strings(family, m, max_n_override):
+    for steps in iter_step_strings(family, m, cap):
         level = 0
         point_counts[0] = point_counts.get(0, 0) + 1
         for c in steps:
@@ -94,7 +93,11 @@ def stat_brute(stat: str, n: int, i: int, max_n_override: int | None = None) -> 
     m = n + size_off
     if m < 0 or i < 0:
         return 0
-    step_counts, point_counts = _brute_counts(m, restricted, max_n_override)
+    family = GMOTZKIN_UVU_RESTRICTED if restricted else GMOTZKIN_UVU
+    # keyed on the resolved cap, so a changed GPATHS_MAX_N is seen
+    step_counts, point_counts = _brute_counts(
+        family, m, size_cap(family, max_n_override)
+    )
     if kind == "points":
         return point_counts.get(i, 0)
     return step_counts.get((kind, i + level_off), 0)

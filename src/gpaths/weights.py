@@ -183,18 +183,6 @@ ONE = Polynomial.const(1)
 ZERO = Polynomial()
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def poly_eval(p: Polynomial, a, b, c=0) -> Fraction:
-    return p.eval_at(a, b, c)
-
-
 # ---------------------------------------------------------------------------
 # weightings
 # ---------------------------------------------------------------------------
@@ -250,6 +238,18 @@ WEIGHTINGS: dict[str, tuple[frozenset[str], dict[str, tuple[int, int, int]]]] = 
         frozenset({"psi_image"}),
         {"u": _U, "a": _A1, "A": _B1, "b": _B1, "d": _AB, "D": _B2},
     ),
+}
+
+# the weighting `count` uses for each base family
+DEFAULT_WEIGHTING = {
+    "gmotzkin": "gmotzkin_abc",
+    "dyck": "dyck_peak_ab",
+    "motzkin": "motzkin_ab",
+    "schroder": "schroder_ab",
+    "bicolored_motzkin": "bicolored_motzkin_ab",
+    "hstring": "hstring_ab",
+    "colored_dyck": "dyck_peak_ab",
+    "psi_image": "psi_image_ab",
 }
 
 

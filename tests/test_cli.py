@@ -150,6 +150,7 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["enumerate", "--avoid", "udu", "--length", "2"],
         ["count", "--family", "dyck", "--avoid", "uu", "--length", "2"],
         ["count", "--length", "2", "--weighting", "narayana"],
+        ["count", "--family", "schroder", "--length", "2", "--weighting", "motzkin_ab"],
         ["count", "--length", "1", "--weights", "1"],
         ["map", "--bijection", "sigma", "--input", "uvu"],
         ["riordan", "--d", "T^2", "--h", "x*S^2"],
@@ -159,6 +160,9 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["count", "--length", "-1"],
         ["count", "--nmax", "-1"],
         ["verify", "--suite", "identities", "--nmax", "-1"],
+        ["verify", "--suite", "counts", "--nmax", "11"],
+        ["verify", "--suite", "stats", "--nmax", "9"],
+        ["verify", "--suite", "identities", "--nmax", "11"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -173,6 +177,16 @@ def test_verify_bijections_below_smallest_nmax_is_a_usage_error(capsys, suite):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "smallest supported --nmax is 1" in err
+
+
+@pytest.mark.parametrize(
+    "suite, nmax, limit",
+    [("counts", 11, 10), ("stats", 7, 6), ("identities", 11, 10), ("all", 7, 6)],
+)
+def test_verify_past_the_frozen_data_names_the_limit(capsys, suite, nmax, limit):
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--nmax", str(nmax)])
+    assert (code, out) == (2, "")
+    assert f"the largest supported --nmax is {limit}" in err
 
 
 def test_unknown_subcommand_is_an_argparse_error(capsys):

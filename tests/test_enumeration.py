@@ -1,9 +1,13 @@
 """Exhaustive generation and the exact counting formulas."""
 
+import itertools
 import math
+from functools import lru_cache
 
 import pytest
 
+from gpaths.bijections import BIJECTIONS
+from gpaths.cli import AVOIDABLE
 from gpaths.enumeration import (
     MAX_N_DEFAULT,
     MAX_N_UNRESTRICTED_GMOTZKIN,
@@ -21,21 +25,27 @@ from gpaths.enumeration import (
     size_cap,
     weighted_count,
 )
-from gpaths.errors import SizeLimitExceeded
+from gpaths.errors import FamilyMismatch, GPathError, SizeLimitExceeded
 from gpaths.paths import (
+    ALPHABETS,
+    BASE_FAMILIES,
     BICOLORED_MOTZKIN,
     COLORED_DYCK,
     DYCK,
     GMOTZKIN,
     GMOTZKIN_UVU,
     HSTRING,
+    LITTLE_SCHRODER,
     MOTZKIN,
     PSI_IMAGE,
     SCHRODER,
+    STEP_GEOMETRY,
+    Path,
     PathFamily,
     parse,
+    validate_steps,
 )
-from gpaths.weights import Polynomial
+from gpaths.weights import DEFAULT_WEIGHTING, WEIGHTINGS, Polynomial, weight
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]
@@ -123,6 +133,102 @@ def test_gfull_recurrence_matches_enumeration():
     for n in range(8):
         assert g[n] == weighted_count(GMOTZKIN, n, "gmotzkin_abc")
     assert [p.eval_at(1, 1, 1) for p in g[:7]] == GFULL_COUNTS
+
+
+# Every family a bijection maps from or to, the restricted ones, and each
+# --avoid combination the command line accepts, with and without
+# --no-h-on-axis.
+_CLI_FAMILIES = {
+    GMOTZKIN.avoiding(*combo).restricted() if no_h else GMOTZKIN.avoiding(*combo)
+    for r in range(len(AVOIDABLE) + 1)
+    for combo in itertools.combinations(AVOIDABLE, r)
+    for no_h in (False, True)
+}
+ORACLE_FAMILIES = sorted(
+    {spec.domain for spec in BIJECTIONS.values()}
+    | {spec.codomain for spec in BIJECTIONS.values()}
+    | {LITTLE_SCHRODER, GMOTZKIN_UVU.restricted(), MOTZKIN.avoiding("h")}
+    | _CLI_FAMILIES,
+    key=PathFamily.describe,
+)
+
+
+@lru_cache(maxsize=None)
+def _words(alphabet: str, n: int) -> tuple[str, ...]:
+    """Every word over the alphabet of x-length n with at most 2n letters.
+
+    No path is longer: each v needs an earlier u, and there are at most n
+    u steps and at most n steps that move right.
+    """
+    out = []
+
+    def extend(word: str, rem: int) -> None:
+        if rem == 0:
+            out.append(word)
+        if len(word) == 2 * n:
+            return
+        for letter in alphabet:
+            if STEP_GEOMETRY[letter][0] <= rem:
+                extend(word + letter, rem - STEP_GEOMETRY[letter][0])
+
+    extend("", n)
+    return tuple(out)
+
+
+def _oracle(family: PathFamily, n: int) -> list[str]:
+    accepted = []
+    for word in _words(family.alphabet, n):
+        try:
+            validate_steps(word, family)
+        except GPathError:
+            continue
+        accepted.append(word)
+    return accepted
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=PathFamily.describe)
+def test_walks_agree_with_the_parse_side_oracle(family):
+    weighting = DEFAULT_WEIGHTING[family.base]
+    for n in range(5):
+        want = _oracle(family, n)
+        got = list(iter_step_strings(family, n))
+        assert len(got) == len(set(got))
+        assert set(got) == set(want)
+        assert count_paths(family, n) == len(want)
+        total = Polynomial()
+        for word in want:
+            total = total + weight(Path(family, word), weighting)
+        assert weighted_count(family, n, weighting) == total
+
+
+def test_one_letter_avoided_factor_is_honoured():
+    family = MOTZKIN.avoiding("h")
+    assert list(iter_step_strings(family, 2)) == ["ud"]
+    assert count_paths(family, 3) == 0
+    assert weighted_count(family, 4, "motzkin_ab") == 2 * Polynomial.var("b") ** 2
+
+
+def test_four_letter_avoided_factor_is_rejected():
+    family = GMOTZKIN.avoiding("uvvu")
+    with pytest.raises(ValueError, match="one to three letters"):
+        next(iter_step_strings(family, 2))
+    with pytest.raises(ValueError, match="one to three letters"):
+        weighted_count(family, 2, "gmotzkin_abc")
+    with pytest.raises(ValueError, match="one to three letters"):
+        count_paths(family, 2)
+
+
+def test_default_weightings_cover_their_alphabets():
+    assert set(DEFAULT_WEIGHTING) == set(BASE_FAMILIES)
+    for base, weighting in DEFAULT_WEIGHTING.items():
+        bases, table = WEIGHTINGS[weighting]
+        assert base in bases
+        assert set(ALPHABETS[base]) <= set(table)
+
+
+def test_weighting_without_a_step_weight_is_a_family_mismatch():
+    with pytest.raises(FamilyMismatch, match="no weight to step 'H'"):
+        weighted_count(SCHRODER, 2, "motzkin_ab")
 
 
 def test_dfs_rejects_multi_letter_prefixes():

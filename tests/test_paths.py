@@ -21,17 +21,14 @@ from gpaths.paths import (
     PSI_IMAGE,
     SCHRODER,
     PathFamily,
-    contains_pattern,
     first_return_decompose,
     is_primitive,
     is_primitive_str,
     last_primitive_suffix,
     match_index_str,
-    matching_index,
     nested_uv_decompose,
     parse,
     point_levels,
-    render,
     step_level,
     validate_steps,
     x_length,
@@ -43,7 +40,7 @@ EXAMPLE = "uhuduuvvdhh"
 
 def test_parse_render_round_trip():
     path = parse(EXAMPLE, GMOTZKIN)
-    assert render(path) == EXAMPLE
+    assert path.steps == EXAMPLE
     assert str(path) == EXAMPLE
     assert len(path) == 11
 
@@ -131,8 +128,8 @@ def test_unknown_base_rejected():
 
 def test_contains_pattern():
     path = parse("uvhud", GMOTZKIN)
-    assert contains_pattern(path, "hu")
-    assert not contains_pattern(path, "uvu")
+    assert "hu" in path.steps
+    assert "uvu" not in path.steps
 
 
 def test_matching_step_is_leftmost_down_one_level():
@@ -142,7 +139,7 @@ def test_matching_step_is_leftmost_down_one_level():
     assert match_index_str(EXAMPLE, 4) == 7
     assert match_index_str(EXAMPLE, 5) == 6
     path = parse(EXAMPLE, GMOTZKIN)
-    assert matching_index(path, 0) == 8
+    assert match_index_str(path.steps, 0) == 8
     with pytest.raises(DomainViolation):
         match_index_str(EXAMPLE, 1)
 

@@ -17,8 +17,6 @@ from gpaths.series import (
     named_series,
     one_over_1px_series,
     parse_series_expr,
-    riordan_entry,
-    riordan_matrix,
     square_coeff,
 )
 
@@ -139,7 +137,7 @@ def test_riordan_pascal():
     one_minus_x = TruncatedSeries([1, -1], 10)
     d = one_minus_x.recip()
     h = d.xmul(1)
-    rows = riordan_matrix(d, h, 5)
+    rows = RiordanArray(d, h).matrix(5)
     assert rows == [
         [1],
         [1, 1],
@@ -170,10 +168,10 @@ def test_riordan_entry_matches_printed_table_value():
     order = 10
     d = parse_series_expr("S^3*one_over_1px", order)
     h = parse_series_expr("x*S^2", order)
-    assert riordan_entry(d, h, 6, 2) == 5489
-    assert riordan_entry(d, h, 0, 0) == 1
-    assert riordan_entry(d, h, 3, 5) == 0
     array = RiordanArray(d, h)
+    assert array.entry(6, 2) == 5489
+    assert array.entry(0, 0) == 1
+    assert array.entry(3, 5) == 0
     with pytest.raises(TruncationExceeded):
         array.entry(11, 0)
 

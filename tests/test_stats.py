@@ -3,7 +3,7 @@
 import pytest
 
 from gpaths import stats
-from gpaths.errors import DomainViolation
+from gpaths.errors import DomainViolation, SizeLimitExceeded
 from gpaths.stats import (
     FORMULA_STATS,
     STAT_IDS,
@@ -146,3 +146,11 @@ def test_stat_errors():
         stat_table("U", "oracle", 3)
     with pytest.raises(DomainViolation):
         stat_table("v_r", "formula", 3)
+
+
+def test_brute_counts_follow_a_changed_size_cap(monkeypatch):
+    assert stat_brute("U", 6, 0) == 14777
+    # x-length 7 is past the new cap, even though it was counted above
+    monkeypatch.setenv("GPATHS_MAX_N", "5")
+    with pytest.raises(SizeLimitExceeded):
+        stat_brute("U", 6, 0)
