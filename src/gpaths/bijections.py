@@ -1,10 +1,20 @@
 """The weight-preserving bijections between the path families.
 
-Every map is a recursive rewrite driven by a case analysis on the head or
-tail of the word; the case taken at each recursion level can be recorded
-in a trace list (labels "C1".."C5" and "base").  The public functions take
-and return validated Path objects and raise FamilyMismatch / DomainViolation
-on bad inputs; the underscore forms work on raw step strings.
+Every map is a case analysis on the head or tail of the word (labels
+"C1".."C5" and "base"): a case writes a few letters and maps one or two
+factors of the word, such as the inside of an arch and what follows it.
+Each map is one loop over a work stack of index ranges into its input
+string.  A case finds the matching step of its range's first or last
+letter in a table built by one pass of `paths.match_table`, writes its
+leading letters, pushes what comes after its first factor, and goes on
+with that factor.  So the cases are taken in the order of the recursive
+definition, and a trace list records them in that order; varphi's inverse
+maps the inside of the last arch before the prefix, as its definition
+does, and writes each image straight to its final offset.  Nothing is
+sliced, rescanned or recursed into: paths of any length map in linear
+time.  The public functions take and return validated Path objects and
+raise FamilyMismatch / DomainViolation on bad inputs; the underscore forms
+work on raw step strings.
 
 Maps and their domains:
 
@@ -42,11 +52,8 @@ from .paths import (
     STEP_GEOMETRY,
     Path,
     PathFamily,
-    _last_zero_before_end,
-    is_primitive_str,
-    match_index_str,
-    nested_uv_decompose_str,
     last_primitive_suffix_str,
+    match_table,
 )
 
 GMOTZKIN_UVU_UU = GMOTZKIN.avoiding("uvu", "uu")
@@ -62,6 +69,11 @@ Trace = Optional[list]
 def _t(trace: Trace, label: str) -> None:
     if trace is not None:
         trace.append(label)
+
+
+def _recorder(trace: Trace) -> Callable[[str], None]:
+    # without a trace the labels go to a throwaway list: cheaper than a no-op call
+    return ([] if trace is None else trace).append
 
 
 def _require_base(path: Path, base: str, who: str) -> None:
@@ -85,71 +97,107 @@ def _forbid(steps: str, patterns: tuple[str, ...], who: str) -> None:
 
 
 def _sigma_fwd(q: str, trace: Trace = None) -> str:
-    if q == "":
-        _t(trace, "base")
-        return ""
-    if q[0] == "h":
-        _t(trace, "C1")
-        return "H" + _sigma_fwd(q[1:], trace)
-    if q == "uv":
-        _t(trace, "base")
-        return "ud"
-    if q.startswith("uvh"):
-        _t(trace, "C2")
-        return "udH" + _sigma_fwd(q[3:], trace)
-    m = match_index_str(q, 0)
-    if q[m] == "v":
-        i, core, tail = nested_uv_decompose_str(q)
-        j, odd = divmod(i, 2)
-        if core and is_primitive_str(core):
-            # maximality of i forces a primitive core to close with d
-            _t(trace, "C3")
-            sc = _sigma_fwd(core, trace)
-            st = _sigma_fwd(tail, trace)
-            if odd:
-                return "udu" * j + "ud" + sc + "d" * j + st
-            return "u" + "udu" * (j - 1) + "ud" + sc + "d" * j + st
-        _t(trace, "C4")
-        sc = _sigma_fwd(core, trace)
-        st = _sigma_fwd(tail, trace)
-        if odd:
-            return "u" + "udu" * j + sc + "d" * (j + 1) + st
-        return "udu" * j + sc + "d" * j + st
-    # the leading u is matched by a d: its weight c = b^2 splits in two
-    _t(trace, "C5")
-    return "uu" + _sigma_fwd(q[1:m], trace) + "dd" + _sigma_fwd(q[m + 1 :], trace)
+    note = _recorder(trace)
+    match = match_table(q)
+    out: list[str] = []
+    work = [("", 0, len(q))]
+    while work:
+        lead, lo, hi = work.pop()
+        out.append(lead)
+        # an item writes `lead`, then maps q[lo:hi]; each case writes its
+        # leading letters, pushes the letters and the factor that follow
+        # its first factor, and goes on with that first factor
+        while True:
+            if lo == hi:
+                note("base")
+                break
+            if q[lo] == "h":
+                note("C1")
+                out.append("H")
+                lo += 1
+            elif hi - lo == 2 and q[lo + 1] == "v":
+                note("base")
+                out.append("ud")
+                break
+            elif q.startswith("uvh", lo):
+                note("C2")
+                out.append("udH")
+                lo += 3
+            else:
+                m = match[lo]
+                if q[m] == "v":
+                    # split u^i core v^i tail with i maximal: the k-th u is
+                    # matched by the v k-1 places before the first u's match
+                    i = 1
+                    while q[lo + i] == "u" and q[m - i] == "v" and match[lo + i] == m - i:
+                        i += 1
+                    j, odd = divmod(i, 2)
+                    core_lo, core_hi = lo + i, m - i + 1
+                    if core_lo < core_hi and match[core_lo] == core_hi - 1:
+                        # maximality of i forces a primitive core to close with d
+                        note("C3")
+                        out.append("udu" * j + "ud" if odd else "u" + "udu" * (j - 1) + "ud")
+                        work.append(("d" * j, m + 1, hi))
+                    else:
+                        note("C4")
+                        out.append("u" + "udu" * j if odd else "udu" * j)
+                        work.append(("d" * (j + odd), m + 1, hi))
+                    lo, hi = core_lo, core_hi
+                else:
+                    # the leading u is matched by a d: its weight c = b^2 splits in two
+                    note("C5")
+                    out.append("uu")
+                    work.append(("dd", m + 1, hi))
+                    lo, hi = lo + 1, m
+    return "".join(out)
 
 
 def _sigma_inv(p: str, trace: Trace = None) -> str:
-    if p == "":
-        _t(trace, "base")
-        return ""
-    if p[0] == "H":
-        _t(trace, "C1")
-        return "h" + _sigma_inv(p[1:], trace)
-    m = match_index_str(p, 0)
-    inner = p[1:m]
-    rest = p[m + 1 :]
-    if inner == "":
-        if rest == "":
-            _t(trace, "base")
-            return "uv"
-        if rest[0] == "H":
-            _t(trace, "C2")
-            return "uvh" + _sigma_inv(rest[1:], trace)
-        _t(trace, "C3")
-        m2 = match_index_str(rest, 0)
-        return (
-            "u"
-            + _sigma_inv(rest[: m2 + 1], trace)
-            + "v"
-            + _sigma_inv(rest[m2 + 1 :], trace)
-        )
-    if is_primitive_str(inner):
-        _t(trace, "C5")
-        return "u" + _sigma_inv(inner[1:-1], trace) + "d" + _sigma_inv(rest, trace)
-    _t(trace, "C4")
-    return "u" + _sigma_inv(inner, trace) + "v" + _sigma_inv(rest, trace)
+    note = _recorder(trace)
+    match = match_table(p)
+    out: list[str] = []
+    work = [("", 0, len(p))]
+    while work:
+        lead, lo, hi = work.pop()
+        out.append(lead)
+        while True:
+            if lo == hi:
+                note("base")
+                break
+            if p[lo] == "H":
+                note("C1")
+                out.append("h")
+                lo += 1
+                continue
+            m = match[lo]
+            if m == lo + 1:
+                # empty arch ud, then the rest
+                if m + 1 == hi:
+                    note("base")
+                    out.append("uv")
+                    break
+                if p[m + 1] == "H":
+                    note("C2")
+                    out.append("uvh")
+                    lo = m + 2
+                else:
+                    note("C3")
+                    m2 = match[m + 1]
+                    out.append("u")
+                    work.append(("v", m2 + 1, hi))
+                    lo, hi = m + 1, m2 + 1
+            elif match[lo + 1] == m - 1:
+                # the arch's inside is itself one arch
+                note("C5")
+                out.append("u")
+                work.append(("d", m + 1, hi))
+                lo, hi = lo + 2, m - 1
+            else:
+                note("C4")
+                out.append("u")
+                work.append(("v", m + 1, hi))
+                lo, hi = lo + 1, m
+    return "".join(out)
 
 
 def sigma(path: Path, trace: Trace = None) -> Path:
@@ -169,16 +217,8 @@ def sigma_inv(path: Path, trace: Trace = None) -> Path:
 
 
 def _phi_fwd(p: str) -> str:
-    out = []
-    i = 0
-    while i < len(p):
-        if p[i] == "u" and i + 1 < len(p) and p[i + 1] == "D":
-            out.append("H")
-            i += 2
-        else:
-            out.append(p[i])
-            i += 1
-    return "".join(out)
+    # occurrences of uD cannot overlap, so one left-to-right pass is exact
+    return p.replace("uD", "H")
 
 
 def _phi_inv(p: str) -> str:
@@ -251,63 +291,93 @@ def vartheta_inv(path: Path, trace: Trace = None) -> Path:
 
 
 def _theta_fwd(q: str, trace: Trace = None) -> str:
-    if q == "":
-        _t(trace, "base")
-        return ""
-    if q[0] == "h":
-        _t(trace, "C1")
-        return "a" + _theta_fwd(q[1:], trace)
-    if q.startswith("ud"):
-        _t(trace, "C2")
-        return "bb" + _theta_fwd(q[2:], trace)
-    if q.startswith("uv"):
-        if q == "uv":
-            _t(trace, "base")
-            return "b"
-        # uvu is forbidden and a down step cannot follow at level 0
-        _t(trace, "C4")
-        return "ba" + _theta_fwd(q[3:], trace)
-    # uu is forbidden, so the u is followed by h and the arch is nonempty
-    m = match_index_str(q, 0)
-    inner = q[2:m]
-    tail = q[m + 1 :]
-    if q[m] == "d":
-        _t(trace, "C3")
-        return "bu" + _theta_fwd(inner, trace) + "d" + _theta_fwd(tail, trace)
-    _t(trace, "C5")
-    return "u" + _theta_fwd(inner, trace) + "d" + _theta_fwd(tail, trace)
+    note = _recorder(trace)
+    match = match_table(q)
+    out: list[str] = []
+    work = [("", 0, len(q))]
+    while work:
+        lead, lo, hi = work.pop()
+        out.append(lead)
+        while True:
+            if lo == hi:
+                note("base")
+                break
+            if q[lo] == "h":
+                note("C1")
+                out.append("a")
+                lo += 1
+            elif q[lo + 1] == "d":
+                note("C2")
+                out.append("bb")
+                lo += 2
+            elif q[lo + 1] == "v":
+                if hi - lo == 2:
+                    note("base")
+                    out.append("b")
+                    break
+                # uvu is forbidden and a down step cannot follow at level 0
+                note("C4")
+                out.append("ba")
+                lo += 3
+            else:
+                # uu is forbidden, so the u is followed by h and the arch is nonempty
+                m = match[lo]
+                if q[m] == "d":
+                    note("C3")
+                    out.append("bu")
+                else:
+                    note("C5")
+                    out.append("u")
+                work.append(("d", m + 1, hi))
+                lo, hi = lo + 2, m
+    return "".join(out)
 
 
 def _theta_inv(p: str, trace: Trace = None) -> str:
-    if p == "":
-        _t(trace, "base")
-        return ""
-    if p[0] == "a":
-        _t(trace, "C1")
-        return "h" + _theta_inv(p[1:], trace)
-    if p == "b":
-        _t(trace, "base")
-        return "uv"
-    if p[0] == "b":
-        nxt = p[1]
-        if nxt == "b":
-            _t(trace, "C2")
-            return "ud" + _theta_inv(p[2:], trace)
-        if nxt == "a":
-            _t(trace, "C4")
-            return "uvh" + _theta_inv(p[2:], trace)
-        _t(trace, "C3")
-        m = match_index_str(p, 1)
-        return (
-            "uh"
-            + _theta_inv(p[2:m], trace)
-            + "d"
-            + _theta_inv(p[m + 1 :], trace)
-        )
-    # leading u: the image of a v-closed arch; its interior may be empty
-    _t(trace, "C5")
-    m = match_index_str(p, 0)
-    return "uh" + _theta_inv(p[1:m], trace) + "v" + _theta_inv(p[m + 1 :], trace)
+    note = _recorder(trace)
+    match = match_table(p)
+    out: list[str] = []
+    work = [("", 0, len(p))]
+    while work:
+        lead, lo, hi = work.pop()
+        out.append(lead)
+        while True:
+            if lo == hi:
+                note("base")
+                break
+            c = p[lo]
+            if c == "a":
+                note("C1")
+                out.append("h")
+                lo += 1
+            elif c == "b":
+                if hi - lo == 1:
+                    note("base")
+                    out.append("uv")
+                    break
+                nxt = p[lo + 1]
+                if nxt == "b":
+                    note("C2")
+                    out.append("ud")
+                    lo += 2
+                elif nxt == "a":
+                    note("C4")
+                    out.append("uvh")
+                    lo += 2
+                else:
+                    note("C3")
+                    m = match[lo + 1]
+                    out.append("uh")
+                    work.append(("d", m + 1, hi))
+                    lo, hi = lo + 2, m
+            else:
+                # leading u: the image of a v-closed arch; its interior may be empty
+                note("C5")
+                m = match[lo]
+                out.append("uh")
+                work.append(("v", m + 1, hi))
+                lo, hi = lo + 1, m
+    return "".join(out)
 
 
 def theta(path: Path, trace: Trace = None) -> Path:
@@ -327,44 +397,58 @@ def theta_inv(path: Path, trace: Trace = None) -> Path:
 
 
 def _rho_fwd(q: str, trace: Trace = None) -> str:
-    if all(c == "h" for c in q):
-        _t(trace, "C1")
-        return "a" * len(q)
-    if q.startswith("uv"):
-        # hu-avoidance leaves only horizontal steps after a uv at the end
-        _t(trace, "C2")
-        return "b" + "a" * (len(q) - 2)
-    if q[0] != "u":
-        raise DomainViolation("rho needs blocks u h^i v, u h^j d or h^n")
-    i = 1
-    while i < len(q) and q[i] == "h":
-        i += 1
-    closer = q[i]
-    if closer == "v":
-        _t(trace, "C3")
-        return "a" * (i - 1) + "b" + _rho_fwd(q[i + 1 :], trace)
-    _t(trace, "C4")
-    return "b" + "a" * (i - 1) + "b" + _rho_fwd(q[i + 1 :], trace)
+    note = _recorder(trace)
+    out: list[str] = []
+    n = len(q)
+    h_run = len(q.rstrip("h"))  # q[lo:] is all h exactly when lo >= h_run
+    lo = 0
+    while lo < h_run:
+        if q.startswith("uv", lo):
+            # hu-avoidance leaves only horizontal steps after a uv at the end
+            note("C2")
+            out.append("b" + "a" * (n - lo - 2))
+            return "".join(out)
+        if q[lo] != "u":
+            raise DomainViolation("rho needs blocks u h^i v, u h^j d or h^n")
+        i = lo + 1
+        while i < n and q[i] == "h":
+            i += 1
+        if q[i] == "v":
+            note("C3")
+            out.append("a" * (i - lo - 1) + "b")
+        else:
+            note("C4")
+            out.append("b" + "a" * (i - lo - 1) + "b")
+        lo = i + 1
+    note("C1")
+    out.append("a" * (n - lo))
+    return "".join(out)
 
 
 def _rho_inv(s: str, trace: Trace = None) -> str:
-    if "b" not in s:
-        _t(trace, "C1")
-        return "h" * len(s)
-    if s[0] == "a":
-        _t(trace, "C3")
-        i = 0
-        while s[i] == "a":
-            i += 1
-        return "u" + "h" * i + "v" + _rho_inv(s[i + 1 :], trace)
-    if "b" not in s[1:]:
-        _t(trace, "C2")
-        return "uv" + "h" * (len(s) - 1)
-    _t(trace, "C4")
-    j = 1
-    while s[j] == "a":
-        j += 1
-    return "u" + "h" * (j - 1) + "d" + _rho_inv(s[j + 1 :], trace)
+    note = _recorder(trace)
+    out: list[str] = []
+    n = len(s)
+    last_b = s.rfind("b")
+    lo = 0
+    while lo <= last_b:
+        if s[lo] == "a":
+            note("C3")
+            i = s.index("b", lo)
+            out.append("u" + "h" * (i - lo) + "v")
+            lo = i + 1
+        elif lo == last_b:
+            note("C2")
+            out.append("uv" + "h" * (n - lo - 1))
+            return "".join(out)
+        else:
+            note("C4")
+            j = s.index("b", lo + 1)
+            out.append("u" + "h" * (j - lo - 1) + "d")
+            lo = j + 1
+    note("C1")
+    out.append("h" * (n - lo))
+    return "".join(out)
 
 
 def rho(path: Path, trace: Trace = None) -> Path:
@@ -390,66 +474,90 @@ _PLAIN_CLOSER_OF = {"a": "d"}
 _COLORED_CLOSER_OF = {"a": "d", "A": "D"}
 _PLAIN_MARK_OF = {"d": "a"}
 _COLORED_MARK_OF = {"D": "a", "d": "A"}
+# the closing letter of an arch encodes the mark of its inner word
+_PLAIN_MARK_OF_CLOSER = {c: mark for mark, c in _PLAIN_CLOSER_OF.items()}
+_COLORED_MARK_OF_CLOSER = {c: mark for mark, c in _COLORED_CLOSER_OF.items()}
 
 
 def _varphi_fwd(q: str, colored: bool, trace: Trace = None) -> str:
     peak_of = _COLORED_PEAK_OF if colored else _PLAIN_PEAK_OF
-    closer_of = _COLORED_CLOSER_OF if colored else _PLAIN_CLOSER_OF
-    # the closing letter of an arch encodes the mark of its inner word
-    mark_of_closer = {closer: mark for mark, closer in closer_of.items()}
-    if len(q) == 1:
-        if q not in peak_of:
+    mark_of_closer = _COLORED_MARK_OF_CLOSER if colored else _PLAIN_MARK_OF_CLOSER
+    note = _recorder(trace)
+    match = match_table(q)
+    out: list[str] = []
+    # a range (lo, hi, first) stands for the word first + q[lo+1:hi]: the
+    # inner word of an arch is the arch with its u replaced by a mark
+    work: list = [(0, len(q), q[:1])]
+    while work:
+        item = work.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        lo, hi, first = item
+        # the cases strip the last letter or arch; go on with the prefix
+        while hi - lo > 1:
+            last = q[hi - 1]
+            if last in peak_of:
+                note("C1")
+                work.append(peak_of[last])
+                hi -= 1
+            elif last == "b":
+                note("C2")
+                out.append("u")
+                work.append("d")
+                hi -= 1
+            else:
+                # trailing down step: split off the arch it closes
+                note("C3")
+                opener = match[hi - 1]
+                work += ["d", (opener, hi - 1, mark_of_closer[last]), "u"]
+                hi = opener
+        if first not in peak_of:
             raise DomainViolation("varphi needs a path opening with the marked letter")
-        _t(trace, "base")
-        return peak_of[q]
-    last = q[-1]
-    if last in peak_of:
-        _t(trace, "C1")
-        return _varphi_fwd(q[:-1], colored, trace) + peak_of[last]
-    if last == "b":
-        _t(trace, "C2")
-        return "u" + _varphi_fwd(q[:-1], colored, trace) + "d"
-    # trailing down step: split off the arch it closes
-    _t(trace, "C3")
-    level = 0
-    opener = -1
-    for idx in range(len(q) - 1):
-        if level == 0 and q[idx] == "u":
-            opener = idx
-        level += STEP_GEOMETRY[q[idx]][1]
-    inner = q[opener + 1 : -1]
-    return (
-        _varphi_fwd(q[:opener], colored, trace)
-        + "u"
-        + _varphi_fwd(mark_of_closer[last] + inner, colored, trace)
-        + "d"
-    )
+        note("base")
+        out.append(peak_of[first])
+    return "".join(out)
 
 
 def _varphi_inv(p: str, colored: bool, trace: Trace = None) -> str:
-    peak_of = _COLORED_PEAK_OF if colored else _PLAIN_PEAK_OF
     closer_of = _COLORED_CLOSER_OF if colored else _PLAIN_CLOSER_OF
     mark_of = _COLORED_MARK_OF if colored else _PLAIN_MARK_OF
-    if len(p) == 2:
-        _t(trace, "base")
-        return mark_of[p[1]]
-    if p[-2] == "u":
-        # trailing peak
-        _t(trace, "C1")
-        return _varphi_inv(p[:-2], colored, trace) + mark_of[p[-1]]
-    if is_primitive_str(p):
-        _t(trace, "C2")
-        return _varphi_inv(p[1:-1], colored, trace) + "b"
-    _t(trace, "C3")
-    split = _last_zero_before_end(p)
-    inner = p[split + 1 : -1]
-    w = _varphi_inv(inner, colored, trace)
-    return (
-        _varphi_inv(p[:split], colored, trace)
-        + "u"
-        + w[1:]
-        + closer_of[w[0]]
-    )
+    note = _recorder(trace)
+    match = match_table(p)
+    # the image of a factor of length 2k has length k, so a range
+    # (lo, hi, at) writes its image to out[at : at + (hi - lo) // 2]
+    out = [""] * (len(p) // 2)
+    work: list = [(0, len(p), 0)]
+    while work:
+        item = work.pop()
+        if len(item) == 2:
+            # the inner word w of an arch is in place: u w[1:] closer_of[w[0]]
+            at, end = item
+            out[end] = closer_of[out[at]]
+            out[at] = "u"
+            continue
+        lo, hi, at = item
+        while hi - lo > 2:
+            if p[hi - 2] == "u":
+                # trailing peak
+                note("C1")
+                out[at + (hi - lo) // 2 - 1] = mark_of[p[hi - 1]]
+                hi -= 2
+            elif match[lo] == hi - 1:
+                note("C2")
+                out[at + (hi - lo) // 2 - 1] = "b"
+                lo, hi = lo + 1, hi - 1
+            else:
+                # prefix, then the last arch u inner d: the inner word is
+                # mapped first, then the prefix
+                note("C3")
+                split = match[hi - 1]
+                w_at = at + (split - lo) // 2
+                work += [(lo, split, at), (w_at, w_at + (hi - split) // 2 - 1)]
+                lo, hi, at = split + 1, hi - 1, w_at
+        note("base")
+        out[at] = mark_of[p[lo + 1]]
+    return "".join(out)
 
 
 def varphi(path: Path, trace: Trace = None) -> Path:

@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", default="fwd", choices=("fwd", "inv"))
     p.add_argument("--input", required=True, help="step string ('' for empty)")
     p.add_argument(
-        "--trace", action="store_true", help="log the case taken at each level"
+        "--trace", action="store_true", help="log the cases the map takes, in order"
     )
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.set_defaults(fn=_cmd_map)

@@ -143,13 +143,18 @@ def _weighted_automaton(family: PathFamily, weighting: str):
     A step's weight may depend on the letter before it (a peak), so it is
     the weight of prev+letter less the weight of prev.
     """
-    missing = sorted(set(family.alphabet) - set(WEIGHTINGS[weighting][1]))
+    bases, letters = WEIGHTINGS[weighting]
+    base = family.base
+    missing = sorted(set(family.alphabet) - set(letters))
     if missing:
         raise FamilyMismatch(
             f"weighting {weighting!r} gives no weight to step {missing[0]!r} "
-            f"of family {family.base!r}"
+            f"of family {base!r}"
         )
-    base = family.base
+    if base not in bases:
+        raise FamilyMismatch(
+            f"weighting {weighting!r} does not apply to family {base!r}"
+        )
 
     def exponents(state: str, letter: str) -> tuple[int, int, int]:
         prev = state[-1:]

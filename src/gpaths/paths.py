@@ -216,6 +216,30 @@ def match_index_str(steps: str, u_index: int) -> int:
     raise DomainViolation(f"u at index {u_index} has no matching step")
 
 
+def match_table(steps: str) -> list[int]:
+    """Partner index of every u and every down step, in one stack pass.
+
+    Entry i is the index of the step matched with the u or down step at i
+    (so match_table(s)[i] == match_index_str(s, i) for every u), and -1 for
+    a horizontal step.  The partners inside any balanced factor of `steps`
+    are the same as in that factor on its own.
+    """
+    partner = [-1] * len(steps)
+    open_us = []
+    for i, c in enumerate(steps):
+        if c == "u":
+            open_us.append(i)
+        elif c in DOWN_LETTERS:
+            if not open_us:
+                raise DomainViolation(f"down step at index {i} has no matching u")
+            j = open_us.pop()
+            partner[i] = j
+            partner[j] = i
+    if open_us:
+        raise DomainViolation(f"u at index {open_us[-1]} has no matching step")
+    return partner
+
+
 def is_primitive_str(steps: str) -> bool:
     """True for u P' d / u P' v / u P' D with P' never touching the axis."""
     if not steps:

@@ -1,6 +1,10 @@
 """The weight-preserving maps between path families."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpaths.bijections import (
     BIJECTIONS,
@@ -37,8 +41,10 @@ from gpaths.paths import (
     HSTRING,
     PSI_IMAGE,
     SCHRODER,
+    STEP_GEOMETRY,
     parse,
 )
+from gpaths.verification import _WEIGHTING_OF
 from gpaths.weights import weight_exponents
 
 # worked examples, checked by hand against the recursive case analysis
@@ -244,6 +250,163 @@ def test_apply_bijection_dispatch():
         apply_bijection("tau", "fwd", q)
     with pytest.raises(ValueError):
         apply_bijection("sigma", "sideways", q)
+
+
+# forward and inverse traces of each map on a worked example, recorded from
+# the recursive definitions: (input, image, forward trace, inverse trace)
+WORKED_TRACES = {
+    "sigma": (
+        SIGMA_EXAMPLE_IN,
+        SIGMA_EXAMPLE_OUT,
+        ["C4", "C2", "C5", "base", "base", "C1", "C3", "C5", "base", "base",
+         "C5", "base", "base"],
+        ["C3", "C4", "C2", "C5", "base", "base", "base", "C1", "C3", "C4",
+         "C3", "C5", "base", "base", "base", "base", "C5", "base", "base"],
+    ),
+    "phi_peak": (PHI_EXAMPLE_IN, PHI_EXAMPLE_OUT, ["base"], ["base"]),
+    "vartheta": ("uduuddH", "Huuddud", ["C1"], ["C1"]),
+    "theta": (
+        THETA_EXAMPLE_IN,
+        THETA_EXAMPLE_OUT,
+        ["C5", "C1", "C1", "C3", "C5", "C1", "C5", "C4", "base", "base",
+         "C2", "base", "base", "C1", "C1", "C1", "C3", "C1", "C5", "base",
+         "base", "C1", "C3", "base", "base"],
+        ["C5", "C1", "C1", "C3", "C5", "C1", "C5", "C4", "base", "base",
+         "C2", "base", "base", "C1", "C1", "C1", "C3", "C1", "C5", "base",
+         "base", "C1", "C3", "base", "base"],
+    ),
+    "rho": (
+        "uhduduhvuvhh",
+        "babbbabbaa",
+        ["C4", "C4", "C3", "C2"],
+        ["C4", "C4", "C3", "C2"],
+    ),
+    "varphi": (
+        PIPE_EXAMPLE_MID,
+        PIPE_EXAMPLE_OUT,
+        ["C3", "C1", "C3", "C2", "C3", "base", "base", "base", "C3", "C2",
+         "base", "C2", "C2", "C2", "base"],
+        ["C3", "C3", "C2", "C2", "C2", "base", "C2", "base", "C1", "C3",
+         "base", "C2", "C3", "base", "base"],
+    ),
+    "psi": (
+        SIGMA_EXAMPLE_IN,
+        "AuauDDaAuubDDuD",
+        ["C4", "C2", "C5", "base", "base", "C1", "C3", "C5", "base", "base",
+         "C5", "base", "base", "C3", "base", "C3", "C3", "C2", "base", "base",
+         "C1", "C1", "C3", "C3", "base", "C1", "base", "base"],
+        ["C3", "C3", "C1", "C1", "C3", "base", "C3", "C1", "base", "base",
+         "C3", "base", "C2", "base", "base", "C3", "C4", "C2", "C5", "base",
+         "base", "base", "C1", "C3", "C4", "C3", "C5", "base", "base", "base",
+         "base", "C5", "base", "base"],
+    ),
+    "varphi_theta": (
+        PIPE_EXAMPLE_IN,
+        PIPE_EXAMPLE_OUT,
+        ["C1", "C5", "base", "C3", "base", "C1", "C5", "C3", "C2", "base",
+         "base", "base", "C3", "C1", "C3", "C2", "C3", "base", "base", "base",
+         "C3", "C2", "base", "C2", "C2", "C2", "base"],
+        ["C3", "C3", "C2", "C2", "C2", "base", "C2", "base", "C1", "C3",
+         "base", "C2", "C3", "base", "base", "C1", "C5", "base", "C3", "base",
+         "C1", "C5", "C3", "C2", "base", "base", "base"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKED_TRACES))
+def test_worked_example_traces(name):
+    source, image, forward_trace, inverse_trace = WORKED_TRACES[name]
+    spec = BIJECTIONS[name]
+    trace = []
+    p = spec.forward(parse(source, spec.domain), trace)
+    assert (p.steps, trace) == (image, forward_trace)
+    trace = []
+    q = spec.inverse(p, trace)
+    assert (q.steps, trace) == (source, inverse_trace)
+
+
+# one deterministic domain path of about 10^4 steps per map: long runs,
+# deep nesting, or both
+LONG_INPUTS = {
+    "sigma": "h" * 3000 + "u" * 2000 + "v" * 2000 + ("uhd" * 1000),
+    "phi_peak": "u" * 5000 + "D" + "d" * 4999,
+    "vartheta": "ud" + "u" * 5000 + "d" * 5000 + "H" + "uH" * 10 + "d" * 10,
+    "theta": "uh" * 3000 + "d" * 3000 + "uhv" * 1000,
+    "rho": "uhd" * 3333 + "h",
+    "varphi": "a" + "u" * 5000 + "b" + "d" * 5000,
+    "psi": "u" * 5000 + "v" * 5000,
+    "varphi_theta": "h" + "uh" * 3000 + "v" * 3000 + "h" * 1000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_INPUTS))
+def test_long_paths_map_without_recursion(name):
+    steps = LONG_INPUTS[name]
+    assert len(steps) > 5 * sys.getrecursionlimit()
+    spec = BIJECTIONS[name]
+    q = parse(steps, spec.domain)
+    p = spec.forward(q, None)
+    assert parse(p.steps, spec.codomain) == p
+    trace = []
+    assert spec.inverse(p, trace) == q
+    assert trace
+
+
+# ---------------------------------------------------------------------------
+# random domain paths of every map
+# ---------------------------------------------------------------------------
+
+
+def _walk(alphabet, avoid, first, choices):
+    """Each choice picks among the admissible next letters; d closes.
+
+    No avoided factor ends in d, and d never needs a u before it, so the
+    closing down steps keep the word in the domain.
+    """
+    steps = list(first)
+    level = 0
+    for choice in choices:
+        options = [
+            c
+            for c in alphabet
+            if level + STEP_GEOMETRY[c][1] >= 0
+            and (c != "D" or steps[-1:] == ["u"])
+            and not any(("".join(steps[-2:]) + c).endswith(f) for f in avoid)
+        ]
+        c = options[choice % len(options)]
+        steps.append(c)
+        level += STEP_GEOMETRY[c][1]
+    return "".join(steps) + "d" * level
+
+
+_choices = st.lists(st.integers(0, 5), min_size=1, max_size=300)
+
+
+@st.composite
+def domain_paths(draw, name):
+    if name == "vartheta":
+        # ud-prefixed Schroder path with a horizontal step on the axis
+        before = _walk("uHd", (), "", draw(_choices))
+        after = _walk("uHd", (), "", draw(_choices))
+        return "ud" + before + "H" + after
+    domain = BIJECTIONS[name].domain
+    first = domain.prefixes[0] if domain.prefixes else ""
+    return _walk(domain.alphabet, domain.avoid, first, draw(_choices))
+
+
+@pytest.mark.parametrize("name", sorted(BIJECTIONS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_random_domain_paths(name, data):
+    spec = BIJECTIONS[name]
+    q = parse(data.draw(domain_paths(name)), spec.domain)
+    p = spec.forward(q, None)
+    assert parse(p.steps, spec.codomain) == p
+    assert spec.inverse(p, None) == q
+    dom, cod = spec.domain.base, spec.codomain.base
+    assert weight_exponents(q.steps, _WEIGHTING_OF[dom], dom) == weight_exponents(
+        p.steps, _WEIGHTING_OF[cod], cod
+    )
 
 
 def test_registry_is_complete():

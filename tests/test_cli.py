@@ -48,6 +48,11 @@ def test_count_unweighted(capsys):
     assert out == "8\n"
 
 
+def test_map_takes_paths_past_the_recursion_limit(capsys):
+    code, out, err = run(capsys, ["map", "--bijection", "sigma", "--input", "h" * 1500])
+    assert (code, out, err) == (0, "H" * 1500 + "\n", "")
+
+
 def test_map_text_and_json(capsys):
     code, out, _ = run(capsys, ["map", "--bijection", "sigma", "--input", "uv"])
     assert (code, out) == (0, "ud\n")
@@ -163,6 +168,7 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["verify", "--suite", "counts", "--nmax", "11"],
         ["verify", "--suite", "stats", "--nmax", "9"],
         ["verify", "--suite", "identities", "--nmax", "11"],
+        ["count", "--family", "dyck", "--weighting", "motzkin_ab", "--length", "4"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -231,6 +231,15 @@ def test_weighting_without_a_step_weight_is_a_family_mismatch():
         weighted_count(SCHRODER, 2, "motzkin_ab")
 
 
+def test_weighting_of_another_family_is_a_family_mismatch():
+    with pytest.raises(FamilyMismatch) as counted:
+        weighted_count(DYCK, 4, "motzkin_ab")
+    with pytest.raises(FamilyMismatch) as weighed:
+        weight(parse("udud", DYCK), "motzkin_ab")
+    assert str(counted.value) == str(weighed.value)
+    assert str(counted.value) == "weighting 'motzkin_ab' does not apply to family 'dyck'"
+
+
 def test_dfs_rejects_multi_letter_prefixes():
     family = PathFamily("dyck", prefixes=("ud",))
     with pytest.raises(ValueError, match="one-letter prefixes"):

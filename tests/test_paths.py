@@ -26,6 +26,7 @@ from gpaths.paths import (
     is_primitive_str,
     last_primitive_suffix,
     match_index_str,
+    match_table,
     nested_uv_decompose,
     parse,
     point_levels,
@@ -180,6 +181,30 @@ def test_matching_steps_partition_the_openers(steps):
         assert steps[m_idx] in "dv"
         assert m_idx > u_idx
         assert levels[m_idx + 1] == levels[u_idx + 1] - 1
+
+
+@given(st.text(alphabet="uhvdD", max_size=12))
+def test_match_table_agrees_with_the_scan(steps):
+    try:
+        validate_steps(steps.replace("D", "d"), GMOTZKIN)
+    except GeometryViolation:
+        with pytest.raises(DomainViolation):
+            match_table(steps)
+        return
+    table = match_table(steps)
+    for idx, c in enumerate(steps):
+        if c == "u":
+            assert table[table[idx]] == idx == table[match_index_str(steps, idx)]
+        elif c == "h":
+            assert table[idx] == -1
+
+
+def test_match_table_names_the_unmatched_step():
+    assert match_table(EXAMPLE)[0] == 8
+    with pytest.raises(DomainViolation, match="u at index 0 has no matching step"):
+        match_table("uud")
+    with pytest.raises(DomainViolation, match="down step at index 1 has no matching u"):
+        match_table("hdu")
 
 
 def test_is_primitive():
