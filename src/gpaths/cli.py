@@ -25,6 +25,7 @@ AVOIDABLE = ("uvu", "uu", "uh", "hu")
 
 
 def _family_from_args(args: argparse.Namespace) -> PathFamily:
+    _check_nonnegative("--max-n-override", args.max_n_override)
     family = BASE_FAMILIES[args.family]
     if args.avoid:
         patterns = tuple(p for p in args.avoid.split(",") if p)

@@ -3,13 +3,15 @@
 Each family's word rules (its letter order, which is the order of
 `family.alphabet`, a one-letter prefix, avoided factors of one to three
 letters, D only after u, no horizontal step on the axis) are compiled once
-into a step automaton.  Generation and weighted counting are two walks over
-that automaton that check only geometry, so output order is reproducible
-byte for byte.  Exhaustive sizes are guarded: the pattern-avoiding and
-classical families stop at x-length 12, the unrestricted gmotzkin family
-(whose free v steps inflate growth) at 9.  GPATHS_MAX_N in the environment,
-or an explicit override argument, moves the cap; exceeding it raises
-SizeLimitExceeded rather than grinding.
+into a step automaton.  Generation is a depth-first walk over that
+automaton that checks only geometry, so output order is reproducible byte
+for byte.  Weighted counting (and so plain counting) is a transfer-matrix DP
+over the same automaton: the prefixes are merged by (x-length left, level,
+state), so its cost grows with the number of keys, not of paths.  Both are
+guarded by the same size cap: the pattern-avoiding and classical families
+stop at x-length 12, the unrestricted gmotzkin family (whose free v steps
+inflate growth) at 9.  GPATHS_MAX_N in the environment, or an explicit
+override argument, moves the cap; exceeding it raises SizeLimitExceeded.
 
 The counting side is exact integer/polynomial arithmetic throughout:
 recurrence coefficients for the two generating-function equations, the
@@ -55,7 +57,7 @@ def _check_size(family: PathFamily, n: int, max_n_override: int | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the step automaton and the two walks over it
+# the step automaton, the generation walk and the counting DP
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -130,8 +132,8 @@ def generate(
 
 
 def count_paths(family: PathFamily, n: int, max_n_override: int | None = None) -> int:
-    """The number of paths: the weighted count at a = b = c = 1 under the
-    family's default weighting, still reached one path at a time."""
+    """The number of paths: the coefficient sum of the weighted count under
+    the family's default weighting."""
     weighting = DEFAULT_WEIGHTING[family.base]
     return sum(weighted_count(family, n, weighting, max_n_override).terms.values())
 
@@ -178,25 +180,41 @@ def weighted_count(
     weighting: str,
     max_n_override: int | None = None,
 ) -> Polynomial:
-    """Sum of monomial weights over every path of x-length n."""
+    """Sum of monomial weights over every path of x-length n.
+
+    A transfer-matrix DP over the step automaton: every prefix that reaches
+    the same (x-length left, level, state) key extends the same way, so each
+    key holds the exponent triples of its prefixes with their multiplicities
+    and pushes them along its moves once.  Every move lowers 2 * x-length
+    left + level (u and v by 1, d and D by 3, a horizontal step by 2 per unit
+    of x-length), so keys are taken bucket by bucket, highest first.  The
+    last bucket holds the leaves, x-length 0 on the axis, where every letter
+    overshoots or dips.
+    """
     _check_size(family, n, max_n_override)
     table, empty_ok = _weighted_automaton(family, weighting)
+    if n < 0:
+        return Polynomial()
     bounded = "v" not in family.alphabet
+    buckets: list[dict] = [{} for _ in range(2 * n + 1)]
+    buckets[2 * n][n, 0, ""] = {(0, 0, 0): 1}
+    for height in range(2 * n, 0, -1):
+        for (rem, level, state), sums in buckets[height].items():
+            for wa, wb, wc, dx, dy, nxt in table[state, level == 0]:
+                rem2 = rem - dx
+                lvl2 = level + dy
+                if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
+                    continue
+                target = buckets[2 * rem2 + lvl2].setdefault((rem2, lvl2, nxt), {})
+                for (ea, eb, ec), k in sums.items():
+                    key = (ea + wa, eb + wb, ec + wc)
+                    target[key] = target.get(key, 0) + k
+        buckets[height].clear()
     acc: dict[tuple[int, int, int], int] = {}
-    stack = [(n, 0, "", 0, 0, 0)]
-    while stack:
-        rem, level, state, ea, eb, ec = stack.pop()
-        if rem == 0 and level == 0:
-            if state or empty_ok:
-                key = (ea, eb, ec)
-                acc[key] = acc.get(key, 0) + 1
-            continue
-        for wa, wb, wc, dx, dy, nxt in table[state, level == 0]:
-            rem2 = rem - dx
-            lvl2 = level + dy
-            if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
-                continue
-            stack.append((rem2, lvl2, nxt, ea + wa, eb + wb, ec + wc))
+    for (_, _, state), sums in buckets[0].items():
+        if state or empty_ok:
+            for key, k in sums.items():
+                acc[key] = acc.get(key, 0) + k
     return Polynomial(acc)
 
 

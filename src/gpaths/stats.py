@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .enumeration import ballot_coeff, iter_step_strings, size_cap
+from .enumeration import _check_size, ballot_coeff, iter_step_strings, size_cap
 from .errors import DomainViolation
 from .paths import GMOTZKIN_UVU, STEP_GEOMETRY, PathFamily
 from .series import (
@@ -284,13 +284,17 @@ def methods_for(stat: str) -> tuple[str, ...]:
 
 
 def stat_table(stat: str, method: str, n_max: int) -> StatTable:
-    _check_stat(stat)
+    _, _, size_off, restricted = _check_stat(stat)
     if method not in _METHODS:
         raise DomainViolation(
             f"unknown method {method!r}; choose from " + ", ".join(_METHODS)
         )
     if method == "formula" and stat not in FORMULA_STATS:
         raise DomainViolation(f"no explicit formula for {stat!r}")
+    if method == "brute":
+        # the last row is the longest: past the cap, fail before enumerating
+        family = GMOTZKIN_UVU_RESTRICTED if restricted else GMOTZKIN_UVU
+        _check_size(family, n_max + size_off, None)
     fn = _METHODS[method]
     rows = tuple(
         tuple(fn(stat, n, i) for i in range(n + 1)) for n in range(n_max + 1)

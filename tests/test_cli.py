@@ -169,12 +169,31 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["verify", "--suite", "stats", "--nmax", "9"],
         ["verify", "--suite", "identities", "--nmax", "11"],
         ["count", "--family", "dyck", "--weighting", "motzkin_ab", "--length", "4"],
+        ["enumerate", "--length", "2", "--max-n-override", "-1"],
+        ["count", "--length", "2", "--max-n-override", "-1"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["enumerate", "count"])
+def test_negative_size_override_is_rejected_as_such(capsys, command):
+    argv = [command, "--length", "0", "--max-n-override", "-1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --max-n-override must be nonnegative; got -1\n"
+
+
+@pytest.mark.parametrize("method", ["brute", "all"])
+def test_table_past_the_brute_cap_is_a_usage_error(capsys, monkeypatch, method):
+    monkeypatch.setenv("GPATHS_MAX_N", "9")
+    argv = ["table", "--stat", "U", "--method", method, "--nmax", "9"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: x-length 10 exceeds") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("suite", ["bijections", "all"])

@@ -45,7 +45,13 @@ from gpaths.paths import (
     parse,
     validate_steps,
 )
-from gpaths.weights import DEFAULT_WEIGHTING, WEIGHTINGS, Polynomial, weight
+from gpaths.weights import (
+    DEFAULT_WEIGHTING,
+    WEIGHTINGS,
+    Polynomial,
+    weight,
+    weight_exponents,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]
@@ -144,9 +150,13 @@ _CLI_FAMILIES = {
     for combo in itertools.combinations(AVOIDABLE, r)
     for no_h in (False, True)
 }
-ORACLE_FAMILIES = sorted(
+BIJECTION_FAMILIES = sorted(
     {spec.domain for spec in BIJECTIONS.values()}
-    | {spec.codomain for spec in BIJECTIONS.values()}
+    | {spec.codomain for spec in BIJECTIONS.values()},
+    key=PathFamily.describe,
+)
+ORACLE_FAMILIES = sorted(
+    set(BIJECTION_FAMILIES)
     | {LITTLE_SCHRODER, GMOTZKIN_UVU.restricted(), MOTZKIN.avoiding("h")}
     | _CLI_FAMILIES,
     key=PathFamily.describe,
@@ -199,6 +209,36 @@ def test_walks_agree_with_the_parse_side_oracle(family):
         for word in want:
             total = total + weight(Path(family, word), weighting)
         assert weighted_count(family, n, weighting) == total
+
+
+
+@pytest.mark.parametrize("family", BIJECTION_FAMILIES, ids=PathFamily.describe)
+def test_transfer_count_equals_the_per_path_weight_sum(family):
+    weightings = [
+        name
+        for name, (bases, letters) in sorted(WEIGHTINGS.items())
+        if family.base in bases and set(family.alphabet) <= set(letters)
+    ]
+    assert DEFAULT_WEIGHTING[family.base] in weightings
+    for weighting in weightings:
+        for n in range(8):
+            terms = {}
+            for steps in iter_step_strings(family, n):
+                key = weight_exponents(steps, weighting, family.base)
+                terms[key] = terms.get(key, 0) + 1
+            assert weighted_count(family, n, weighting) == Polynomial(terms)
+
+
+def test_transfer_count_past_the_reach_of_enumeration():
+    assert weighted_count(GMOTZKIN_UVU, 20, "gmotzkin_abc", 20) == guvu_coeffs(20)[20]
+    assert weighted_count(GMOTZKIN, 12, "gmotzkin_abc", 12) == gfull_coeffs(12)[12]
+    assert count_paths(SCHRODER, 24, 24) == closed_form("schroder_ab", 12).eval_at(1, 1)
+
+
+def test_negative_x_length_has_no_paths():
+    assert count_paths(DYCK, -1) == 0
+    assert weighted_count(GMOTZKIN, -2, "gmotzkin_abc") == Polynomial()
+    assert list(iter_step_strings(DYCK, -1)) == []
 
 
 def test_one_letter_avoided_factor_is_honoured():

@@ -154,3 +154,13 @@ def test_brute_counts_follow_a_changed_size_cap(monkeypatch):
     monkeypatch.setenv("GPATHS_MAX_N", "5")
     with pytest.raises(SizeLimitExceeded):
         stat_brute("U", 6, 0)
+
+
+def test_brute_table_past_the_cap_fails_before_enumerating(monkeypatch):
+    monkeypatch.setenv("GPATHS_MAX_N", "9")
+    stats._brute_counts.cache_clear()
+    with pytest.raises(SizeLimitExceeded, match="x-length 10 exceeds"):
+        stat_table("U", "brute", 9)
+    with pytest.raises(SizeLimitExceeded, match="x-length 11 exceeds"):
+        stat_table("h_r", "brute", 9)
+    assert stats._brute_counts.cache_info().misses == 0
