@@ -302,12 +302,6 @@ def is_primitive(path: Path) -> bool:
     return is_primitive_str(path.steps)
 
 
-class NestedUV(NamedTuple):
-    i: int
-    core: Path
-    tail: Path
-
-
 def nested_uv_decompose_str(steps: str) -> tuple[int, str, str]:
     """Maximal split u^i core v^i tail for a path opening with a v-matched u.
 
@@ -330,11 +324,6 @@ def nested_uv_decompose_str(steps: str) -> tuple[int, str, str]:
     return i, steps[i : m1 - i + 1], steps[m1 + 1 :]
 
 
-def nested_uv_decompose(path: Path) -> NestedUV:
-    i, core, tail = nested_uv_decompose_str(path.steps)
-    return NestedUV(i, Path(path.family, core), Path(path.family, tail))
-
-
 def last_primitive_suffix_str(steps: str) -> tuple[str, str]:
     """Split path = prefix + arch at the last visit to the axis.
 
@@ -348,13 +337,3 @@ def last_primitive_suffix_str(steps: str) -> tuple[str, str]:
     if not is_primitive_str(arch):
         raise DomainViolation("path ends with a horizontal step on the axis")
     return steps[:p], arch
-
-
-class PrimitiveSuffix(NamedTuple):
-    prefix: Path
-    arch: Path
-
-
-def last_primitive_suffix(path: Path) -> PrimitiveSuffix:
-    prefix, arch = last_primitive_suffix_str(path.steps)
-    return PrimitiveSuffix(Path(path.family, prefix), Path(path.family, arch))

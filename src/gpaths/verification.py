@@ -7,14 +7,25 @@ sets, statistic tables against their frozen reference rows.  The frozen
 sequences and tables below are the reference data; nothing in here derives
 them from the code under test.
 
+Criterion 3 is table-driven: `CERTIFICATIONS` gives each map of
+`bijections.BIJECTIONS` its sizes, the x-lengths a size stands for in the
+domain and codomain, optional filters on step strings, and its worked
+examples.  The maps and families themselves are read from the registry, so
+a registered map is certified exactly as it is dispatched.  Every domain
+path goes through the public forward map and its image through the
+inverse; the images are checked for injectivity and compared with a fresh
+enumeration of the codomain.
+
 The four suites (counts, bijections, stats, identities) power both the CLI
 verify subcommand and the acceptance test module.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import bijections as bij
 from .enumeration import (
@@ -22,21 +33,16 @@ from .enumeration import (
     ballot_coeff,
     closed_form,
     count_paths,
-    generate,
     guvu_coeffs,
     iter_step_strings,
     prop21,
     weighted_count,
 )
 from .paths import (
-    BICOLORED_MOTZKIN,
-    COLORED_DYCK,
     DYCK,
     GMOTZKIN,
     GMOTZKIN_UVU,
-    HSTRING,
     MOTZKIN,
-    PSI_IMAGE,
     SCHRODER,
     STEP_GEOMETRY,
     Path,
@@ -275,237 +281,144 @@ def check_weighted_counts(n_max: int = 10) -> list[CheckResult]:
 # the bijections preserve the c = b^2 specialization on gmotzkin paths
 _WEIGHTING_OF = {**DEFAULT_WEIGHTING, "gmotzkin": "gmotzkin_ab_bsq"}
 
-_path_set_cache: dict = {}
+
+def _has_axis_h(steps: str) -> bool:
+    level = 0
+    for c in steps:
+        if c == "H" and level == 0:
+            return True
+        level += STEP_GEOMETRY[c][1]
+    return False
 
 
-def _path_set(family: PathFamily, n: int) -> frozenset[str]:
-    key = (family, n)
-    if key not in _path_set_cache:
-        _path_set_cache[key] = frozenset(iter_step_strings(family, n, _CAP))
-    return _path_set_cache[key]
+@dataclass(frozen=True)
+class Certification:
+    """How criterion 3 certifies one map of `bijections.BIJECTIONS`.
 
-
-def _certify(
-    name: str,
-    forward,
-    inverse,
-    sizes,
-    domain_of,
-    codomain_of,
-) -> list[CheckResult]:
-    """Round trip, weight preservation, and image-set equality.
-
-    domain_of(n) yields the domain paths of size n; codomain_of(n) is the
-    set of step strings their images must make up.
+    Size n pairs the domain paths of x-length dom_scale*n with the codomain
+    paths of x-length cod_scale*n, each kept where its filter, if any,
+    accepts the step string.  Each example is a check name with its
+    (map, input, forward image) cases.
     """
-    ok_round = True
-    ok_weight = True
-    ok_image = True
-    detail = ""
+
+    sizes: Callable[[int, int], range]  # (n_max, theta_n_max) -> sizes
+    dom_scale: int
+    cod_scale: int
+    examples: tuple[tuple[str, tuple[tuple[str, str, str], ...]], ...] = ()
+    dom_filter: Callable[[str], bool] | None = None
+    cod_filter: Callable[[str], bool] | None = None
+
+
+# in verify's check order, which is not the registry's
+CERTIFICATIONS: Mapping[str, Certification] = MappingProxyType({
+    "sigma": Certification(lambda n, t: range(n + 1), 1, 2, (
+        ("sigma reproduces the worked 15-step example",
+         (("sigma", FIGURE_SIGMA_IN, FIGURE_SIGMA_OUT),)),
+    )),
+    "theta": Certification(lambda n, t: range(t + 1), 1, 1, (
+        ("theta reproduces the worked 30-step example",
+         (("theta", FIGURE_THETA_IN, FIGURE_THETA_OUT),)),
+    )),
+    "phi_peak": Certification(lambda n, t: range(0, 2 * n + 1, 2), 1, 1, (
+        ("phi_peak reproduces the worked example",
+         (("phi_peak", PHI_EXAMPLE_IN, PHI_EXAMPLE_OUT),)),
+    )),
+    "vartheta": Certification(
+        lambda n, t: range(1, n + 1), 2, 2,
+        (("vartheta reproduces the three worked examples", (
+            ("vartheta", "udH", "Hud"),
+            ("vartheta", "udHH", "HuHd"),
+            ("vartheta", "uduuddH", "Huuddud"),
+        )),),
+        # opens with ud and has an H on the axis
+        dom_filter=lambda p: p.startswith("ud") and _has_axis_h(p),
+        # opens with H, ends with d, and has no later H on the axis
+        cod_filter=lambda p: (
+            p.startswith("H") and p.endswith("d") and not _has_axis_h(p[1:])
+        ),
+    ),
+    "rho": Certification(lambda n, t: range(n + 1), 1, 1, (
+        ("rho reproduces the worked examples",
+         (("rho", "hh", "aa"), ("rho", "uv", "b"), ("rho", "uhd", "bab"))),
+    )),
+    "varphi": Certification(lambda n, t: range(1, n + 1), 1, 2, (
+        ("varphi reproduces its base cases and the worked example", (
+            ("varphi", "a", "ud"), ("varphi", "aa", "udud"),
+            ("varphi", "ab", "uudd"), ("varphi", "aud", "uduudd"),
+        )),
+        ("theta then varphi reproduces the worked 15-step pipeline", (
+            ("theta", FIGURE_PIPE_IN, FIGURE_PIPE_MID),
+            ("varphi", FIGURE_PIPE_MID, FIGURE_PIPE_OUT),
+        )),
+    )),
+    "psi": Certification(lambda n, t: range(1, n + 1), 1, 1, (
+        ("psi sends the length-1 paths to the two flavored marks",
+         (("psi", "h", "a"), ("psi", "uv", "A"))),
+    )),
+    "varphi_theta": Certification(lambda n, t: range(1, n + 1), 1, 2),
+})
+
+
+def _step_strings(
+    family: PathFamily, n: int, keep: Callable[[str], bool] | None
+) -> Iterable[str]:
+    strings = iter_step_strings(family, n, _CAP)
+    return strings if keep is None else filter(keep, strings)
+
+
+def _certify(name: str, cert: Certification, sizes: range) -> list[CheckResult]:
+    """Round trip, weight preservation, and image-set equality of the
+    registered maps; each check keeps its own first counterexample."""
+    spec = bij.BIJECTIONS[name]
+    forward, inverse = spec.forward, spec.inverse
+    dom, cod = spec.domain, spec.codomain
+    w_dom, w_cod = _WEIGHTING_OF[dom.base], _WEIGHTING_OF[cod.base]
+    round_fault = weight_fault = image_fault = ""
     for n in sizes:
         images = []
-        for path in domain_of(n):
-            steps = path.steps
-            image = forward(path)
+        for steps in _step_strings(dom, cert.dom_scale * n, cert.dom_filter):
+            image = forward(Path(dom, steps))
             back = inverse(image)
             if back.steps != steps:
-                ok_round = False
-                detail = detail or f"round trip fails at {steps!r} -> {image.steps!r} -> {back.steps!r}"
-            w_dom = _WEIGHTING_OF[path.family.base]
-            w_img = _WEIGHTING_OF[image.family.base]
-            if weight_exponents(steps, w_dom, path.family.base) != weight_exponents(
-                image.steps, w_img, image.family.base
+                round_fault = round_fault or (
+                    f"round trip fails at {steps!r} -> {image.steps!r} -> {back.steps!r}"
+                )
+            if weight_exponents(steps, w_dom, dom.base) != weight_exponents(
+                image.steps, w_cod, cod.base
             ):
-                ok_weight = False
-                detail = detail or f"weight not preserved at {steps!r}"
+                weight_fault = weight_fault or f"weight not preserved at {steps!r}"
             images.append(image.steps)
         image_set = frozenset(images)
         if len(image_set) != len(images):
-            ok_image = False
-            detail = detail or f"forward map not injective at n={n}"
-        want = codomain_of(n)
+            image_fault = image_fault or f"forward map not injective at n={n}"
+        want = frozenset(_step_strings(cod, cert.cod_scale * n, cert.cod_filter))
         if image_set != want:
-            ok_image = False
             missing = sorted(want - image_set)[:3]
             extra = sorted(image_set - want)[:3]
-            detail = detail or (
+            image_fault = image_fault or (
                 f"image set differs at n={n}: missing {missing}, extra {extra}"
             )
     nmax = max(sizes)
     return [
-        _check(f"{name} round trip is the identity up to n={nmax}", ok_round, detail),
-        _check(f"{name} preserves the step weights up to n={nmax}", ok_weight, detail),
-        _check(f"{name} maps onto its codomain up to n={nmax}", ok_image, detail),
+        _check(f"{name} {claim} up to n={nmax}", not fault, fault)
+        for claim, fault in (
+            ("round trip is the identity", round_fault),
+            ("preserves the step weights", weight_fault),
+            ("maps onto its codomain", image_fault),
+        )
     ]
-
-
-def _schroder_vartheta_domain(n: int) -> frozenset[str]:
-    out = []
-    for p in _path_set(SCHRODER, 2 * n):
-        if not p.startswith("ud"):
-            continue
-        level = 0
-        for c in p:
-            if c == "H" and level == 0:
-                out.append(p)
-                break
-            level += STEP_GEOMETRY[c][1]
-    return frozenset(out)
-
-
-def _schroder_vartheta_codomain(n: int) -> frozenset[str]:
-    out = []
-    for p in _path_set(SCHRODER, 2 * n):
-        if not p.startswith("H") or not p.endswith("d"):
-            continue
-        level = 0
-        ok = True
-        for c in p[1:]:
-            if c == "H" and level == 0:
-                ok = False
-                break
-            level += STEP_GEOMETRY[c][1]
-        if ok:
-            out.append(p)
-    return frozenset(out)
 
 
 def check_bijections(n_max: int = 8, theta_n_max: int = 10) -> list[CheckResult]:
     results = []
-
-    results += _certify(
-        "sigma",
-        bij.sigma,
-        bij.sigma_inv,
-        range(n_max + 1),
-        lambda n: generate(GMOTZKIN_UVU, n, _CAP),
-        lambda n: _path_set(SCHRODER, 2 * n),
-    )
-    results.append(
-        _check(
-            "sigma reproduces the worked 15-step example",
-            bij.sigma(parse(FIGURE_SIGMA_IN, GMOTZKIN_UVU)).steps
-            == FIGURE_SIGMA_OUT,
-        )
-    )
-
-    results += _certify(
-        "theta",
-        bij.theta,
-        bij.theta_inv,
-        range(theta_n_max + 1),
-        lambda n: generate(bij.GMOTZKIN_UVU_UU, n, _CAP),
-        lambda n: _path_set(BICOLORED_MOTZKIN, n),
-    )
-    results.append(
-        _check(
-            "theta reproduces the worked 30-step example",
-            bij.theta(parse(FIGURE_THETA_IN, bij.GMOTZKIN_UVU_UU)).steps
-            == FIGURE_THETA_OUT,
-        )
-    )
-
-    results += _certify(
-        "phi_peak",
-        bij.phi_peak,
-        bij.phi_peak_inv,
-        [2 * n for n in range(n_max + 1)],
-        lambda n: generate(COLORED_DYCK, n, _CAP),
-        lambda m: _path_set(SCHRODER, m),
-    )
-    results.append(
-        _check(
-            "phi_peak reproduces the worked example",
-            bij.phi_peak(parse(PHI_EXAMPLE_IN, COLORED_DYCK)).steps
-            == PHI_EXAMPLE_OUT,
-        )
-    )
-
-    results += _certify(
-        "vartheta",
-        bij.vartheta,
-        bij.vartheta_inv,
-        range(1, n_max + 1),
-        lambda n: (Path(SCHRODER, p) for p in sorted(_schroder_vartheta_domain(n))),
-        _schroder_vartheta_codomain,
-    )
-    results.append(
-        _check(
-            "vartheta reproduces the three worked examples",
-            bij.vartheta(Path(SCHRODER, "udH")).steps == "Hud"
-            and bij.vartheta(Path(SCHRODER, "udHH")).steps == "HuHd"
-            and bij.vartheta(Path(SCHRODER, "uduuddH")).steps == "Huuddud",
-        )
-    )
-
-    results += _certify(
-        "rho",
-        bij.rho,
-        bij.rho_inv,
-        range(n_max + 1),
-        lambda n: generate(bij.GMOTZKIN_UVU_UU_HU, n, _CAP),
-        lambda n: _path_set(HSTRING, n),
-    )
-    results.append(
-        _check(
-            "rho reproduces the worked examples",
-            bij.rho(parse("hh", bij.GMOTZKIN_UVU_UU_HU)).steps == "aa"
-            and bij.rho(parse("uv", bij.GMOTZKIN_UVU_UU_HU)).steps == "b"
-            and bij.rho(parse("uhd", bij.GMOTZKIN_UVU_UU_HU)).steps == "bab",
-        )
-    )
-
-    results += _certify(
-        "varphi",
-        bij.varphi,
-        bij.varphi_inv,
-        range(1, n_max + 1),
-        lambda n: generate(bij.VARPHI_DOMAIN, n, _CAP),
-        lambda n: _path_set(DYCK, 2 * n),
-    )
-    results.append(
-        _check(
-            "varphi reproduces its base cases and the worked example",
-            bij.varphi(parse("a", bij.VARPHI_DOMAIN)).steps == "ud"
-            and bij.varphi(parse("aa", bij.VARPHI_DOMAIN)).steps == "udud"
-            and bij.varphi(parse("ab", bij.VARPHI_DOMAIN)).steps == "uudd"
-            and bij.varphi(parse("aud", bij.VARPHI_DOMAIN)).steps == "uduudd",
-        )
-    )
-    results.append(
-        _check(
-            "theta then varphi reproduces the worked 15-step pipeline",
-            bij.theta(parse(FIGURE_PIPE_IN, bij.GMOTZKIN_UVU_UU)).steps
-            == FIGURE_PIPE_MID
-            and bij.varphi(parse(FIGURE_PIPE_MID, bij.VARPHI_DOMAIN)).steps
-            == FIGURE_PIPE_OUT,
-        )
-    )
-
-    results += _certify(
-        "psi",
-        bij.psi,
-        bij.psi_inv,
-        range(1, n_max + 1),
-        lambda n: generate(GMOTZKIN_UVU, n, _CAP),
-        lambda n: _path_set(PSI_IMAGE, n),
-    )
-    results.append(
-        _check(
-            "psi sends the length-1 paths to the two flavored marks",
-            bij.psi(parse("h", GMOTZKIN_UVU)).steps == "a"
-            and bij.psi(parse("uv", GMOTZKIN_UVU)).steps == "A",
-        )
-    )
-
-    results += _certify(
-        "varphi_theta",
-        bij.varphi_theta,
-        bij.varphi_theta_inv,
-        range(1, n_max + 1),
-        lambda n: generate(bij.VARPHI_THETA_DOMAIN, n, _CAP),
-        lambda n: _path_set(DYCK, 2 * n),
-    )
+    for name, cert in CERTIFICATIONS.items():
+        results += _certify(name, cert, cert.sizes(n_max, theta_n_max))
+        for check, cases in cert.examples:
+            ok = True
+            for m, given, want in cases:
+                spec = bij.BIJECTIONS[m]
+                ok = ok and spec.forward(parse(given, spec.domain)).steps == want
+            results.append(_check(check, ok))
     return results
 
 

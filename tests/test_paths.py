@@ -24,10 +24,10 @@ from gpaths.paths import (
     first_return_decompose,
     is_primitive,
     is_primitive_str,
-    last_primitive_suffix,
+    last_primitive_suffix_str,
     match_index_str,
     match_table,
-    nested_uv_decompose,
+    nested_uv_decompose_str,
     parse,
     point_levels,
     step_level,
@@ -230,39 +230,37 @@ def test_first_return_decompose():
 
 
 def test_nested_uv_decompose():
-    i, core, tail = nested_uv_decompose(parse("uuhvv", GMOTZKIN))
-    assert (i, core.steps, tail.steps) == (2, "h", "")
-    i, core, tail = nested_uv_decompose(parse("uudv", GMOTZKIN))
-    assert (i, core.steps, tail.steps) == (1, "ud", "")
-    i, core, tail = nested_uv_decompose(parse("uvh", GMOTZKIN))
-    assert (i, core.steps, tail.steps) == (1, "", "h")
+    def decompose(steps):
+        return nested_uv_decompose_str(parse(steps, GMOTZKIN).steps)
+
+    assert decompose("uuhvv") == (2, "h", "")
+    assert decompose("uudv") == (1, "ud", "")
+    assert decompose("uvh") == (1, "", "h")
     with pytest.raises(DomainViolation):
-        nested_uv_decompose(parse("hud", GMOTZKIN))
+        decompose("hud")
     with pytest.raises(DomainViolation):
-        nested_uv_decompose(parse("ud", GMOTZKIN))
+        decompose("ud")
 
 
 def test_nested_uv_core_is_never_v_closed():
     # maximality: the core cannot itself be an arch closed by v
     for steps in ("uuhvv", "uudv", "uuuvhudvvhuuuuuvdvvvud"):
-        i, core, tail = nested_uv_decompose(parse(steps, GMOTZKIN))
-        if core.steps:
+        i, core, tail = nested_uv_decompose_str(parse(steps, GMOTZKIN).steps)
+        if core:
             assert not (
-                core.steps[0] == "u"
-                and match_index_str(core.steps, 0) == len(core.steps) - 1
-                and core.steps[-1] == "v"
+                core[0] == "u"
+                and match_index_str(core, 0) == len(core) - 1
+                and core[-1] == "v"
             )
 
 
 def test_last_primitive_suffix():
-    prefix, arch = last_primitive_suffix(parse("udHud", SCHRODER))
-    assert (prefix.steps, arch.steps) == ("udH", "ud")
-    prefix, arch = last_primitive_suffix(parse("ud", DYCK))
-    assert (prefix.steps, arch.steps) == ("", "ud")
+    assert last_primitive_suffix_str(parse("udHud", SCHRODER).steps) == ("udH", "ud")
+    assert last_primitive_suffix_str(parse("ud", DYCK).steps) == ("", "ud")
     with pytest.raises(DomainViolation):
-        last_primitive_suffix(parse("udH", SCHRODER))
+        last_primitive_suffix_str(parse("udH", SCHRODER).steps)
     with pytest.raises(EmptyPath):
-        last_primitive_suffix(parse("", SCHRODER))
+        last_primitive_suffix_str(parse("", SCHRODER).steps)
 
 
 def test_base_families_cover_every_alphabet():
