@@ -5,7 +5,20 @@ Each family's word rules (its letter order, which is the order of
 letters, D only after u, no horizontal step on the axis) are compiled once
 into a step automaton.  Generation is a depth-first walk over that
 automaton that checks only geometry, so output order is reproducible byte
-for byte.  Weighted counting (and so plain counting) is a transfer-matrix DP
+for byte.  Most of a walk's nodes sit in the last few steps, where the same
+(x-length left, level, state) key recurs for thousands of prefixes.  So the
+walk proper stops at keys with at most COMPLETION_SPLIT units of x-length
+left and yields the word so far followed by each completion of the key.
+The completions are built once per call, without recursion, from those of
+the keys they move to, with the walk's own moves and pruning and in
+alphabet order, so the words come out in the plain walk's order.  The split
+is 2 from measurement (2-vCPU Xeon, CPython 3.11.7): on the 206,098
+uvu-avoiding G-Motzkin words of x-length 9 the walk takes about 0.02 s
+against 0.18 s for the plain walk, holding about 8,000 completion strings;
+a split of 3 is faster on long Schroder paths but holds about 33,000, which
+raised the benchmark's exhaustive peak RSS from 21.4 to 23.4 MB (+10 %),
+where a split of 2 gives 21.8 MB (+2 %).
+Weighted counting (and so plain counting) is a transfer-matrix DP
 over the same automaton: the prefixes are merged by (x-length left, level,
 state), so its cost grows with the number of keys, not of paths.  Both are
 guarded by the same size cap: the pattern-avoiding and classical families
@@ -33,6 +46,9 @@ from .weights import DEFAULT_WEIGHTING, WEIGHTINGS, Polynomial, weight_exponents
 
 MAX_N_DEFAULT = 12
 MAX_N_UNRESTRICTED_GMOTZKIN = 9
+# iter_step_strings walks keys with more x-length left than this and reads
+# the rest of each word off a per-call list of completions (module docstring)
+COMPLETION_SPLIT = 2
 
 
 def size_cap(family: PathFamily, max_n_override: int | None = None) -> int:
@@ -100,28 +116,89 @@ def _automaton(family: PathFamily) -> tuple[dict, bool]:
     return table, not family.prefixes
 
 
+def _moves_inside(
+    table: dict, bounded: bool, key: tuple[int, int, str]
+) -> list[tuple[str, tuple[int, int, str]]]:
+    """The moves out of key (x-length left, level, state) that keep to the
+    geometry, as (letter, next key) in alphabet order: x-length left and
+    level stay nonnegative, and without v (bounded) the level cannot exceed
+    the x-length left."""
+    rem, level, state = key
+    out = []
+    for letter, dx, dy, nxt in table[state, level == 0]:
+        rem2 = rem - dx
+        lvl2 = level + dy
+        if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
+            continue
+        out.append((letter, (rem2, lvl2, nxt)))
+    return out
+
+
 def iter_step_strings(
     family: PathFamily, n: int, max_n_override: int | None = None
 ) -> Iterator[str]:
-    """All step strings of the family with x-length n, in DFS order."""
+    """All step strings of the family with x-length n, in DFS order.
+
+    An explicit-stack walk over keys with more x-length left than
+    COMPLETION_SPLIT; at a key at or below the split the walk yields
+    word + tail for each of the key's completions.  Both the moves of a
+    walked key and the completions of a split key are built once per call,
+    in dicts local to the call, so the same key met again costs one lookup.
+    """
     _check_size(family, n, max_n_override)
     table, empty_ok = _automaton(family)
-    bounded = "v" not in family.alphabet  # then the level cannot exceed the x-length left
-    stack = [(n, 0, "", "")]
+    bounded = "v" not in family.alphabet
+    pushes: dict[tuple[int, int, str], list] = {}
+    tails: dict[tuple[int, int, str], list[str]] = {}
+    stack = [((n, 0, ""), "")]
     while stack:
-        rem, level, state, word = stack.pop()
-        if rem == 0 and level == 0:
-            # a leaf: on the axis at x-length 0 every letter overshoots or dips
-            if state or empty_ok:
-                yield word
+        key, word = stack.pop()
+        if key[0] <= COMPLETION_SPLIT:
+            if key not in tails:
+                _completions(table, bounded, empty_ok, key, tails)
+            for tail in tails[key]:
+                yield word + tail
             continue
-        # pushed last to first, so they are popped in alphabet order
-        for letter, dx, dy, nxt in reversed(table[state, level == 0]):
-            rem2 = rem - dx
-            lvl2 = level + dy
-            if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
-                continue
-            stack.append((rem2, lvl2, nxt, word + letter))
+        moves = pushes.get(key)
+        if moves is None:
+            # pushed last to first, so they are popped in alphabet order
+            moves = pushes[key] = _moves_inside(table, bounded, key)[::-1]
+        for letter, nxt in moves:
+            stack.append((nxt, word + letter))
+
+
+def _completions(
+    table: dict,
+    bounded: bool,
+    empty_ok: bool,
+    key: tuple[int, int, str],
+    tails: dict[tuple[int, int, str], list[str]],
+) -> None:
+    """Fill tails[key], and tails of every key below it, in DFS order.
+
+    A key's tails are, move by move in alphabet order, the move's letter
+    followed by each tail of the key it moves to.  A leaf (x-length 0 on the
+    axis, where every letter overshoots or dips) has the empty tail, unless
+    it is the empty word of a family that excludes it.  Keys are finished
+    in post order off an explicit stack, each after the keys it moves to.
+    """
+    todo = [key]
+    while todo:
+        top = todo[-1]
+        if top in tails:
+            todo.pop()
+            continue
+        moves = _moves_inside(table, bounded, top)
+        missing = [nxt for _, nxt in moves if nxt not in tails]
+        if missing:
+            todo.extend(missing)
+            continue
+        todo.pop()
+        rem, level, state = top
+        out = [""] if rem == 0 and level == 0 and (state or empty_ok) else []
+        for letter, nxt in moves:
+            out.extend([letter + tail for tail in tails[nxt]])
+        tails[top] = out
 
 
 def generate(

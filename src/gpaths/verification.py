@@ -410,6 +410,12 @@ def _certify(name: str, cert: Certification, sizes: range) -> list[CheckResult]:
 
 
 def check_bijections(n_max: int = 8, theta_n_max: int = 10) -> list[CheckResult]:
+    if n_max < 1 or theta_n_max < 0:
+        raise ValueError(
+            f"check_bijections needs n_max >= 1 and theta_n_max >= 0 (vartheta, "
+            f"varphi, psi and varphi_theta start at size 1); got n_max={n_max}, "
+            f"theta_n_max={theta_n_max}"
+        )
     results = []
     for name, cert in CERTIFICATIONS.items():
         results += _certify(name, cert, cert.sizes(n_max, theta_n_max))

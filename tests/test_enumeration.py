@@ -1,5 +1,6 @@
 """Exhaustive generation and the exact counting formulas."""
 
+import hashlib
 import itertools
 import math
 from functools import lru_cache
@@ -9,8 +10,10 @@ import pytest
 from gpaths.bijections import BIJECTIONS
 from gpaths.cli import AVOIDABLE
 from gpaths.enumeration import (
+    COMPLETION_SPLIT,
     MAX_N_DEFAULT,
     MAX_N_UNRESTRICTED_GMOTZKIN,
+    _automaton,
     ballot_closed_form,
     ballot_coeff,
     catalan_number,
@@ -203,13 +206,68 @@ def test_walks_agree_with_the_parse_side_oracle(family):
         want = _oracle(family, n)
         got = list(iter_step_strings(family, n))
         assert len(got) == len(set(got))
-        assert set(got) == set(want)
+        assert got == want
         assert count_paths(family, n) == len(want)
         total = Polynomial()
         for word in want:
             total = total + weight(Path(family, word), weighting)
         assert weighted_count(family, n, weighting) == total
 
+
+def _reference_walk(family: PathFamily, n: int) -> list[str]:
+    """The plain depth-first walk over the step automaton, one stack entry
+    per prefix, with no completions shared between prefixes."""
+    table, empty_ok = _automaton(family)
+    bounded = "v" not in family.alphabet
+    out = []
+    stack = [(n, 0, "", "")]
+    while stack:
+        rem, level, state, word = stack.pop()
+        if rem == 0 and level == 0:
+            if state or empty_ok:
+                out.append(word)
+            continue
+        for letter, dx, dy, nxt in reversed(table[state, level == 0]):
+            rem2, lvl2 = rem - dx, level + dy
+            if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
+                continue
+            stack.append((rem2, lvl2, nxt, word + letter))
+    return out
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=PathFamily.describe)
+def test_walk_order_equals_the_plain_walk(family):
+    # sizes on both sides of the completion split
+    assert COMPLETION_SPLIT < 7
+    for n in range(-2, 8):
+        assert list(iter_step_strings(family, n)) == _reference_walk(family, n)
+
+
+def test_uvu_stream_digest_is_frozen():
+    # frozen at the seed; the same value as the benchmark's reference digest
+    digest = hashlib.sha256()
+    for steps in iter_step_strings(GMOTZKIN_UVU, 9):
+        digest.update(steps.encode() + b"\n")
+    assert (
+        digest.hexdigest()
+        == "fd305fd95f95e735041212995b8a2f91e08d6e7b5e1d23fd7eaa3a9f8c523fca"
+    )
+
+
+def test_live_walks_do_not_share_completions():
+    # same letters and states, different rules: a memo shared between the
+    # two walks would hand one family the other's completions
+    pairs = [
+        (GMOTZKIN_UVU, 6, GMOTZKIN, 6),
+        (SCHRODER, 8, LITTLE_SCHRODER, 8),
+        (MOTZKIN.avoiding("h"), 10, MOTZKIN, 7),
+    ]
+    for first, n, second, m in pairs:
+        got = list(
+            itertools.zip_longest(iter_step_strings(first, n), iter_step_strings(second, m))
+        )
+        assert [a for a, _ in got if a is not None] == _reference_walk(first, n)
+        assert [b for _, b in got if b is not None] == _reference_walk(second, m)
 
 
 @pytest.mark.parametrize("family", BIJECTION_FAMILIES, ids=PathFamily.describe)
@@ -238,7 +296,9 @@ def test_transfer_count_past_the_reach_of_enumeration():
 def test_negative_x_length_has_no_paths():
     assert count_paths(DYCK, -1) == 0
     assert weighted_count(GMOTZKIN, -2, "gmotzkin_abc") == Polynomial()
-    assert list(iter_step_strings(DYCK, -1)) == []
+    for family in (DYCK, GMOTZKIN, GMOTZKIN_UVU, PSI_IMAGE):
+        for n in (-1, -2, -5):
+            assert list(iter_step_strings(family, n)) == []
 
 
 def test_one_letter_avoided_factor_is_honoured():

@@ -60,3 +60,19 @@ def test_certification_catches_a_broken_registered_map(
 def test_every_registered_bijection_is_certified():
     assert set(CERTIFICATIONS) == set(bij.BIJECTIONS)
 
+
+
+@pytest.mark.parametrize("n_max, theta_n_max", [(0, 0), (0, 10), (-1, 3), (3, -1)])
+def test_sizes_below_the_smallest_are_one_value_error(n_max, theta_n_max):
+    with pytest.raises(ValueError) as raised:
+        check_bijections(n_max, theta_n_max)
+    message = str(raised.value)
+    assert "\n" not in message
+    assert "n_max >= 1 and theta_n_max >= 0" in message
+    assert f"got n_max={n_max}, theta_n_max={theta_n_max}" in message
+
+
+def test_smallest_sizes_are_certified():
+    results = check_bijections(1, 0)
+    assert len(results) == 32
+    assert all(r.ok for r in results)
