@@ -52,7 +52,6 @@ from .paths import (
     STEP_GEOMETRY,
     Path,
     PathFamily,
-    last_primitive_suffix_str,
     match_table,
 )
 
@@ -64,11 +63,6 @@ VARPHI_THETA_DOMAIN = PathFamily(
 )
 
 Trace = Optional[list]
-
-
-def _t(trace: Trace, label: str) -> None:
-    if trace is not None:
-        trace.append(label)
 
 
 def _recorder(trace: Trace) -> Callable[[str], None]:
@@ -227,13 +221,13 @@ def _phi_inv(p: str) -> str:
 
 def phi_peak(path: Path, trace: Trace = None) -> Path:
     _require_base(path, "colored_dyck", "phi_peak")
-    _t(trace, "base")
+    _recorder(trace)("base")
     return Path(SCHRODER, _phi_fwd(path.steps))
 
 
 def phi_peak_inv(path: Path, trace: Trace = None) -> Path:
     _require_base(path, "schroder", "phi_peak_inv")
-    _t(trace, "base")
+    _recorder(trace)("base")
     return Path(COLORED_DYCK, _phi_inv(path.steps))
 
 
@@ -261,8 +255,11 @@ def _vartheta_fwd(p: str) -> str:
 def _vartheta_inv(p: str) -> str:
     if not p.startswith("H"):
         raise DomainViolation("vartheta_inv needs a path opening with H")
-    prefix, arch = last_primitive_suffix_str(p)
-    body = prefix[1:]
+    if p[-1] != "d":
+        raise DomainViolation("path ends with a horizontal step on the axis")
+    # the last arch opens with the partner of the final d
+    split = match_table(p)[-1]
+    body = p[1:split]
     level = 0
     for c in body:
         if c == "H" and level == 0:
@@ -270,18 +267,18 @@ def _vartheta_inv(p: str) -> str:
                 "vartheta_inv needs no horizontal axis step after the first"
             )
         level += STEP_GEOMETRY[c][1]
-    return "ud" + body + "H" + arch[1:-1]
+    return "ud" + body + "H" + p[split + 1 : -1]
 
 
 def vartheta(path: Path, trace: Trace = None) -> Path:
     _require_base(path, "schroder", "vartheta")
-    _t(trace, "C1")
+    _recorder(trace)("C1")
     return Path(SCHRODER, _vartheta_fwd(path.steps))
 
 
 def vartheta_inv(path: Path, trace: Trace = None) -> Path:
     _require_base(path, "schroder", "vartheta_inv")
-    _t(trace, "C1")
+    _recorder(trace)("C1")
     return Path(SCHRODER, _vartheta_inv(path.steps))
 
 
@@ -472,8 +469,9 @@ _PLAIN_PEAK_OF = {"a": "ud"}
 _COLORED_PEAK_OF = {"a": "uD", "A": "ud"}
 _PLAIN_CLOSER_OF = {"a": "d"}
 _COLORED_CLOSER_OF = {"a": "d", "A": "D"}
-_PLAIN_MARK_OF = {"d": "a"}
-_COLORED_MARK_OF = {"D": "a", "d": "A"}
+# the down letter of a peak gives back its mark
+_PLAIN_MARK_OF = {peak[1]: mark for mark, peak in _PLAIN_PEAK_OF.items()}
+_COLORED_MARK_OF = {peak[1]: mark for mark, peak in _COLORED_PEAK_OF.items()}
 # the closing letter of an arch encodes the mark of its inner word
 _PLAIN_MARK_OF_CLOSER = {c: mark for mark, c in _PLAIN_CLOSER_OF.items()}
 _COLORED_MARK_OF_CLOSER = {c: mark for mark, c in _COLORED_CLOSER_OF.items()}

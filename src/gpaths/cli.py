@@ -60,10 +60,6 @@ def _check_nonnegative(flag: str, value: int | None) -> None:
         raise GPathError(f"{flag} must be nonnegative; got {value}")
 
 
-def _fmt(value) -> str:
-    return str(value)
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_nonnegative("--length", args.length)
     family = _family_from_args(args)
@@ -95,9 +91,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
             poly = weighted_count(family, n, weighting, args.max_n_override)
             value = poly.eval_at(*point) if point else poly
         if args.length is not None:
-            print(_fmt(value))
+            print(str(value))
         else:
-            print(f"{n}\t{_fmt(value)}")
+            print(f"{n}\t" + str(value))
     return 0
 
 
@@ -125,7 +121,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     series = named_series(args.name, args.order)
     for n in range(args.order + 1):
-        print(f"{n}\t{_fmt(series.coeff(n))}")
+        print(f"{n}\t" + str(series.coeff(n)))
     return 0
 
 

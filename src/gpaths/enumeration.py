@@ -20,7 +20,9 @@ raised the benchmark's exhaustive peak RSS from 21.4 to 23.4 MB (+10 %),
 where a split of 2 gives 21.8 MB (+2 %).
 Weighted counting (and so plain counting) is a transfer-matrix DP
 over the same automaton: the prefixes are merged by (x-length left, level,
-state), so its cost grows with the number of keys, not of paths.  Both are
+state), so its cost grows with the number of keys, not of paths.  The walk,
+the completions and the DP take their moves from one function,
+`_moves_inside`, so the geometric pruning rule is written once.  All are
 guarded by the same size cap: the pattern-avoiding and classical families
 stop at x-length 12, the unrestricted gmotzkin family (whose free v steps
 inflate growth) at 9.  GPATHS_MAX_N in the environment, or an explicit
@@ -42,7 +44,7 @@ from typing import Iterator
 from .errors import FamilyMismatch, SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
 from .series import catalan_series, square_coeff
-from .weights import DEFAULT_WEIGHTING, WEIGHTINGS, Polynomial, weight_exponents
+from .weights import A, B, C, DEFAULT_WEIGHTING, WEIGHTINGS, Polynomial, weight_exponents
 
 MAX_N_DEFAULT = 12
 MAX_N_UNRESTRICTED_GMOTZKIN = 9
@@ -122,7 +124,8 @@ def _moves_inside(
     """The moves out of key (x-length left, level, state) that keep to the
     geometry, as (letter, next key) in alphabet order: x-length left and
     level stay nonnegative, and without v (bounded) the level cannot exceed
-    the x-length left."""
+    the x-length left.  The walk, the completions and the counting DP all
+    prune with this one rule."""
     rem, level, state = key
     out = []
     for letter, dx, dy, nxt in table[state, level == 0]:
@@ -216,8 +219,11 @@ def count_paths(family: PathFamily, n: int, max_n_override: int | None = None) -
 
 
 @lru_cache(maxsize=None)
-def _weighted_automaton(family: PathFamily, weighting: str):
-    """The automaton's table with each move's exponent triple in front.
+def _step_exponents(
+    family: PathFamily, weighting: str
+) -> dict[tuple[str, str], tuple[int, int, int]]:
+    """The exponent triple of each letter of the family after each possible
+    previous letter ("" for the first step), as (previous, letter) -> triple.
 
     A step's weight may depend on the letter before it (a peak), so it is
     the weight of prev+letter less the weight of prev.
@@ -235,20 +241,15 @@ def _weighted_automaton(family: PathFamily, weighting: str):
             f"weighting {weighting!r} does not apply to family {base!r}"
         )
 
-    def exponents(state: str, letter: str) -> tuple[int, int, int]:
-        prev = state[-1:]
-        whole = weight_exponents(prev + letter, weighting, base)
+    out = {}
+    for prev in ("", *family.alphabet):
         head = weight_exponents(prev, weighting, base)
-        return (whole[0] - head[0], whole[1] - head[1], whole[2] - head[2])
-
-    table, empty_ok = _automaton(family)
-    weighted = {
-        key: tuple(
-            (*exponents(key[0], letter), dx, dy, nxt) for letter, dx, dy, nxt in moves
-        )
-        for key, moves in table.items()
-    }
-    return weighted, empty_ok
+        for letter in family.alphabet:
+            whole = weight_exponents(prev + letter, weighting, base)
+            out[prev, letter] = (
+                whole[0] - head[0], whole[1] - head[1], whole[2] - head[2]
+            )
+    return out
 
 
 def weighted_count(
@@ -269,23 +270,22 @@ def weighted_count(
     overshoots or dips.
     """
     _check_size(family, n, max_n_override)
-    table, empty_ok = _weighted_automaton(family, weighting)
+    exponents = _step_exponents(family, weighting)
+    table, empty_ok = _automaton(family)
     if n < 0:
         return Polynomial()
     bounded = "v" not in family.alphabet
     buckets: list[dict] = [{} for _ in range(2 * n + 1)]
     buckets[2 * n][n, 0, ""] = {(0, 0, 0): 1}
     for height in range(2 * n, 0, -1):
-        for (rem, level, state), sums in buckets[height].items():
-            for wa, wb, wc, dx, dy, nxt in table[state, level == 0]:
-                rem2 = rem - dx
-                lvl2 = level + dy
-                if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
-                    continue
-                target = buckets[2 * rem2 + lvl2].setdefault((rem2, lvl2, nxt), {})
+        for key, sums in buckets[height].items():
+            prev = key[2][-1:]
+            for letter, nxt in _moves_inside(table, bounded, key):
+                wa, wb, wc = exponents[prev, letter]
+                target = buckets[2 * nxt[0] + nxt[1]].setdefault(nxt, {})
                 for (ea, eb, ec), k in sums.items():
-                    key = (ea + wa, eb + wb, ec + wc)
-                    target[key] = target.get(key, 0) + k
+                    triple = (ea + wa, eb + wb, ec + wc)
+                    target[triple] = target.get(triple, 0) + k
         buckets[height].clear()
     acc: dict[tuple[int, int, int], int] = {}
     for (_, _, state), sums in buckets[0].items():
@@ -299,24 +299,19 @@ def weighted_count(
 # recurrences for the two generating-function equations
 # ---------------------------------------------------------------------------
 
-_A = Polynomial.var("a")
-_B = Polynomial.var("b")
-_C = Polynomial.var("c")
-
-
 def guvu_coeffs(n_max: int) -> list[Polynomial]:
     """Weighted counts of uvu-avoiding paths, from
     G = 1 + bx + (a-b+abx) x G + (b+cx) x G^2, coefficientwise."""
-    a_minus_b, ab = _A - _B, _A * _B
+    a_minus_b, ab = A - B, A * B
     g: list[Polynomial] = [Polynomial.const(1)]
     g_squared: list[Polynomial] = []  # [x^m] G^2, each computed once
     for n in range(1, n_max + 1):
         g_squared.append(square_coeff(g, n - 1))
-        total = a_minus_b * g[n - 1] + _B * g_squared[n - 1]
+        total = a_minus_b * g[n - 1] + B * g_squared[n - 1]
         if n == 1:
-            total = total + _B
+            total = total + B
         if n >= 2:
-            total = total + ab * g[n - 2] + _C * g_squared[n - 2]
+            total = total + ab * g[n - 2] + C * g_squared[n - 2]
         g.append(total)
     return g
 
@@ -328,9 +323,9 @@ def gfull_coeffs(n_max: int) -> list[Polynomial]:
     g_squared: list[Polynomial] = []  # [x^m] G^2, each computed once
     for n in range(1, n_max + 1):
         g_squared.append(square_coeff(g, n - 1))
-        total = _A * g[n - 1] + _B * g_squared[n - 1]
+        total = A * g[n - 1] + B * g_squared[n - 1]
         if n >= 2:
-            total = total + _C * g_squared[n - 2]
+            total = total + C * g_squared[n - 2]
         g.append(total)
     return g
 
@@ -381,7 +376,7 @@ def _little_schroder_list(n_max: int) -> tuple[Polynomial, ...]:
         acc = Polynomial()
         for k in range(m):
             acc = acc + big[k] * little[m - 1 - k]
-        little.append(_B * acc)
+        little.append(B * acc)
     return tuple(little)
 
 

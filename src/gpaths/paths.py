@@ -1,4 +1,4 @@
-"""Lattice path families, parsing, and structural decompositions.
+"""Lattice path families, parsing, and the matching of up and down steps.
 
 All paths run from the origin to a point on the x-axis and never dip below
 it.  A path is stored as a string of step letters; the geometry of each
@@ -199,30 +199,17 @@ def step_level(path: Path, index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# structural decompositions (string level, reused by the bijections)
+# matching (string level, reused by the bijections)
 # ---------------------------------------------------------------------------
-
-
-def match_index_str(steps: str, u_index: int) -> int:
-    """Index of the matching down step of the u at `u_index`."""
-    if u_index >= len(steps) or steps[u_index] != "u":
-        raise DomainViolation(f"step at index {u_index} is not u")
-    level = 0
-    for j in range(u_index + 1, len(steps)):
-        dy = STEP_GEOMETRY[steps[j]][1]
-        level += dy
-        if level == -1:
-            return j
-    raise DomainViolation(f"u at index {u_index} has no matching step")
 
 
 def match_table(steps: str) -> list[int]:
     """Partner index of every u and every down step, in one stack pass.
 
     Entry i is the index of the step matched with the u or down step at i
-    (so match_table(s)[i] == match_index_str(s, i) for every u), and -1 for
-    a horizontal step.  The partners inside any balanced factor of `steps`
-    are the same as in that factor on its own.
+    (for a u, the first later down step one level below its endpoint), and
+    -1 for a horizontal step.  The partners inside any balanced factor of
+    `steps` are the same as in that factor on its own.
     """
     partner = [-1] * len(steps)
     open_us = []
@@ -240,35 +227,6 @@ def match_table(steps: str) -> list[int]:
     return partner
 
 
-def is_primitive_str(steps: str) -> bool:
-    """True for u P' d / u P' v / u P' D with P' never touching the axis."""
-    if not steps:
-        raise EmptyPath("the empty path is neither primitive nor decomposable")
-    if steps[0] != "u" or steps[-1] not in DOWN_LETTERS:
-        return False
-    return match_index_str(steps, 0) == len(steps) - 1
-
-
-def first_block_str(steps: str) -> int:
-    """Length of the shortest nonempty prefix ending on the axis."""
-    if not steps:
-        raise EmptyPath("cannot decompose the empty path")
-    if steps[0] != "u":
-        # a horizontal step at level 0 is itself a block
-        return 1
-    return match_index_str(steps, 0) + 1
-
-
-def _last_zero_before_end(steps: str) -> int:
-    level = 0
-    last = 0
-    for p, c in enumerate(steps[:-1], start=1):
-        level += STEP_GEOMETRY[c][1]
-        if level == 0:
-            last = p
-    return last
-
-
 class FirstReturn(NamedTuple):
     block: Path
     inner: Optional[Path]
@@ -284,56 +242,26 @@ def first_return_decompose(path: Path) -> FirstReturn:
     both are None.
     """
     steps = path.steps
-    cut = first_block_str(steps)
-    block = steps[:cut]
-    tail = steps[cut:]
+    if not steps:
+        raise EmptyPath("cannot decompose the empty path")
     family = path.family
-    if block[0] == "u":
+    if steps[0] != "u":
+        # a horizontal step at level 0 is itself a block
         return FirstReturn(
-            Path(family, block),
-            Path(family, block[1:-1]),
-            block[-1],
-            Path(family, tail),
+            Path(family, steps[:1]), None, None, Path(family, steps[1:])
         )
-    return FirstReturn(Path(family, block), None, None, Path(family, tail))
+    last = match_table(steps)[0]
+    return FirstReturn(
+        Path(family, steps[: last + 1]),
+        Path(family, steps[1:last]),
+        steps[last],
+        Path(family, steps[last + 1 :]),
+    )
 
 
 def is_primitive(path: Path) -> bool:
-    return is_primitive_str(path.steps)
-
-
-def nested_uv_decompose_str(steps: str) -> tuple[int, str, str]:
-    """Maximal split u^i core v^i tail for a path opening with a v-matched u.
-
-    The matching step of the k-th opening u is the v at index m1-(k-1),
-    where m1 is the match of the first u; i is maximal, so the core is never
-    of the form u P' v.
-    """
-    if not steps or steps[0] != "u":
-        raise DomainViolation("nested uv decomposition needs a leading u")
-    m1 = match_index_str(steps, 0)
-    if steps[m1] != "v":
-        raise DomainViolation("the leading u is matched by d, not v")
-    i = 1
-    while (
-        steps[i] == "u"
-        and steps[m1 - i] == "v"
-        and match_index_str(steps, i) == m1 - i
-    ):
-        i += 1
-    return i, steps[i : m1 - i + 1], steps[m1 + 1 :]
-
-
-def last_primitive_suffix_str(steps: str) -> tuple[str, str]:
-    """Split path = prefix + arch at the last visit to the axis.
-
-    The arch (everything after the final interior return to level 0) must be
-    primitive, i.e. the path must not end with a horizontal step on the axis.
-    """
+    """True for u P' d / u P' v / u P' D with P' never touching the axis."""
+    steps = path.steps
     if not steps:
-        raise EmptyPath("cannot take the primitive suffix of the empty path")
-    p = _last_zero_before_end(steps)
-    arch = steps[p:]
-    if not is_primitive_str(arch):
-        raise DomainViolation("path ends with a horizontal step on the axis")
-    return steps[:p], arch
+        raise EmptyPath("the empty path is neither primitive nor decomposable")
+    return steps[0] == "u" and match_table(steps)[0] == len(steps) - 1

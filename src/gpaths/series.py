@@ -219,17 +219,24 @@ _ATOMS = {
 
 
 def parse_series_expr(expr: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """The product of the `*`-separated atoms, each raised to the power
+    given by the ASCII digits after an optional `^`."""
     result = TruncatedSeries([1], order)
     for token in expr.split("*"):
         token = token.strip()
-        name, _, power = token.partition("^")
+        name, caret, power = token.partition("^")
         if name not in _ATOMS:
             raise ValueError(
                 f"unknown series atom {name!r}; choose from "
                 + ", ".join(sorted(_ATOMS))
             )
         factor = _ATOMS[name](order)
-        if power:
+        if caret:
+            if not (power.isascii() and power.isdigit()):
+                raise ValueError(
+                    f"malformed power in series token {token!r}: '^' must be "
+                    "followed by ASCII digits only"
+                )
             factor = factor ** int(power)
         result = result * factor
     return result

@@ -51,11 +51,7 @@ from .paths import (
 )
 from .series import guvu_series_at
 from .stats import methods_for, stat_brute, stat_formula, stat_riordan, stat_table
-from .weights import DEFAULT_WEIGHTING, Polynomial, weight_exponents
-
-A = Polynomial.var("a")
-B = Polynomial.var("b")
-PZERO = Polynomial()
+from .weights import A, B, DEFAULT_WEIGHTING, ZERO, Polynomial, weight_exponents
 
 # ---------------------------------------------------------------------------
 # frozen reference data
@@ -454,12 +450,12 @@ def check_identities(n_max: int = 8) -> list[CheckResult]:
 
     ok12 = all(
         closed_form("schroder_ab", n)
-        == closed_form("dyck_ab", n).subs(A + B, B, PZERO)
+        == closed_form("dyck_ab", n).subs(A + B, B, ZERO)
         for n in range(n_max + 1)
     ) and all(
         closed_form("schroder_ab", n)
         == (A + B) * closed_form("motzkin_ab", n - 1).subs(
-            A + 2 * B, (A + B) * B, PZERO
+            A + 2 * B, (A + B) * B, ZERO
         )
         for n in range(1, n_max + 1)
     )
@@ -511,7 +507,7 @@ def check_identities(n_max: int = 8) -> list[CheckResult]:
     )
 
     ok34 = all(
-        A * closed_form("motzkin_ab", n).subs(A + B, A * B, PZERO)
+        A * closed_form("motzkin_ab", n).subs(A + B, A * B, ZERO)
         == closed_form("dyck_ab", n + 1)
         for n in range(n_max + 1)
     ) and all(

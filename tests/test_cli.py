@@ -171,6 +171,7 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["count", "--family", "dyck", "--weighting", "motzkin_ab", "--length", "4"],
         ["enumerate", "--length", "2", "--max-n-override", "-1"],
         ["count", "--length", "2", "--max-n-override", "-1"],
+        ["riordan", "--d", "S^", "--h", "x*S^2"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -1,9 +1,10 @@
-"""Path families, validation, and structural decompositions."""
+"""Path families, validation, and the matching of up and down steps."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gpaths.bijections import vartheta_inv
 from gpaths.errors import (
     ConstraintViolation,
     DomainViolation,
@@ -23,11 +24,7 @@ from gpaths.paths import (
     PathFamily,
     first_return_decompose,
     is_primitive,
-    is_primitive_str,
-    last_primitive_suffix_str,
-    match_index_str,
     match_table,
-    nested_uv_decompose_str,
     parse,
     point_levels,
     step_level,
@@ -37,6 +34,18 @@ from gpaths.paths import (
 
 # the 11-step weight example path: levels 1,1,2,1,2,3,2,1,0,0,0
 EXAMPLE = "uhuduuvvdhh"
+DY = {"u": 1, "h": 0, "v": -1, "d": -1, "D": -1}
+
+
+def _scan_match(steps, u_index):
+    """Reference matching: the first later down step one level below the
+    endpoint of the u at u_index, found by a plain level scan."""
+    level = 0
+    for j in range(u_index + 1, len(steps)):
+        level += DY[steps[j]]
+        if level == -1:
+            return j
+    return None
 
 
 def test_parse_render_round_trip():
@@ -135,14 +144,13 @@ def test_contains_pattern():
 
 def test_matching_step_is_leftmost_down_one_level():
     # u at 0 ends at level 1; first later d-or-v ending at level 0 is index 8
-    assert match_index_str(EXAMPLE, 0) == 8
-    assert match_index_str(EXAMPLE, 2) == 3
-    assert match_index_str(EXAMPLE, 4) == 7
-    assert match_index_str(EXAMPLE, 5) == 6
+    assert match_table(EXAMPLE)[0] == 8
+    assert match_table(EXAMPLE)[2] == 3
+    assert match_table(EXAMPLE)[4] == 7
+    assert match_table(EXAMPLE)[5] == 6
     path = parse(EXAMPLE, GMOTZKIN)
-    assert match_index_str(path.steps, 0) == 8
-    with pytest.raises(DomainViolation):
-        match_index_str(EXAMPLE, 1)
+    assert match_table(path.steps)[0] == 8
+    assert match_table(EXAMPLE)[1] == -1
 
 
 @given(st.text(alphabet="uhvd", max_size=9))
@@ -171,7 +179,7 @@ def test_matching_steps_partition_the_openers(steps):
     matches = {}
     for idx, c in enumerate(steps):
         if c == "u":
-            matches[idx] = match_index_str(steps, idx)
+            matches[idx] = match_table(steps)[idx]
     # every match closes exactly one opener, one level below its endpoint
     assert len(set(matches.values())) == len(matches)
     levels = [0]
@@ -194,7 +202,7 @@ def test_match_table_agrees_with_the_scan(steps):
     table = match_table(steps)
     for idx, c in enumerate(steps):
         if c == "u":
-            assert table[table[idx]] == idx == table[match_index_str(steps, idx)]
+            assert table[table[idx]] == idx == table[_scan_match(steps, idx)]
         elif c == "h":
             assert table[idx] == -1
 
@@ -215,7 +223,7 @@ def test_is_primitive():
     assert not is_primitive(parse("h", GMOTZKIN))
     assert not is_primitive(parse("uvh", GMOTZKIN))
     with pytest.raises(EmptyPath):
-        is_primitive_str("")
+        is_primitive(parse("", GMOTZKIN))
 
 
 def test_first_return_decompose():
@@ -229,38 +237,53 @@ def test_first_return_decompose():
     assert (block.steps, inner.steps, closer) == ("uhv", "h", "v")
 
 
-def test_nested_uv_decompose():
-    def decompose(steps):
-        return nested_uv_decompose_str(parse(steps, GMOTZKIN).steps)
-
-    assert decompose("uuhvv") == (2, "h", "")
-    assert decompose("uudv") == (1, "ud", "")
-    assert decompose("uvh") == (1, "", "h")
-    with pytest.raises(DomainViolation):
-        decompose("hud")
-    with pytest.raises(DomainViolation):
-        decompose("ud")
-
-
-def test_nested_uv_core_is_never_v_closed():
-    # maximality: the core cannot itself be an arch closed by v
-    for steps in ("uuhvv", "uudv", "uuuvhudvvhuuuuuvdvvvud"):
-        i, core, tail = nested_uv_decompose_str(parse(steps, GMOTZKIN).steps)
-        if core:
-            assert not (
-                core[0] == "u"
-                and match_index_str(core, 0) == len(core) - 1
-                and core[-1] == "v"
-            )
-
-
 def test_last_primitive_suffix():
-    assert last_primitive_suffix_str(parse("udHud", SCHRODER).steps) == ("udH", "ud")
-    assert last_primitive_suffix_str(parse("ud", DYCK).steps) == ("", "ud")
-    with pytest.raises(DomainViolation):
-        last_primitive_suffix_str(parse("udH", SCHRODER).steps)
-    with pytest.raises(EmptyPath):
-        last_primitive_suffix_str(parse("", SCHRODER).steps)
+    # vartheta_inv splits its input at the last arch
+    assert vartheta_inv(parse("Hud", SCHRODER)).steps == "udH"
+    assert vartheta_inv(parse("HuHdud", SCHRODER)).steps == "uduHdH"
+    for steps in ("HudH", "H"):
+        with pytest.raises(
+            DomainViolation, match="path ends with a horizontal step on the axis"
+        ):
+            vartheta_inv(parse(steps, SCHRODER))
+
+
+@st.composite
+def gmotzkin_paths(draw):
+    """A G-Motzkin path: random letters, dropping any that would dip below
+    the axis, closed with d steps."""
+    level, steps = 0, []
+    for c in draw(st.text(alphabet="uhvd", max_size=16)):
+        if level + DY[c] >= 0:
+            steps.append(c)
+            level += DY[c]
+    return "".join(steps) + "d" * level
+
+
+@given(gmotzkin_paths())
+def test_first_return_and_primitivity_agree_with_the_scan(steps):
+    path = parse(steps, GMOTZKIN)
+    if not steps:
+        with pytest.raises(EmptyPath, match="neither primitive nor decomposable"):
+            is_primitive(path)
+        with pytest.raises(EmptyPath, match="cannot decompose the empty path"):
+            first_return_decompose(path)
+        return
+    # the first return to the axis, by a plain level scan
+    level = 0
+    for cut, c in enumerate(steps, start=1):
+        level += DY[c]
+        if level == 0:
+            break
+    block, inner, closer, tail = first_return_decompose(path)
+    assert block.steps + tail.steps == steps
+    assert block.steps == steps[:cut]
+    if steps[0] == "u":
+        assert (inner.steps, closer) == (steps[1 : cut - 1], steps[cut - 1])
+        assert inner.family == tail.family == GMOTZKIN
+    else:
+        assert (inner, closer) == (None, None)
+    assert is_primitive(path) == (steps[0] == "u" and cut == len(steps))
 
 
 def test_base_families_cover_every_alphabet():

@@ -1,5 +1,6 @@
 """Truncated power series and Riordan arrays."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,11 @@ def test_parse_series_expr():
     assert parse_series_expr("one_plus_x2", 6).coeff(2) == 1
     with pytest.raises(ValueError):
         parse_series_expr("T^2", 6)
+    # a power is '^' and ASCII digits, nothing else
+    assert parse_series_expr("S^12", 6) == big_schroder_series(6) ** 12
+    for token in ("S^", "S^+2", "S^ 2", "S^2_0", "S^x", "S^-1", "S^2^3", "S^\u00b2"):
+        with pytest.raises(ValueError, match=re.escape(f"token {token!r}")):
+            parse_series_expr("x*" + token, 6)
 
 
 def test_riordan_array_shape_rules():
