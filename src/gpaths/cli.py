@@ -78,7 +78,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             f"unknown weighting {weighting!r}; choose from "
             + ", ".join(sorted(WEIGHTINGS))
         )
-    point = _parse_weights(args.weights) if args.weights else None
+    point = _parse_weights(args.weights) if args.weights is not None else None
     sizes = (
         [args.length]
         if args.length is not None

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .enumeration import _check_size, ballot_coeff, iter_step_strings, size_cap
+from .enumeration import _check_size, _prefix_blocks, ballot_coeff, size_cap
 from .errors import DomainViolation
 from .paths import GMOTZKIN_UVU, STEP_GEOMETRY, PathFamily
 from .series import (
@@ -71,20 +71,47 @@ def _check_stat(stat: str) -> tuple[str, int, int, bool]:
 # ---------------------------------------------------------------------------
 
 
+def _count_letters(
+    step_counts: dict, point_counts: dict, word: str, level: int, k: int
+) -> None:
+    """Add k to the (letter, level) pair of each letter of word read from
+    level, and to the point it ends at."""
+    for c in word:
+        level += STEP_GEOMETRY[c][1]
+        pair = (c, level)
+        step_counts[pair] = step_counts.get(pair, 0) + k
+        point_counts[level] = point_counts.get(level, 0) + k
+
+
 @lru_cache(maxsize=None)
 def _brute_counts(family: PathFamily, m: int, cap: int):
     """Aggregate (letter, level) step counts and point counts over all
-    paths of the family of x-length m, enumerated under the size cap `cap`."""
+    paths of the family of x-length m, enumerated under the size cap `cap`.
+
+    Counted per prefix block (word, key, tails) of the walk, not per path:
+    the word's pairs and points, the start point included, count once per
+    tail, and the pairs and points of the key's tails (at absolute levels,
+    after the word's end point) are summed once per key and added for every
+    block that ends at it.
+    """
     step_counts: dict[tuple[str, int], int] = {}
     point_counts: dict[int, int] = {}
-    for steps in iter_step_strings(family, m, cap):
-        level = 0
-        point_counts[0] = point_counts.get(0, 0) + 1
-        for c in steps:
-            level += STEP_GEOMETRY[c][1]
-            key = (c, level)
-            step_counts[key] = step_counts.get(key, 0) + 1
-            point_counts[level] = point_counts.get(level, 0) + 1
+    tail_counts: dict[tuple[int, int, str], tuple[dict, dict]] = {}
+    for word, key, tails in _prefix_blocks(family, m, cap):
+        k = len(tails)
+        if not k:
+            continue
+        point_counts[0] = point_counts.get(0, 0) + k
+        _count_letters(step_counts, point_counts, word, 0, k)
+        counts = tail_counts.get(key)
+        if counts is None:
+            counts = tail_counts[key] = ({}, {})
+            for tail in tails:
+                _count_letters(*counts, tail, key[1], 1)
+        for pair, x in counts[0].items():
+            step_counts[pair] = step_counts.get(pair, 0) + x
+        for level, x in counts[1].items():
+            point_counts[level] = point_counts.get(level, 0) + x
     return step_counts, point_counts
 
 

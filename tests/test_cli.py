@@ -172,6 +172,7 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["enumerate", "--length", "2", "--max-n-override", "-1"],
         ["count", "--length", "2", "--max-n-override", "-1"],
         ["riordan", "--d", "S^", "--h", "x*S^2"],
+        ["count", "--weights", "", "--length", "2"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -186,6 +187,20 @@ def test_negative_size_override_is_rejected_as_such(capsys, command):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == "error: --max-n-override must be nonnegative; got -1\n"
+
+
+@pytest.mark.parametrize("value", ["x", "-3", "1_0"])
+def test_malformed_size_cap_in_the_environment_is_a_usage_error(
+    capsys, monkeypatch, value
+):
+    monkeypatch.setenv("GPATHS_MAX_N", value)
+    for argv in (["count", "--length", "2"], ["count", "--length", "0"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: GPATHS_MAX_N must be a nonnegative integer in ASCII digits; "
+            f"got {value!r}\n"
+        )
 
 
 @pytest.mark.parametrize("method", ["brute", "all"])

@@ -3,9 +3,12 @@
 import pytest
 
 from gpaths import stats
+from gpaths.enumeration import iter_step_strings
 from gpaths.errors import DomainViolation, SizeLimitExceeded
+from gpaths.paths import GMOTZKIN_UVU, STEP_GEOMETRY, PathFamily
 from gpaths.stats import (
     FORMULA_STATS,
+    GMOTZKIN_UVU_RESTRICTED,
     STAT_IDS,
     StatTable,
     methods_for,
@@ -164,3 +167,26 @@ def test_brute_table_past_the_cap_fails_before_enumerating(monkeypatch):
     with pytest.raises(SizeLimitExceeded, match="x-length 11 exceeds"):
         stat_table("h_r", "brute", 9)
     assert stats._brute_counts.cache_info().misses == 0
+
+
+def _recount(family, m):
+    """(step counts, point counts) path by path, letter by letter."""
+    step_counts, point_counts = {}, {}
+    for steps in iter_step_strings(family, m):
+        level = 0
+        point_counts[0] = point_counts.get(0, 0) + 1
+        for c in steps:
+            level += STEP_GEOMETRY[c][1]
+            key = (c, level)
+            step_counts[key] = step_counts.get(key, 0) + 1
+            point_counts[level] = point_counts.get(level, 0) + 1
+    return step_counts, point_counts
+
+
+@pytest.mark.parametrize(
+    "family", [GMOTZKIN_UVU, GMOTZKIN_UVU_RESTRICTED], ids=PathFamily.describe
+)
+def test_brute_counts_equal_a_per_word_recount(family):
+    # sizes on both sides of the walk's completion split
+    for m in range(-1, 9):
+        assert stats._brute_counts(family, m, 12) == _recount(family, m)
