@@ -12,9 +12,7 @@ definition, and a trace list records them in that order; varphi's inverse
 maps the inside of the last arch before the prefix, as its definition
 does, and writes each image straight to its final offset.  Nothing is
 sliced, rescanned or recursed into: paths of any length map in linear
-time.  The public functions take and return validated Path objects and
-raise FamilyMismatch / DomainViolation on bad inputs; the underscore forms
-work on raw step strings.
+time.  The underscore forms work on raw step strings.
 
 Maps and their domains:
 
@@ -32,11 +30,18 @@ Maps and their domains:
 In psi's image the two flavors of the marked horizontal letter (a/A) and
 of the down step (d/D) remember which summand of the composite weight each
 step carries, which is exactly the information needed to invert.
+
+Each map's domain and codomain are declared once, in its `BIJECTIONS` row
+beside its two string maps.  One builder makes each row's public forward
+and inverse maps on Path objects: they check the input's base
+(FamilyMismatch) and the factors its family avoids and the prefixes it
+requires (DomainViolation), refuse the empty path where the map has no
+image of it, and return a Path of the other family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .errors import DomainViolation, EmptyPath, FamilyMismatch
@@ -58,9 +63,7 @@ from .paths import (
 GMOTZKIN_UVU_UU = GMOTZKIN.avoiding("uvu", "uu")
 GMOTZKIN_UVU_UU_HU = GMOTZKIN.avoiding("uvu", "uu", "hu")
 VARPHI_DOMAIN = PathFamily("bicolored_motzkin", prefixes=("a",))
-VARPHI_THETA_DOMAIN = PathFamily(
-    "gmotzkin", avoid=("uu", "uvu"), prefixes=("h",)
-)
+VARPHI_THETA_DOMAIN = replace(GMOTZKIN_UVU_UU, prefixes=("h",))
 
 Trace = Optional[list]
 
@@ -68,21 +71,6 @@ Trace = Optional[list]
 def _recorder(trace: Trace) -> Callable[[str], None]:
     # without a trace the labels go to a throwaway list: cheaper than a no-op call
     return ([] if trace is None else trace).append
-
-
-def _require_base(path: Path, base: str, who: str) -> None:
-    if path.family.base != base:
-        raise FamilyMismatch(
-            f"{who} needs a {base} path, got {path.family.base}"
-        )
-
-
-def _forbid(steps: str, patterns: tuple[str, ...], who: str) -> None:
-    for pattern in patterns:
-        if pattern in steps:
-            raise DomainViolation(
-                f"{who} needs a path avoiding {pattern!r}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -194,41 +182,22 @@ def _sigma_inv(p: str, trace: Trace = None) -> str:
     return "".join(out)
 
 
-def sigma(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "gmotzkin", "sigma")
-    _forbid(path.steps, ("uvu",), "sigma")
-    return Path(SCHRODER, _sigma_fwd(path.steps, trace))
-
-
-def sigma_inv(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "schroder", "sigma_inv")
-    return Path(GMOTZKIN_UVU, _sigma_inv(path.steps, trace))
-
-
 # ---------------------------------------------------------------------------
 # phi_peak: colored dyck <-> schroder
 # ---------------------------------------------------------------------------
 
 
-def _phi_fwd(p: str) -> str:
+def _phi_fwd(p: str, trace: Trace = None) -> str:
+    if trace is not None:
+        trace.append("base")
     # occurrences of uD cannot overlap, so one left-to-right pass is exact
     return p.replace("uD", "H")
 
 
-def _phi_inv(p: str) -> str:
+def _phi_inv(p: str, trace: Trace = None) -> str:
+    if trace is not None:
+        trace.append("base")
     return p.replace("H", "uD")
-
-
-def phi_peak(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "colored_dyck", "phi_peak")
-    _recorder(trace)("base")
-    return Path(SCHRODER, _phi_fwd(path.steps))
-
-
-def phi_peak_inv(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "schroder", "phi_peak_inv")
-    _recorder(trace)("base")
-    return Path(COLORED_DYCK, _phi_inv(path.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -236,50 +205,39 @@ def phi_peak_inv(path: Path, trace: Trace = None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _vartheta_fwd(p: str) -> str:
-    if not p.startswith("ud"):
-        raise DomainViolation("vartheta needs a path opening with ud")
+def _axis_h(p: str, start: int = 0) -> int:
+    """Index of the first axis-level H of p[start:], read from the axis, or -1."""
     level = 0
-    split = -1
-    for idx in range(2, len(p)):
+    for idx in range(start, len(p)):
         c = p[idx]
         if c == "H" and level == 0:
-            split = idx
-            break
+            return idx
         level += STEP_GEOMETRY[c][1]
+    return -1
+
+
+def _vartheta_fwd(p: str, trace: Trace = None) -> str:
+    _recorder(trace)("C1")
+    if not p.startswith("ud"):
+        raise DomainViolation("vartheta needs a path opening with ud")
+    split = _axis_h(p, 2)
     if split < 0:
         raise DomainViolation("vartheta needs a horizontal step on the axis")
     return "H" + p[2:split] + "u" + p[split + 1 :] + "d"
 
 
-def _vartheta_inv(p: str) -> str:
+def _vartheta_inv(p: str, trace: Trace = None) -> str:
+    _recorder(trace)("C1")
     if not p.startswith("H"):
         raise DomainViolation("vartheta_inv needs a path opening with H")
     if p[-1] != "d":
         raise DomainViolation("path ends with a horizontal step on the axis")
-    # the last arch opens with the partner of the final d
+    # the last arch opens with the partner of the final d; no H after its u
+    # is on the axis, so the scan from index 1 tests only the word before it
     split = match_table(p)[-1]
-    body = p[1:split]
-    level = 0
-    for c in body:
-        if c == "H" and level == 0:
-            raise DomainViolation(
-                "vartheta_inv needs no horizontal axis step after the first"
-            )
-        level += STEP_GEOMETRY[c][1]
-    return "ud" + body + "H" + p[split + 1 : -1]
-
-
-def vartheta(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "schroder", "vartheta")
-    _recorder(trace)("C1")
-    return Path(SCHRODER, _vartheta_fwd(path.steps))
-
-
-def vartheta_inv(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "schroder", "vartheta_inv")
-    _recorder(trace)("C1")
-    return Path(SCHRODER, _vartheta_inv(path.steps))
+    if _axis_h(p, 1) >= 0:
+        raise DomainViolation("vartheta_inv needs no horizontal axis step after the first")
+    return "ud" + p[1:split] + "H" + p[split + 1 : -1]
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +335,6 @@ def _theta_inv(p: str, trace: Trace = None) -> str:
     return "".join(out)
 
 
-def theta(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "gmotzkin", "theta")
-    _forbid(path.steps, ("uvu", "uu"), "theta")
-    return Path(BICOLORED_MOTZKIN, _theta_fwd(path.steps, trace))
-
-
-def theta_inv(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "bicolored_motzkin", "theta_inv")
-    return Path(GMOTZKIN_UVU_UU, _theta_inv(path.steps, trace))
-
-
 # ---------------------------------------------------------------------------
 # rho: {uvu,uu,hu}-avoiding gmotzkin <-> words on two letters
 # ---------------------------------------------------------------------------
@@ -448,17 +395,6 @@ def _rho_inv(s: str, trace: Trace = None) -> str:
     return "".join(out)
 
 
-def rho(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "gmotzkin", "rho")
-    _forbid(path.steps, ("uvu", "uu", "hu"), "rho")
-    return Path(HSTRING, _rho_fwd(path.steps, trace))
-
-
-def rho_inv(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "hstring", "rho_inv")
-    return Path(GMOTZKIN_UVU_UU_HU, _rho_inv(path.steps, trace))
-
-
 # ---------------------------------------------------------------------------
 # varphi: a-prefixed bicolored motzkin <-> dyck, plain and flavored
 # ---------------------------------------------------------------------------
@@ -477,7 +413,7 @@ _PLAIN_MARK_OF_CLOSER = {c: mark for mark, c in _PLAIN_CLOSER_OF.items()}
 _COLORED_MARK_OF_CLOSER = {c: mark for mark, c in _COLORED_CLOSER_OF.items()}
 
 
-def _varphi_fwd(q: str, colored: bool, trace: Trace = None) -> str:
+def _varphi_fwd(q: str, trace: Trace = None, colored: bool = False) -> str:
     peak_of = _COLORED_PEAK_OF if colored else _PLAIN_PEAK_OF
     mark_of_closer = _COLORED_MARK_OF_CLOSER if colored else _PLAIN_MARK_OF_CLOSER
     note = _recorder(trace)
@@ -517,7 +453,7 @@ def _varphi_fwd(q: str, colored: bool, trace: Trace = None) -> str:
     return "".join(out)
 
 
-def _varphi_inv(p: str, colored: bool, trace: Trace = None) -> str:
+def _varphi_inv(p: str, trace: Trace = None, colored: bool = False) -> str:
     closer_of = _COLORED_CLOSER_OF if colored else _PLAIN_CLOSER_OF
     mark_of = _COLORED_MARK_OF if colored else _PLAIN_MARK_OF
     note = _recorder(trace)
@@ -558,55 +494,26 @@ def _varphi_inv(p: str, colored: bool, trace: Trace = None) -> str:
     return "".join(out)
 
 
-def varphi(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "bicolored_motzkin", "varphi")
-    if not path.steps.startswith("a"):
-        raise DomainViolation("varphi needs a path opening with the a-colored step")
-    return Path(DYCK, _varphi_fwd(path.steps, False, trace))
-
-
-def varphi_inv(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "dyck", "varphi_inv")
-    if not path.steps:
-        raise EmptyPath("varphi_inv needs a nonempty path")
-    return Path(VARPHI_DOMAIN, _varphi_inv(path.steps, False, trace))
-
-
 # ---------------------------------------------------------------------------
 # psi and the composite varphi_theta
 # ---------------------------------------------------------------------------
 
 
-def psi(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "gmotzkin", "psi")
-    _forbid(path.steps, ("uvu",), "psi")
-    if not path.steps:
-        raise DomainViolation("psi needs x-length at least 1")
-    schroder = _sigma_fwd(path.steps, trace)
-    colored = _phi_inv(schroder)
-    return Path(PSI_IMAGE, _varphi_inv(colored, True, trace))
+def _psi_fwd(q: str, trace: Trace = None) -> str:
+    return _varphi_inv(_phi_inv(_sigma_fwd(q, trace)), trace, True)
 
 
-def psi_inv(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "psi_image", "psi_inv")
-    colored = _varphi_fwd(path.steps, True, trace)
-    return Path(GMOTZKIN_UVU, _sigma_inv(_phi_fwd(colored), trace))
+def _psi_inv(p: str, trace: Trace = None) -> str:
+    colored = _varphi_fwd(p, trace, True)
+    return _sigma_inv(_phi_fwd(colored), trace)
 
 
-def varphi_theta(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "gmotzkin", "varphi_theta")
-    _forbid(path.steps, ("uvu", "uu"), "varphi_theta")
-    if not path.steps.startswith("h"):
-        raise DomainViolation("varphi_theta needs a path opening with h")
-    return Path(DYCK, _varphi_fwd(_theta_fwd(path.steps, trace), False, trace))
+def _varphi_theta_fwd(q: str, trace: Trace = None) -> str:
+    return _varphi_fwd(_theta_fwd(q, trace), trace)
 
 
-def varphi_theta_inv(path: Path, trace: Trace = None) -> Path:
-    _require_base(path, "dyck", "varphi_theta_inv")
-    if not path.steps:
-        raise EmptyPath("varphi_theta_inv needs a nonempty path")
-    bicolored = _varphi_inv(path.steps, False, trace)
-    return Path(VARPHI_THETA_DOMAIN, _theta_inv(bicolored, trace))
+def _varphi_theta_inv(p: str, trace: Trace = None) -> str:
+    return _theta_inv(_varphi_inv(p, trace), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -614,26 +521,78 @@ def varphi_theta_inv(path: Path, trace: Trace = None) -> Path:
 # ---------------------------------------------------------------------------
 
 
+StringMap = Callable[[str, Trace], str]
+PathMap = Callable[[Path, Trace], Path]
+
+# the maps with no image of the empty path, and what each raises for it
+_NO_EMPTY_IMAGE = {
+    "psi": (DomainViolation, "psi needs x-length at least 1"),
+    "varphi_inv": (EmptyPath, "varphi_inv needs a nonempty path"),
+    "varphi_theta_inv": (EmptyPath, "varphi_theta_inv needs a nonempty path"),
+}
+
+
+def _checked(
+    name: str, string_map: StringMap, domain: PathFamily, codomain: PathFamily
+) -> PathMap:
+    """The public map `name`: string_map on the steps of a path of `domain`,
+    checked against what that family declares, its image a `codomain` path."""
+    base, avoid, prefixes = domain.base, domain.avoid, domain.prefixes
+    opening = " or ".join(map(repr, prefixes))
+    empty = _NO_EMPTY_IMAGE.get(name)
+
+    def path_map(path: Path, trace: Trace = None) -> Path:
+        if path.family.base != base:
+            raise FamilyMismatch(f"{name} needs a {base} path, got {path.family.base}")
+        steps = path.steps
+        for pattern in avoid:
+            if pattern in steps:
+                raise DomainViolation(f"{name} needs a path avoiding {pattern!r}")
+        if prefixes and not steps.startswith(prefixes):
+            raise DomainViolation(f"{name} needs a path opening with {opening}")
+        if empty is not None and not steps:
+            raise empty[0](empty[1])
+        return Path(codomain, string_map(steps, trace))
+
+    path_map.__name__ = path_map.__qualname__ = name
+    return path_map
+
+
 @dataclass(frozen=True)
 class BijectionSpec:
-    forward: Callable[[Path, Trace], Path]
-    inverse: Callable[[Path, Trace], Path]
+    forward: PathMap
+    inverse: PathMap
     domain: PathFamily
     codomain: PathFamily
 
 
 BIJECTIONS: dict[str, BijectionSpec] = {
-    "sigma": BijectionSpec(sigma, sigma_inv, GMOTZKIN_UVU, SCHRODER),
-    "phi_peak": BijectionSpec(phi_peak, phi_peak_inv, COLORED_DYCK, SCHRODER),
-    "vartheta": BijectionSpec(vartheta, vartheta_inv, SCHRODER, SCHRODER),
-    "theta": BijectionSpec(theta, theta_inv, GMOTZKIN_UVU_UU, BICOLORED_MOTZKIN),
-    "rho": BijectionSpec(rho, rho_inv, GMOTZKIN_UVU_UU_HU, HSTRING),
-    "varphi": BijectionSpec(varphi, varphi_inv, VARPHI_DOMAIN, DYCK),
-    "psi": BijectionSpec(psi, psi_inv, GMOTZKIN_UVU, PSI_IMAGE),
-    "varphi_theta": BijectionSpec(
-        varphi_theta, varphi_theta_inv, VARPHI_THETA_DOMAIN, DYCK
-    ),
+    name: BijectionSpec(
+        _checked(name, fwd, dom, cod), _checked(name + "_inv", inv, cod, dom), dom, cod
+    )
+    for name, fwd, inv, dom, cod in (
+        ("sigma", _sigma_fwd, _sigma_inv, GMOTZKIN_UVU, SCHRODER),
+        ("phi_peak", _phi_fwd, _phi_inv, COLORED_DYCK, SCHRODER),
+        ("vartheta", _vartheta_fwd, _vartheta_inv, SCHRODER, SCHRODER),
+        ("theta", _theta_fwd, _theta_inv, GMOTZKIN_UVU_UU, BICOLORED_MOTZKIN),
+        ("rho", _rho_fwd, _rho_inv, GMOTZKIN_UVU_UU_HU, HSTRING),
+        ("varphi", _varphi_fwd, _varphi_inv, VARPHI_DOMAIN, DYCK),
+        ("psi", _psi_fwd, _psi_inv, GMOTZKIN_UVU, PSI_IMAGE),
+        ("varphi_theta", _varphi_theta_fwd, _varphi_theta_inv, VARPHI_THETA_DOMAIN, DYCK),
+    )
 }
+
+# the public maps: each is the very object its registry row dispatches to
+sigma, sigma_inv = BIJECTIONS["sigma"].forward, BIJECTIONS["sigma"].inverse
+phi_peak, phi_peak_inv = BIJECTIONS["phi_peak"].forward, BIJECTIONS["phi_peak"].inverse
+vartheta, vartheta_inv = BIJECTIONS["vartheta"].forward, BIJECTIONS["vartheta"].inverse
+theta, theta_inv = BIJECTIONS["theta"].forward, BIJECTIONS["theta"].inverse
+rho, rho_inv = BIJECTIONS["rho"].forward, BIJECTIONS["rho"].inverse
+varphi, varphi_inv = BIJECTIONS["varphi"].forward, BIJECTIONS["varphi"].inverse
+psi, psi_inv = BIJECTIONS["psi"].forward, BIJECTIONS["psi"].inverse
+varphi_theta, varphi_theta_inv = (
+    BIJECTIONS["varphi_theta"].forward, BIJECTIONS["varphi_theta"].inverse
+)
 
 
 def apply_bijection(

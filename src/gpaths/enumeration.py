@@ -48,7 +48,7 @@ from typing import Iterator
 from .errors import FamilyMismatch, SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
 from .series import catalan_series, square_coeff
-from .weights import A, B, C, DEFAULT_WEIGHTING, WEIGHTINGS, Polynomial, weight_exponents
+from .weights import A, B, C, DEFAULT_WEIGHTING, Polynomial, weight_exponents, weighting_table
 
 MAX_N_DEFAULT = 12
 MAX_N_UNRESTRICTED_GMOTZKIN = 9
@@ -249,7 +249,7 @@ def _step_exponents(
     A step's weight may depend on the letter before it (a peak), so it is
     the weight of prev+letter less the weight of prev.
     """
-    bases, letters = WEIGHTINGS[weighting]
+    bases, letters = weighting_table(weighting)
     base = family.base
     missing = sorted(set(family.alphabet) - set(letters))
     if missing:

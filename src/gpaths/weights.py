@@ -253,12 +253,19 @@ DEFAULT_WEIGHTING = {
 }
 
 
-def weight(path: Path, weighting: str) -> Polynomial:
-    """Product of the step weights: always a single monomial."""
+def weighting_table(
+    weighting: str,
+) -> tuple[frozenset[str], dict[str, tuple[int, int, int]]]:
+    """The (bases, step exponents) entry of WEIGHTINGS for a weighting name."""
     try:
-        bases, table = WEIGHTINGS[weighting]
+        return WEIGHTINGS[weighting]
     except KeyError:
         raise FamilyMismatch(f"unknown weighting {weighting!r}") from None
+
+
+def weight(path: Path, weighting: str) -> Polynomial:
+    """Product of the step weights: always a single monomial."""
+    bases = weighting_table(weighting)[0]
     if path.family.base not in bases:
         raise FamilyMismatch(
             f"weighting {weighting!r} does not apply to family "

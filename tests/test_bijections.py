@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpaths import bijections as bij
 from gpaths.bijections import (
     BIJECTIONS,
     GMOTZKIN_UVU_UU,
@@ -43,6 +44,7 @@ from gpaths.paths import (
     SCHRODER,
     STEP_GEOMETRY,
     parse,
+    point_levels,
 )
 from gpaths.verification import _WEIGHTING_OF
 from gpaths.weights import weight_exponents
@@ -240,6 +242,63 @@ def test_domain_errors():
         varphi_inv(parse("", DYCK))
     with pytest.raises(DomainViolation):
         psi(parse("", GMOTZKIN))
+
+
+MAP_DIRECTIONS = [(name, d) for name in BIJECTIONS for d in ("fwd", "inv")]
+
+
+def row_map(name, direction):
+    """(public name, registry map, family it reads) of one direction."""
+    spec = BIJECTIONS[name]
+    if direction == "fwd":
+        return name, spec.forward, spec.domain
+    return name + "_inv", spec.inverse, spec.codomain
+
+
+@pytest.mark.parametrize("name, direction", MAP_DIRECTIONS)
+def test_public_map_is_its_registry_row(name, direction):
+    # the bench tracer finds each map by its module attribute and rebinds both
+    public, fn, _ = row_map(name, direction)
+    assert getattr(bij, public) is fn
+    assert fn.__module__ == "gpaths.bijections"
+
+
+@pytest.mark.parametrize("name, direction", MAP_DIRECTIONS)
+def test_public_map_rejects_another_base(name, direction):
+    public, fn, family = row_map(name, direction)
+    other = SCHRODER if family.base == "dyck" else DYCK
+    message = f"^{public} needs a {family.base} path, got {other.base}$"
+    with pytest.raises(FamilyMismatch, match=message):
+        fn(parse("ud", other))
+
+
+# the maps with no image of the empty path, and what each raises for it
+EMPTY_PATH_ERRORS = {
+    ("psi", "fwd"): (DomainViolation, "psi needs x-length at least 1"),
+    ("varphi", "inv"): (EmptyPath, "varphi_inv needs a nonempty path"),
+    ("varphi_theta", "inv"): (EmptyPath, "varphi_theta_inv needs a nonempty path"),
+}
+
+
+@pytest.mark.parametrize("name, direction", sorted(EMPTY_PATH_ERRORS))
+def test_empty_path_has_no_image(name, direction):
+    error, message = EMPTY_PATH_ERRORS[name, direction]
+    _, fn, family = row_map(name, direction)
+    with pytest.raises(error) as caught:
+        fn(parse("", family))
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def test_axis_h_finds_the_first_h_level_with_the_start():
+    for n in range(6):
+        for steps in iter_step_strings(SCHRODER, 2 * n):
+            levels = point_levels(parse(steps, SCHRODER))
+            for start in range(len(steps) + 1):
+                hits = [
+                    i for i in range(start, len(steps))
+                    if steps[i] == "H" and levels[i] == levels[start]
+                ]
+                assert bij._axis_h(steps, start) == (hits[0] if hits else -1)
 
 
 def test_apply_bijection_dispatch():

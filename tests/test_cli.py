@@ -222,12 +222,21 @@ def test_verify_bijections_below_smallest_nmax_is_a_usage_error(capsys, suite):
 
 @pytest.mark.parametrize(
     "suite, nmax, limit",
-    [("counts", 11, 10), ("stats", 7, 6), ("identities", 11, 10), ("all", 7, 6)],
+    [
+        ("counts", 11, 10),
+        ("stats", 7, 6),
+        ("identities", 11, 10),
+        ("all", 7, 6),
+        ("bijections", 13, 12),
+    ],
 )
 def test_verify_past_the_frozen_data_names_the_limit(capsys, suite, nmax, limit):
     code, out, err = run(capsys, ["verify", "--suite", suite, "--nmax", str(nmax)])
     assert (code, out) == (2, "")
     assert f"the largest supported --nmax is {limit}" in err
+    assert err.count("\n") == 1
+    # the bijections are checked against enumeration, not frozen data
+    assert ("frozen" in err) == (suite != "bijections")
 
 
 def test_unknown_subcommand_is_an_argparse_error(capsys):

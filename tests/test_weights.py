@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gpaths.enumeration import weighted_count
 from gpaths.errors import FamilyMismatch
 from gpaths.paths import (
     BICOLORED_MOTZKIN,
@@ -135,6 +136,13 @@ def test_family_mismatch():
         weight(parse("ud", DYCK), "schroder_ab")
     with pytest.raises(FamilyMismatch):
         weight(parse("ud", DYCK), "no_such_weighting")
+
+
+def test_unknown_weighting_is_a_family_mismatch():
+    with pytest.raises(FamilyMismatch, match="^unknown weighting 'bogus'$"):
+        weight(parse("uv", GMOTZKIN), "bogus")
+    with pytest.raises(FamilyMismatch, match="^unknown weighting 'bogus'$"):
+        weighted_count(GMOTZKIN, 2, "bogus")
 
 
 def test_bsq_equals_abc_with_c_to_b_squared():
