@@ -18,6 +18,9 @@ Table conventions (i is the level index, columns 0..n per row):
 and the r-suffixed variants are the same counts over paths with no
 horizontal step on the axis, with u_r/v_r at the same offsets, h_r counting
 h-steps at level i+1 over x-length n+2, and p_r points over x-length n.
+
+A table is filled from its last row, which checks the brute size cap before
+any path is enumerated and builds each Riordan array the table needs once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .enumeration import _check_size, _prefix_blocks, ballot_coeff, size_cap
+from .enumeration import _check_size, _prefix_blocks, ballot_coeff
 from .errors import DomainViolation
 from .paths import GMOTZKIN_UVU, STEP_GEOMETRY, PathFamily
 from .series import (
@@ -84,34 +87,29 @@ def _count_letters(
 
 
 @lru_cache(maxsize=None)
-def _brute_counts(family: PathFamily, m: int, cap: int):
+def _brute_counts(family: PathFamily, m: int):
     """Aggregate (letter, level) step counts and point counts over all
-    paths of the family of x-length m, enumerated under the size cap `cap`.
+    paths of the family of x-length m.
 
     Counted per prefix block (word, key, tails) of the walk, not per path:
     the word's pairs and points, the start point included, count once per
-    tail, and the pairs and points of the key's tails (at absolute levels,
-    after the word's end point) are summed once per key and added for every
-    block that ends at it.
+    tail, and the pairs and points of each key's tails (at absolute levels,
+    after the word's end point) count once per key, weighted by the number
+    of blocks that end at it.
     """
     step_counts: dict[tuple[str, int], int] = {}
     point_counts: dict[int, int] = {}
-    tail_counts: dict[tuple[int, int, str], tuple[dict, dict]] = {}
-    for word, key, tails in _prefix_blocks(family, m, cap):
+    ends: dict[tuple[int, int, str], list] = {}
+    for word, key, tails in _prefix_blocks(family, m, m):
         k = len(tails)
         if not k:
             continue
         point_counts[0] = point_counts.get(0, 0) + k
         _count_letters(step_counts, point_counts, word, 0, k)
-        counts = tail_counts.get(key)
-        if counts is None:
-            counts = tail_counts[key] = ({}, {})
-            for tail in tails:
-                _count_letters(*counts, tail, key[1], 1)
-        for pair, x in counts[0].items():
-            step_counts[pair] = step_counts.get(pair, 0) + x
-        for level, x in counts[1].items():
-            point_counts[level] = point_counts.get(level, 0) + x
+        ends.setdefault(key, [tails, 0])[1] += 1
+    for (_, level, _), (tails, blocks) in ends.items():
+        for tail in tails:
+            _count_letters(step_counts, point_counts, tail, level, blocks)
     return step_counts, point_counts
 
 
@@ -121,10 +119,9 @@ def stat_brute(stat: str, n: int, i: int, max_n_override: int | None = None) -> 
     if m < 0 or i < 0:
         return 0
     family = GMOTZKIN_UVU_RESTRICTED if restricted else GMOTZKIN_UVU
-    # keyed on the resolved cap, so a changed GPATHS_MAX_N is seen
-    step_counts, point_counts = _brute_counts(
-        family, m, size_cap(family, max_n_override)
-    )
+    # checked before the cache is read, so a changed GPATHS_MAX_N is seen
+    _check_size(family, m, max_n_override)
+    step_counts, point_counts = _brute_counts(family, m)
     if kind == "points":
         return point_counts.get(i, 0)
     return step_counts.get((kind, i + level_off), 0)
@@ -147,9 +144,9 @@ _COLUMN_EXPR = "x*S^2"
 
 
 # One array (or series) per key, rebuilt only when a row beyond its order is
-# asked for.  A rebuild at least doubles the order, so a table through row n
-# builds O(log n) arrays per statistic.  Entries are exact coefficients, so
-# they do not depend on the order an array happens to be built at.
+# asked for.  Tables are filled from their last row, so each array a table
+# needs is built at most once, at the order of that row.  Entries are exact
+# coefficients, so they do not depend on the order an array is built at.
 _BUILT: dict[str, RiordanArray | TruncatedSeries] = {}
 
 
@@ -157,8 +154,7 @@ def _built(key: str, n: int, build):
     """build(order) for some order >= n, cached under key."""
     value = _BUILT.get(key)
     if value is None or value.order < n:
-        order = max(DEFAULT_ORDER, n + 1, 2 * value.order if value else 0)
-        value = _BUILT[key] = build(order)
+        value = _BUILT[key] = build(max(DEFAULT_ORDER, n + 1))
     return value
 
 
@@ -311,19 +307,16 @@ def methods_for(stat: str) -> tuple[str, ...]:
 
 
 def stat_table(stat: str, method: str, n_max: int) -> StatTable:
-    _, _, size_off, restricted = _check_stat(stat)
-    if method not in _METHODS:
+    methods = methods_for(stat)
+    if method not in methods:
         raise DomainViolation(
-            f"unknown method {method!r}; choose from " + ", ".join(_METHODS)
+            f"statistic {stat} has no {method!r} route; "
+            f"available: {', '.join(methods)}"
         )
-    if method == "formula" and stat not in FORMULA_STATS:
-        raise DomainViolation(f"no explicit formula for {stat!r}")
-    if method == "brute":
-        # the last row is the longest: past the cap, fail before enumerating
-        family = GMOTZKIN_UVU_RESTRICTED if restricted else GMOTZKIN_UVU
-        _check_size(family, n_max + size_off, None)
     fn = _METHODS[method]
-    rows = tuple(
-        tuple(fn(stat, n, i) for i in range(n + 1)) for n in range(n_max + 1)
-    )
-    return StatTable(stat, method, n_max, rows)
+    # last row first: it sizes every Riordan array the table needs, and past
+    # the brute size cap it fails before any smaller row is enumerated
+    rows = [
+        tuple(fn(stat, n, i) for i in range(n + 1)) for n in range(n_max, -1, -1)
+    ]
+    return StatTable(stat, method, n_max, tuple(reversed(rows)))

@@ -140,10 +140,6 @@ class CheckResult:
         return f"{status} {self.name}{suffix}"
 
 
-def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(ok), detail)
-
-
 def _enumerated_weight(family: PathFamily, n: int, weighting: str) -> Polynomial:
     """The weight polynomial summed path by path over the generated paths,
     independently of the transfer-matrix DP behind weighted_count."""
@@ -166,7 +162,7 @@ def check_stat_tables(n_max: int = 6) -> list[CheckResult]:
         for method in methods_for(stat):
             got = stat_table(stat, method, n_max).rows
             results.append(
-                _check(
+                CheckResult(
                     f"stat table {stat} via {method} matches reference rows 0..{n_max}",
                     got == want,
                     f"got {got}",
@@ -196,21 +192,21 @@ def check_weighted_counts(n_max: int = 10) -> list[CheckResult]:
         ],
     }
     results.append(
-        _check(
+        CheckResult(
             f"brute Dyck counts match the Catalan numbers up to n={n_max}",
             brute["catalan"] == list(CATALAN[: n_max + 1]),
             f"got {brute['catalan']}",
         )
     )
     results.append(
-        _check(
+        CheckResult(
             f"brute Motzkin counts match the Motzkin numbers up to n={n_max}",
             brute["motzkin"] == list(MOTZKIN_NUMBERS[: n_max + 1]),
             f"got {brute['motzkin']}",
         )
     )
     results.append(
-        _check(
+        CheckResult(
             f"brute Schroder counts match the Schroder numbers up to n={n_max}",
             brute["schroder"] == list(SCHRODER_NUMBERS[: n_max + 1]),
             f"got {brute['schroder']}",
@@ -226,7 +222,7 @@ def check_weighted_counts(n_max: int = 10) -> list[CheckResult]:
     ):
         got = [g[n].eval_at(*triple) for n in range(n_max + 1)]
         results.append(
-            _check(
+            CheckResult(
                 f"recurrence at {label}",
                 got == [Fraction(x) for x in seq[: n_max + 1]],
                 f"got {got}",
@@ -240,7 +236,7 @@ def check_weighted_counts(n_max: int = 10) -> list[CheckResult]:
         for n in range(sym_max + 1)
     )
     results.append(
-        _check(
+        CheckResult(
             f"recurrence equals the enumerated weight polynomial up to n={sym_max}",
             sym_ok,
         )
@@ -249,7 +245,7 @@ def check_weighted_counts(n_max: int = 10) -> list[CheckResult]:
     for variant in ("first", "second"):
         ok = all(prop21(n, variant) == g[n] for n in range(n_max + 1))
         results.append(
-            _check(
+            CheckResult(
                 f"{variant} explicit triple sum equals the recurrence up to n={n_max}",
                 ok,
             )
@@ -261,7 +257,7 @@ def check_weighted_counts(n_max: int = 10) -> list[CheckResult]:
             series.coeff(n) == g[n].eval_at(*triple) for n in range(n_max + 1)
         )
         results.append(
-            _check(
+            CheckResult(
                 f"composite-series route agrees at weights {triple}",
                 ok,
             )
@@ -387,7 +383,7 @@ def _certify(name: str, cert: Certification, sizes: range) -> list[CheckResult]:
             )
     nmax = max(sizes)
     return [
-        _check(f"{name} {claim} up to n={nmax}", not fault, fault)
+        CheckResult(f"{name} {claim} up to n={nmax}", not fault, fault)
         for claim, fault in (
             ("round trip is the identity", round_fault),
             ("preserves the step weights", weight_fault),
@@ -411,7 +407,7 @@ def check_bijections(n_max: int = 8, theta_n_max: int = 10) -> list[CheckResult]
             for m, given, want in cases:
                 spec = bij.BIJECTIONS[m]
                 ok = ok and spec.forward(parse(given, spec.domain)).steps == want
-            results.append(_check(check, ok))
+            results.append(CheckResult(check, ok))
     return results
 
 
@@ -433,7 +429,7 @@ def check_identities(n_max: int = 8) -> list[CheckResult]:
         for n in range(n_max + 1)
     )
     results.append(
-        _check(
+        CheckResult(
             f"closed forms equal the enumerated weight polynomials up to n={n_max}",
             anchors_ok,
         )
@@ -451,7 +447,7 @@ def check_identities(n_max: int = 8) -> list[CheckResult]:
         for n in range(1, n_max + 1)
     )
     results.append(
-        _check(
+        CheckResult(
             f"S_n(a,b) = C_n(a+b,b) = (a+b) M_(n-1)(a+2b,(a+b)b) up to n={n_max}",
             ok12,
         )
@@ -463,7 +459,7 @@ def check_identities(n_max: int = 8) -> list[CheckResult]:
         for n in range(1, n_max + 1)
     )
     results.append(
-        _check(f"b S_n(a,b) = (a+b) s_n(a,b) up to n={n_max}", ok23)
+        CheckResult(f"b S_n(a,b) = (a+b) s_n(a,b) up to n={n_max}", ok23)
     )
 
     little_counts_ok = all(
@@ -473,7 +469,7 @@ def check_identities(n_max: int = 8) -> list[CheckResult]:
         for n in range(n_max + 1)
     )
     results.append(
-        _check(
+        CheckResult(
             f"s_n(1,1) equals the axis-horizontal-free Schroder count up to n={n_max}",
             little_counts_ok,
         )
@@ -491,7 +487,7 @@ def check_identities(n_max: int = 8) -> list[CheckResult]:
         if got1 != want or got2 != want:
             ok_tau = False
     results.append(
-        _check(
+        CheckResult(
             f"both tau-restricted weighted counts equal (a+b)^n up to n={n_max}",
             ok_tau,
         )
@@ -507,7 +503,7 @@ def check_identities(n_max: int = 8) -> list[CheckResult]:
         for n in range(n_max + 1)
     )
     results.append(
-        _check(
+        CheckResult(
             f"a M_n(a+b,ab) = C_(n+1)(a,b), also as the marked-prefix count, up to n={n_max}",
             ok34,
         )
@@ -528,7 +524,7 @@ def check_stat_identities(n_max: int = 6) -> list[CheckResult]:
         for i in range(n + 1)
     )
     results.append(
-        _check(f"d-step counts equal u-step counts up to n={n_max}", ok_d)
+        CheckResult(f"d-step counts equal u-step counts up to n={n_max}", ok_d)
     )
 
     ok_v = all(
@@ -537,7 +533,7 @@ def check_stat_identities(n_max: int = 6) -> list[CheckResult]:
         for i in range(n + 1)
     )
     results.append(
-        _check(
+        CheckResult(
             f"v-step counts are the difference of consecutive u-step rows up to n={n_max}",
             ok_v,
         )
@@ -550,7 +546,7 @@ def check_stat_identities(n_max: int = 6) -> list[CheckResult]:
         for i in range(n + 1)
     )
     results.append(
-        _check(
+        CheckResult(
             f"every u-step is closed by a v or a d: U = V + D-shift up to n={n_max}",
             ok_cons,
         )
@@ -562,7 +558,7 @@ def check_stat_identities(n_max: int = 6) -> list[CheckResult]:
         for n in range(n_max + 1)
     )
     results.append(
-        _check(
+        CheckResult(
             f"axis h-step counts are Schroder differences up to n={n_max}", ok_h0
         )
     )
@@ -573,7 +569,7 @@ def check_stat_identities(n_max: int = 6) -> list[CheckResult]:
         for n in range(n_max)
     )
     results.append(
-        _check(
+        CheckResult(
             f"axis point counts decompose over returns up to n={n_max}", ok_p0
         )
     )
@@ -598,7 +594,7 @@ def check_restricted_stats(n_max: int = 6) -> list[CheckResult]:
                     ok = False
                     detail = detail or f"{stat}({n},{i}): brute {b}, riordan {r}"
         results.append(
-            _check(
+            CheckResult(
                 f"restricted {stat} brute equals Riordan up to n={n_max}",
                 ok,
                 detail,
@@ -620,7 +616,7 @@ def check_ballot(m_max: int = 12, k_max: int = 15) -> list[CheckResult]:
         for k in range(k_max + 1)
     )
     results.append(
-        _check(
+        CheckResult(
             f"series and closed-form ballot numbers agree for m<={m_max}, k<={k_max}",
             ok,
         )
@@ -631,7 +627,7 @@ def check_ballot(m_max: int = 12, k_max: int = 15) -> list[CheckResult]:
         for i in range(n + 1)
     )
     results.append(
-        _check(
+        CheckResult(
             "the alternating ballot sum reproduces the u-step reference table",
             ok_table,
         )

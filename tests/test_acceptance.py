@@ -1,9 +1,14 @@
 """Acceptance gate: the full cross-checking suites at their contract sizes.
 
 Each test runs one suite, prints a single CRITERION line, and fails with
-the first offending check's detail if anything disagrees.
+the first offending check's detail if anything disagrees.  One more test
+keeps the package free of assert statements, which `python -O` strips.
 """
 
+import ast
+from pathlib import Path
+
+import gpaths
 from gpaths.verification import (
     check_ballot,
     check_bijections,
@@ -47,3 +52,13 @@ def test_criterion_6_restricted_statistics_two_routes():
 
 def test_criterion_7_ballot_coefficient_resolution():
     _report(7, check_ballot(m_max=12, k_max=15))
+
+
+def test_no_assert_statement_in_the_package():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(gpaths.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

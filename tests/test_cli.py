@@ -5,7 +5,7 @@ import json
 import pytest
 
 import gpaths.cli as cli
-from gpaths.verification import CheckResult
+from gpaths.verification import SUITES, CheckResult
 
 
 def run(capsys, argv):
@@ -173,12 +173,27 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["count", "--length", "2", "--max-n-override", "-1"],
         ["riordan", "--d", "S^", "--h", "x*S^2"],
         ["count", "--weights", "", "--length", "2"],
+        ["count", "--family", "dyck", "--length", "4", "--weights", "1/0,1"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_zero_denominator_in_weights_names_the_value(capsys):
+    argv = ["count", "--family", "dyck", "--length", "4", "--weights", "1/0,1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --weights: zero denominator in '1/0'\n"
+
+
+def test_verify_suite_choices_are_the_suites():
+    (command,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    verify = command.choices["verify"]
+    (suite,) = [a for a in verify._actions if a.dest == "suite"]
+    assert suite.choices == ("all", *SUITES)
 
 
 @pytest.mark.parametrize("command", ["enumerate", "count"])

@@ -112,6 +112,25 @@ def test_riordan_entries_do_not_depend_on_request_order():
     assert large_first[len(STAT_IDS)] == GOLDEN["U"][5][2]
 
 
+@pytest.mark.parametrize(
+    "stat, n_max, orders",
+    [("U", 60, {"U": 61}), ("P", 40, {"U": 40, "H": 40, "P": 40})],
+)
+def test_a_table_builds_each_riordan_array_once(monkeypatch, stat, n_max, orders):
+    built = []
+    riordan_array = stats.RiordanArray
+
+    def counting(d, h):
+        built.append(d.order)
+        return riordan_array(d, h)
+
+    monkeypatch.setattr(stats, "RiordanArray", counting)
+    stats._BUILT.clear()
+    stat_table(stat, "riordan", n_max)
+    assert {key: array.order for key, array in stats._BUILT.items()} == orders
+    assert sorted(built) == sorted(orders.values())
+
+
 def test_formula_spot_values():
     assert stat_formula("U", 3, 1) == 61
     assert stat_formula("H", 2, 0) == 16
@@ -189,4 +208,4 @@ def _recount(family, m):
 def test_brute_counts_equal_a_per_word_recount(family):
     # sizes on both sides of the walk's completion split
     for m in range(-1, 9):
-        assert stats._brute_counts(family, m, 12) == _recount(family, m)
+        assert stats._brute_counts(family, m) == _recount(family, m)
