@@ -75,6 +75,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
     _check_nonnegative("--length", args.length)
     _check_nonnegative("--nmax", args.nmax)
     family = _family_from_args(args)
+    if args.unweighted:
+        for flag, value in (
+            ("--weighting", args.weighting), ("--weights", args.weights)
+        ):
+            if value is not None:
+                raise GPathError(f"--unweighted cannot be combined with {flag}")
     weighting = args.weighting or DEFAULT_WEIGHTING[args.family]
     if weighting not in WEIGHTINGS:
         raise GPathError(

@@ -3,34 +3,37 @@
 Each family's word rules (its letter order, which is the order of
 `family.alphabet`, a one-letter prefix, avoided factors of one to three
 letters, D only after u, no horizontal step on the axis) are compiled once
-into a step automaton.  Generation is a depth-first walk over that
-automaton that checks only geometry, so output order is reproducible byte
-for byte.  Most of a walk's nodes sit in the last few steps, where the same
-(x-length left, level, state) key recurs for thousands of prefixes.  So the
-walk proper (`_prefix_blocks`) stops at keys with at most COMPLETION_SPLIT
-units of x-length left and yields a prefix block: the word so far, its key
-and the key's list of completions.  The completions are built once per
-call, without recursion, from those of the keys they move to, with the
-walk's own moves and pruning and in alphabet order.  `iter_step_strings`
-flattens the blocks into word + tail, so the words come out in the plain
-walk's order; the brute level statistics (`stats._brute_counts`) count
-each block's prefix once per tail and each key's tails once.  The split
-is 2 from measurement (2-vCPU Xeon, CPython 3.11.7): on the 206,098
-uvu-avoiding G-Motzkin words of x-length 9 the walk takes about 0.02 s
-against 0.18 s for the plain walk, holding about 8,000 completion strings;
-a split of 3 is faster on long Schroder paths but holds about 33,000, which
-raised the benchmark's exhaustive peak RSS from 21.4 to 23.4 MB (+10 %),
-where a split of 2 gives 21.8 MB (+2 %).
-Weighted counting (and so plain counting) is a transfer-matrix DP
-over the same automaton: the prefixes are merged by (x-length left, level,
-state), so its cost grows with the number of keys, not of paths.  The walk,
-the completions and the DP take their moves from one function,
-`_moves_inside`, so the geometric pruning rule is written once.  All are
-guarded by the same size cap: the pattern-avoiding and classical families
-stop at x-length 12, the unrestricted gmotzkin family (whose free v steps
-inflate growth) at 9.  GPATHS_MAX_N in the environment (ASCII digits
-only), or an explicit override argument, moves the cap; exceeding it
-raises SizeLimitExceeded.
+into a step automaton.  Its keys are (x-length left, level, state), and
+one generator, `_keys_from_top`, streams every key reachable from the
+start with its moves in alphabet order, height by height from the top
+(height 2 * x-length left + level, which every move lowers), so each key
+comes after every key that moves to it.  It holds the one geometric
+pruning rule; the walk, its completions and the counting DP all read their
+keys and moves from it (Stanley, EC1 4.7: the transfer-matrix method).
+
+Generation is a depth-first walk over that stream that checks only
+geometry, so output order is reproducible byte for byte.  Most of a walk's
+nodes sit in the last few steps, where the same key recurs for thousands
+of prefixes.  So the walk proper (`_prefix_blocks`) stops at keys with at
+most COMPLETION_SPLIT units of x-length left and yields a prefix block:
+the word so far, its key and the key's list of completions, filled once
+per call from the stream read backwards, children before parents.
+`iter_step_strings` flattens the blocks into word + tail, so the words
+come out in the plain walk's order; the brute level statistics
+(`stats._brute_counts`) count each block's prefix once per tail and each
+key's tails once.  The split is 2 from measurement (2-vCPU Xeon, CPython
+3.11.7): on the 206,098 uvu-avoiding G-Motzkin words of x-length 9 the
+walk takes about 0.02 s against 0.18 s for the plain walk, holding about
+8,000 completion strings; a split of 3 is faster on long Schroder paths
+but holds about 33,000, which raised the benchmark's exhaustive peak RSS
+from 21.4 to 23.4 MB (+10 %), where a split of 2 gives 21.8 MB (+2 %).
+Weighted counting (and so plain counting) is one pass over the same
+stream: the prefixes are merged by key, so its cost grows with the number
+of keys, not of paths.  Both are guarded by the same size cap: the
+pattern-avoiding and classical families stop at x-length 12, the
+unrestricted gmotzkin family (whose free v steps inflate growth) at 9.
+GPATHS_MAX_N in the environment (ASCII digits only), or an explicit
+override argument, moves the cap; exceeding it raises SizeLimitExceeded.
 
 The counting side is exact integer/polynomial arithmetic throughout:
 recurrence coefficients for the two generating-function equations, the
@@ -55,6 +58,8 @@ MAX_N_UNRESTRICTED_GMOTZKIN = 9
 # _prefix_blocks walks keys with more x-length left than this and reads
 # the rest of each word off a per-call list of completions (module docstring)
 COMPLETION_SPLIT = 2
+# a node of a family's key space: (x-length left, level, automaton state)
+Key = tuple[int, int, str]
 
 
 def size_cap(family: PathFamily, max_n_override: int | None = None) -> int:
@@ -85,7 +90,7 @@ def _check_size(family: PathFamily, n: int, max_n_override: int | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the step automaton, the generation walk and the counting DP
+# the step automaton, its key stream, the generation walk and the counting DP
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -128,56 +133,78 @@ def _automaton(family: PathFamily) -> tuple[dict, bool]:
     return table, not family.prefixes
 
 
-def _moves_inside(
-    table: dict, bounded: bool, key: tuple[int, int, str]
-) -> list[tuple[str, tuple[int, int, str]]]:
-    """The moves out of key (x-length left, level, state) that keep to the
-    geometry, as (letter, next key) in alphabet order: x-length left and
-    level stay nonnegative, and without v (bounded) the level cannot exceed
-    the x-length left.  The walk, the completions and the counting DP all
-    prune with this one rule."""
+def _accepts(key: Key, empty_ok: bool) -> bool:
+    """Whether the words that reach key are paths: x-length 0 on the axis,
+    unless key is the empty word of a family that excludes it."""
     rem, level, state = key
-    out = []
-    for letter, dx, dy, nxt in table[state, level == 0]:
-        rem2 = rem - dx
-        lvl2 = level + dy
-        if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
-            continue
-        out.append((letter, (rem2, lvl2, nxt)))
-    return out
+    return rem == 0 and level == 0 and (state != "" or empty_ok)
+
+
+def _keys_from_top(
+    family: PathFamily, n: int
+) -> Iterator[tuple[Key, list[tuple[str, Key]]]]:
+    """Each key (x-length left, level, state) reachable from (n, 0, ""),
+    once, with its moves as (letter, next key) in alphabet order.
+
+    A move keeps to the geometry: x-length left and level stay nonnegative,
+    and without v (bounded) the level cannot exceed the x-length left.  The
+    walk, the completions and the counting DP all prune with this one rule.
+    Every move lowers the height 2 * x-length left + level (u and v by 1, d
+    and D by 3, a horizontal step by 2 per unit of x-length), so the keys
+    come height by height from the top, each after every key that moves to
+    it.  Each height's bucket is dropped once it is yielded.
+    """
+    table, _ = _automaton(family)
+    bounded = "v" not in family.alphabet
+    # height -> the keys moved to at that height, in first-reached order
+    pending: dict[int, dict] = {2 * n: {(n, 0, ""): None}}
+    while pending:
+        for key in pending.pop(max(pending)):
+            rem, level, state = key
+            moves = []
+            for letter, dx, dy, nxt in table[state, level == 0]:
+                rem2 = rem - dx
+                lvl2 = level + dy
+                if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
+                    continue
+                target = (rem2, lvl2, nxt)
+                pending.setdefault(2 * rem2 + lvl2, {})[target] = None
+                moves.append((letter, target))
+            yield key, moves
 
 
 def _prefix_blocks(
     family: PathFamily, n: int, max_n_override: int | None
-) -> Iterator[tuple[str, tuple[int, int, str], list[str]]]:
+) -> Iterator[tuple[str, Key, list[str]]]:
     """The words of iter_step_strings as blocks (word, key, tails), in DFS
     order: every word + tail, tail in tails, is a word of the family.
 
-    An explicit-stack walk over keys with more x-length left than
-    COMPLETION_SPLIT; a key at or below the split ends a block, word is the
-    prefix that reached it and tails its completions.  Both the moves of a
-    walked key and the completions of a split key are built once per call,
-    in dicts local to the call, so the same key met again costs one lookup
-    and hands out the same tails list.
+    graph is the key stream of _keys_from_top.  Read backwards it lists
+    every key after the keys it moves to, so one pass fills the tails of the
+    keys with at most COMPLETION_SPLIT x-length left: move by move in
+    alphabet order, the move's letter followed by each tail of the key it
+    moves to.  The walk proper is an explicit-stack DFS over the keys above
+    the split; a key at or below it ends a block, word is the prefix that
+    reached it and tails its completions, one list per key.
     """
     _check_size(family, n, max_n_override)
-    table, empty_ok = _automaton(family)
-    bounded = "v" not in family.alphabet
-    pushes: dict[tuple[int, int, str], list] = {}
-    tails: dict[tuple[int, int, str], list[str]] = {}
+    graph = dict(_keys_from_top(family, n))
+    empty_ok = _automaton(family)[1]
+    tails: dict[Key, list[str]] = {}
+    for key in reversed(graph):
+        if key[0] <= COMPLETION_SPLIT:
+            out = [""] if _accepts(key, empty_ok) else []
+            for letter, nxt in graph[key]:
+                out.extend([letter + tail for tail in tails[nxt]])
+            tails[key] = out
     stack = [((n, 0, ""), "")]
     while stack:
         key, word = stack.pop()
         if key[0] <= COMPLETION_SPLIT:
-            if key not in tails:
-                _completions(table, bounded, empty_ok, key, tails)
             yield word, key, tails[key]
             continue
-        moves = pushes.get(key)
-        if moves is None:
-            # pushed last to first, so they are popped in alphabet order
-            moves = pushes[key] = _moves_inside(table, bounded, key)[::-1]
-        for letter, nxt in moves:
+        # pushed last to first, so they are popped in alphabet order
+        for letter, nxt in reversed(graph[key]):
             stack.append((nxt, word + letter))
 
 
@@ -189,40 +216,6 @@ def iter_step_strings(
     for word, _, tails in _prefix_blocks(family, n, max_n_override):
         for tail in tails:
             yield word + tail
-
-
-def _completions(
-    table: dict,
-    bounded: bool,
-    empty_ok: bool,
-    key: tuple[int, int, str],
-    tails: dict[tuple[int, int, str], list[str]],
-) -> None:
-    """Fill tails[key], and tails of every key below it, in DFS order.
-
-    A key's tails are, move by move in alphabet order, the move's letter
-    followed by each tail of the key it moves to.  A leaf (x-length 0 on the
-    axis, where every letter overshoots or dips) has the empty tail, unless
-    it is the empty word of a family that excludes it.  Keys are finished
-    in post order off an explicit stack, each after the keys it moves to.
-    """
-    todo = [key]
-    while todo:
-        top = todo[-1]
-        if top in tails:
-            todo.pop()
-            continue
-        moves = _moves_inside(table, bounded, top)
-        missing = [nxt for _, nxt in moves if nxt not in tails]
-        if missing:
-            todo.extend(missing)
-            continue
-        todo.pop()
-        rem, level, state = top
-        out = [""] if rem == 0 and level == 0 and (state or empty_ok) else []
-        for letter, nxt in moves:
-            out.extend([letter + tail for tail in tails[nxt]])
-        tails[top] = out
 
 
 def generate(
@@ -281,38 +274,30 @@ def weighted_count(
 ) -> Polynomial:
     """Sum of monomial weights over every path of x-length n.
 
-    A transfer-matrix DP over the step automaton: every prefix that reaches
-    the same (x-length left, level, state) key extends the same way, so each
-    key holds the exponent triples of its prefixes with their multiplicities
-    and pushes them along its moves once.  Every move lowers 2 * x-length
-    left + level (u and v by 1, d and D by 3, a horizontal step by 2 per unit
-    of x-length), so keys are taken bucket by bucket, highest first.  The
-    last bucket holds the leaves, x-length 0 on the axis, where every letter
-    overshoots or dips.
+    A transfer-matrix DP over the key stream of _keys_from_top: every
+    prefix that reaches the same (x-length left, level, state) key extends
+    the same way, so each key holds the exponent triples of its prefixes
+    with their multiplicities.  The stream gives each key after every key
+    that moves to it, so its sums are complete when it comes; it pops them,
+    keeps them if it accepts, and pushes them along its moves.
     """
     _check_size(family, n, max_n_override)
     exponents = _step_exponents(family, weighting)
-    table, empty_ok = _automaton(family)
-    if n < 0:
-        return Polynomial()
-    bounded = "v" not in family.alphabet
-    buckets: list[dict] = [{} for _ in range(2 * n + 1)]
-    buckets[2 * n][n, 0, ""] = {(0, 0, 0): 1}
-    for height in range(2 * n, 0, -1):
-        for key, sums in buckets[height].items():
-            prev = key[2][-1:]
-            for letter, nxt in _moves_inside(table, bounded, key):
-                wa, wb, wc = exponents[prev, letter]
-                target = buckets[2 * nxt[0] + nxt[1]].setdefault(nxt, {})
-                for (ea, eb, ec), k in sums.items():
-                    triple = (ea + wa, eb + wb, ec + wc)
-                    target[triple] = target.get(triple, 0) + k
-        buckets[height].clear()
+    empty_ok = _automaton(family)[1]
+    sums_at: dict[Key, dict] = {(n, 0, ""): {(0, 0, 0): 1}}
     acc: dict[tuple[int, int, int], int] = {}
-    for (_, _, state), sums in buckets[0].items():
-        if state or empty_ok:
-            for key, k in sums.items():
-                acc[key] = acc.get(key, 0) + k
+    for key, moves in _keys_from_top(family, n):
+        sums = sums_at.pop(key)
+        if _accepts(key, empty_ok):
+            for triple, k in sums.items():
+                acc[triple] = acc.get(triple, 0) + k
+        prev = key[2][-1:]
+        for letter, nxt in moves:
+            wa, wb, wc = exponents[prev, letter]
+            target = sums_at.setdefault(nxt, {})
+            for (ea, eb, ec), k in sums.items():
+                triple = (ea + wa, eb + wb, ec + wc)
+                target[triple] = target.get(triple, 0) + k
     return Polynomial(acc)
 
 

@@ -182,36 +182,19 @@ def check_weighted_counts(n_max: int = 10) -> list[CheckResult]:
 
     # "brute" in these three names is historical: the counts come from the
     # transfer-matrix DP; the names stay for byte-identical verify output
-    brute = {
-        "catalan": [
-            count_paths(DYCK, 2 * n, _CAP) for n in range(n_max + 1)
-        ],
-        "motzkin": [count_paths(MOTZKIN, n, _CAP) for n in range(n_max + 1)],
-        "schroder": [
-            count_paths(SCHRODER, 2 * n, _CAP) for n in range(n_max + 1)
-        ],
-    }
-    results.append(
-        CheckResult(
-            f"brute Dyck counts match the Catalan numbers up to n={n_max}",
-            brute["catalan"] == list(CATALAN[: n_max + 1]),
-            f"got {brute['catalan']}",
+    for label, family, x_per_n, seq in (
+        ("Dyck counts match the Catalan numbers", DYCK, 2, CATALAN),
+        ("Motzkin counts match the Motzkin numbers", MOTZKIN, 1, MOTZKIN_NUMBERS),
+        ("Schroder counts match the Schroder numbers", SCHRODER, 2, SCHRODER_NUMBERS),
+    ):
+        got = [count_paths(family, x_per_n * n, _CAP) for n in range(n_max + 1)]
+        results.append(
+            CheckResult(
+                f"brute {label} up to n={n_max}",
+                got == list(seq[: n_max + 1]),
+                f"got {got}",
+            )
         )
-    )
-    results.append(
-        CheckResult(
-            f"brute Motzkin counts match the Motzkin numbers up to n={n_max}",
-            brute["motzkin"] == list(MOTZKIN_NUMBERS[: n_max + 1]),
-            f"got {brute['motzkin']}",
-        )
-    )
-    results.append(
-        CheckResult(
-            f"brute Schroder counts match the Schroder numbers up to n={n_max}",
-            brute["schroder"] == list(SCHRODER_NUMBERS[: n_max + 1]),
-            f"got {brute['schroder']}",
-        )
-    )
 
     for triple, seq, label in (
         ((0, 1, 1), CATALAN, "(0,1,1) gives the Catalan numbers"),

@@ -118,14 +118,8 @@ class Polynomial:
 
     # -- queries ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, ea: int, eb: int, ec: int) -> int:
         return self.terms.get((ea, eb, ec), 0)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def eval_at(self, a, b, c=0) -> Fraction:
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
@@ -187,8 +181,8 @@ ZERO = Polynomial()
 # weightings
 # ---------------------------------------------------------------------------
 
-# exponent triple contributed by a step; peak-sensitive entries are pairs
-# (at_peak, otherwise) keyed on the preceding letter being u
+# exponent triple contributed by a step; the one peak rule (a d right after
+# a u weighs a, under dyck_peak_ab on plain dyck paths) is in weight_exponents
 _U = (0, 0, 0)
 _A1 = (1, 0, 0)
 _B1 = (0, 1, 0)

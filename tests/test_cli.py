@@ -174,6 +174,8 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["riordan", "--d", "S^", "--h", "x*S^2"],
         ["count", "--weights", "", "--length", "2"],
         ["count", "--family", "dyck", "--length", "4", "--weights", "1/0,1"],
+        ["count", "--nmax", "2", "--weights", "1,1", "--unweighted"],
+        ["count", "--length", "2", "--unweighted", "--weighting", "gmotzkin_abc"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -14,6 +14,7 @@ from gpaths.enumeration import (
     MAX_N_DEFAULT,
     MAX_N_UNRESTRICTED_GMOTZKIN,
     _automaton,
+    _keys_from_top,
     ballot_closed_form,
     ballot_coeff,
     catalan_number,
@@ -241,6 +242,42 @@ def test_walk_order_equals_the_plain_walk(family):
     assert COMPLETION_SPLIT < 7
     for n in range(-2, 8):
         assert list(iter_step_strings(family, n)) == _reference_walk(family, n)
+
+
+def _reference_graph(family: PathFamily, n: int) -> dict:
+    """Every key reachable from (n, 0, "") with its moves, found by a plain
+    search over the step automaton."""
+    table, _ = _automaton(family)
+    bounded = "v" not in family.alphabet
+    graph = {}
+    todo = [(n, 0, "")]
+    while todo:
+        key = todo.pop()
+        if key in graph:
+            continue
+        rem, level, state = key
+        moves = []
+        for letter, dx, dy, nxt in table[state, level == 0]:
+            rem2, lvl2 = rem - dx, level + dy
+            if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
+                continue
+            moves.append((letter, (rem2, lvl2, nxt)))
+        graph[key] = moves
+        todo.extend(nxt for _, nxt in moves)
+    return graph
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=PathFamily.describe)
+def test_key_stream_gives_each_reachable_key_once_after_its_parents(family):
+    for n in range(-1, 7):
+        stream = list(_keys_from_top(family, n))
+        keys = [key for key, _ in stream]
+        assert len(keys) == len(set(keys))
+        assert dict(stream) == _reference_graph(family, n)
+        position = {key: i for i, key in enumerate(keys)}
+        for key, moves in stream:
+            for _, nxt in moves:
+                assert position[key] < position[nxt]
 
 
 def test_uvu_stream_digest_is_frozen():
