@@ -32,11 +32,13 @@ of the down step (d/D) remember which summand of the composite weight each
 step carries, which is exactly the information needed to invert.
 
 Each map's domain and codomain are declared once, in its `BIJECTIONS` row
-beside its two string maps.  One builder makes each row's public forward
-and inverse maps on Path objects: they check the input's base
-(FamilyMismatch) and the factors its family avoids and the prefixes it
-requires (DomainViolation), refuse the empty path where the map has no
-image of it, and return a Path of the other family.
+beside its two string maps (`forward_steps`, `inverse_steps`).  One
+builder makes each row's public forward and inverse maps on Path objects
+from those same string maps: they check the input's base (FamilyMismatch)
+and the factors its family avoids and the prefixes it requires
+(DomainViolation), refuse the empty path where the map has no image of
+it, and return a Path of the other family.  Certification
+(`verification`) calls the string maps of the row directly.
 """
 
 from __future__ import annotations
@@ -564,11 +566,15 @@ class BijectionSpec:
     inverse: PathMap
     domain: PathFamily
     codomain: PathFamily
+    # the string maps that forward and inverse apply to a checked path's steps
+    forward_steps: StringMap
+    inverse_steps: StringMap
 
 
 BIJECTIONS: dict[str, BijectionSpec] = {
     name: BijectionSpec(
-        _checked(name, fwd, dom, cod), _checked(name + "_inv", inv, cod, dom), dom, cod
+        _checked(name, fwd, dom, cod), _checked(name + "_inv", inv, cod, dom),
+        dom, cod, fwd, inv,
     )
     for name, fwd, inv, dom, cod in (
         ("sigma", _sigma_fwd, _sigma_inv, GMOTZKIN_UVU, SCHRODER),

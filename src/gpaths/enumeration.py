@@ -8,8 +8,9 @@ one generator, `_keys_from_top`, streams every key reachable from the
 start with its moves in alphabet order, height by height from the top
 (height 2 * x-length left + level, which every move lowers), so each key
 comes after every key that moves to it.  It holds the one geometric
-pruning rule; the walk, its completions and the counting DP all read their
-keys and moves from it (Stanley, EC1 4.7: the transfer-matrix method).
+pruning rule; the walk, its completions, the counting DP and the
+membership test `_acceptor` all read their keys and moves from it
+(Stanley, EC1 4.7: the transfer-matrix method).
 
 Generation is a depth-first walk over that stream that checks only
 geometry, so output order is reproducible byte for byte.  Most of a walk's
@@ -46,7 +47,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import FamilyMismatch, SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
@@ -171,6 +172,26 @@ def _keys_from_top(
                 pending.setdefault(2 * rem2 + lvl2, {})[target] = None
                 moves.append((letter, target))
             yield key, moves
+
+
+def _acceptor(family: PathFamily, n: int) -> Callable[[str], bool]:
+    """Whether a word is a path of the family with x-length n, without
+    enumerating the paths: the word walks from (n, 0, "") letter by letter
+    along the moves of _keys_from_top, and _accepts the key it ends on.
+    """
+    graph = {key: dict(moves) for key, moves in _keys_from_top(family, n)}
+    empty_ok = _automaton(family)[1]
+    start = (n, 0, "")
+
+    def accepts(word: str) -> bool:
+        key = start
+        for letter in word:
+            key = graph[key].get(letter)
+            if key is None:
+                return False
+        return _accepts(key, empty_ok)
+
+    return accepts
 
 
 def _prefix_blocks(

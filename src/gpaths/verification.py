@@ -2,19 +2,22 @@
 
 Each check compares two or more independently computed values: exhaustive
 enumeration against recurrences, closed forms against substitution
-identities, bijections against round trips, weight preservation and image
-sets, statistic tables against their frozen reference rows.  The frozen
-sequences and tables below are the reference data; nothing in here derives
-them from the code under test.
+identities, bijections against round trips, weight preservation and a
+count of the codomain, statistic tables against their frozen reference
+rows.  The frozen sequences and tables below are the reference data;
+nothing in here derives them from the code under test.
 
 Criterion 3 is table-driven: `CERTIFICATIONS` gives each map of
 `bijections.BIJECTIONS` its sizes, the x-lengths a size stands for in the
 domain and codomain, optional filters on step strings, and its worked
 examples.  The maps and families themselves are read from the registry, so
-a registered map is certified exactly as it is dispatched.  Every domain
-path goes through the public forward map and its image through the
-inverse; the images are checked for injectivity and compared with a fresh
-enumeration of the codomain.
+a registered map is certified exactly as it is dispatched: the public Path
+maps apply the row's string maps, which certification calls directly, one
+domain word at a time.  At each size f: A_n -> B_n is a bijection, since
+the inverse takes every image back to its domain word (f is injective),
+every image is accepted by B_n's step automaton and filter (f maps into
+B_n), and as many words are mapped as an enumeration of B_n yields (f is
+onto).  No set of paths is held but to word the fault of a failed size.
 
 The four suites (counts, bijections, stats, identities) power both the CLI
 verify subcommand and the acceptance test module.
@@ -29,6 +32,7 @@ from types import MappingProxyType
 
 from . import bijections as bij
 from .enumeration import (
+    _acceptor,
     ballot_closed_form,
     ballot_coeff,
     closed_form,
@@ -38,13 +42,13 @@ from .enumeration import (
     prop21,
     weighted_count,
 )
+from .errors import GPathError
 from .paths import (
     DYCK,
     GMOTZKIN,
     GMOTZKIN_UVU,
     MOTZKIN,
     SCHRODER,
-    Path,
     PathFamily,
     parse,
 )
@@ -331,38 +335,84 @@ def _step_strings(
     return strings if keep is None else filter(keep, strings)
 
 
+def _round_trip(
+    forward: bij.StringMap, inverse: bij.StringMap, steps: str
+) -> tuple[str | None, str]:
+    """(image, fault): the image of steps, None if the forward map raises,
+    and the round trip's counterexample, "" if it gives steps back."""
+    try:
+        image = forward(steps)
+    except GPathError as exc:
+        return None, f"forward map raises at {steps!r}: {exc}"
+    try:
+        back = inverse(image)
+    except GPathError as exc:
+        return image, f"round trip fails at {steps!r} -> {image!r}: {exc}"
+    if back != steps:
+        return image, f"round trip fails at {steps!r} -> {image!r} -> {back!r}"
+    return image, ""
+
+
+def _image_set_fault(
+    forward: bij.StringMap, domain: Iterable[str], codomain: Iterable[str], n: int
+) -> str:
+    """How the image set of a failed size differs from its codomain set,
+    "" if it does not."""
+    images = set()
+    mapped = 0
+    for steps in domain:
+        try:
+            images.add(forward(steps))
+        except GPathError:
+            continue  # the round trip's counterexample names it
+        mapped += 1
+    if len(images) != mapped:
+        return f"forward map not injective at n={n}"
+    want = frozenset(codomain)
+    if images != want:
+        missing = sorted(want - images)[:3]
+        extra = sorted(images - want)[:3]
+        return f"image set differs at n={n}: missing {missing}, extra {extra}"
+    return ""
+
+
 def _certify(name: str, cert: Certification, sizes: range) -> list[CheckResult]:
-    """Round trip, weight preservation, and image-set equality of the
-    registered maps; each check keeps its own first counterexample."""
+    """Round trip, weight preservation, and onto the codomain, for the
+    string maps of a registry row; each check keeps its own first
+    counterexample, and a GPathError from a map is one.
+
+    A size passes the third check when every round trip is the identity,
+    every image is accepted by the codomain's key stream and cod_filter,
+    and the words mapped are as many as the codomain's.  Weights are
+    compared on accepted images only, as a foreign letter has none.
+    """
     spec = bij.BIJECTIONS[name]
-    forward, inverse = spec.forward, spec.inverse
+    forward, inverse = spec.forward_steps, spec.inverse_steps
     dom, cod = spec.domain, spec.codomain
     w_dom, w_cod = _WEIGHTING_OF[dom.base], _WEIGHTING_OF[cod.base]
+    keep = cert.cod_filter
     round_fault = weight_fault = image_fault = ""
     for n in sizes:
-        images = set()
+        dom_n, cod_n = cert.dom_scale * n, cert.cod_scale * n
+        accepts = _acceptor(cod, cod_n)
         mapped = 0
-        for steps in _step_strings(dom, cert.dom_scale * n, cert.dom_filter):
-            image = forward(Path(dom, steps))
-            back = inverse(image)
-            if back.steps != steps:
-                round_fault = round_fault or (
-                    f"round trip fails at {steps!r} -> {image.steps!r} -> {back.steps!r}"
-                )
-            if weight_exponents(steps, w_dom, dom.base) != weight_exponents(
-                image.steps, w_cod, cod.base
+        failed = False
+        for steps in _step_strings(dom, dom_n, cert.dom_filter):
+            mapped += 1
+            image, fault = _round_trip(forward, inverse, steps)
+            round_fault = round_fault or fault
+            accepted = image is not None and accepts(image) and (not keep or keep(image))
+            failed = failed or bool(fault) or not accepted
+            if accepted and weight_exponents(steps, w_dom, dom.base) != weight_exponents(
+                image, w_cod, cod.base
             ):
                 weight_fault = weight_fault or f"weight not preserved at {steps!r}"
-            images.add(image.steps)
-            mapped += 1
-        if len(images) != mapped:
-            image_fault = image_fault or f"forward map not injective at n={n}"
-        want = frozenset(_step_strings(cod, cert.cod_scale * n, cert.cod_filter))
-        if images != want:
-            missing = sorted(want - images)[:3]
-            extra = sorted(images - want)[:3]
-            image_fault = image_fault or (
-                f"image set differs at n={n}: missing {missing}, extra {extra}"
+        if failed or mapped != sum(1 for _ in _step_strings(cod, cod_n, keep)):
+            image_fault = image_fault or _image_set_fault(
+                forward,
+                _step_strings(dom, dom_n, cert.dom_filter),
+                _step_strings(cod, cod_n, keep),
+                n,
             )
     nmax = max(sizes)
     return [

@@ -32,7 +32,7 @@ from gpaths.bijections import (
     vartheta_inv,
 )
 from gpaths.enumeration import iter_step_strings
-from gpaths.errors import DomainViolation, EmptyPath, FamilyMismatch
+from gpaths.errors import DomainViolation, EmptyPath, FamilyMismatch, GPathError
 from gpaths.paths import (
     BICOLORED_MOTZKIN,
     COLORED_DYCK,
@@ -43,6 +43,7 @@ from gpaths.paths import (
     PSI_IMAGE,
     SCHRODER,
     STEP_GEOMETRY,
+    Path,
     parse,
     point_levels,
 )
@@ -287,6 +288,30 @@ def test_empty_path_has_no_image(name, direction):
     with pytest.raises(error) as caught:
         fn(parse("", family))
     assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def _outcome(fn, arg):
+    """What fn gives for arg: its value, or the type and message it raises."""
+    try:
+        return fn(arg)
+    except GPathError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name, direction", MAP_DIRECTIONS)
+def test_public_map_applies_its_row_string_map(name, direction):
+    # criterion 3 certifies the string maps, so the public maps must be
+    # exactly them on every path of the family they read
+    _, fn, family = row_map(name, direction)
+    spec = BIJECTIONS[name]
+    string_map = spec.forward_steps if direction == "fwd" else spec.inverse_steps
+    for n in range(5):
+        for steps in iter_step_strings(family, n):
+            if not steps and (name, direction) in EMPTY_PATH_ERRORS:
+                continue
+            want = _outcome(string_map, steps)
+            got = _outcome(lambda w: fn(Path(family, w)).steps, steps)
+            assert got == want, steps
 
 
 def test_axis_h_finds_the_first_h_level_with_the_start():

@@ -13,6 +13,7 @@ from gpaths.enumeration import (
     COMPLETION_SPLIT,
     MAX_N_DEFAULT,
     MAX_N_UNRESTRICTED_GMOTZKIN,
+    _acceptor,
     _automaton,
     _keys_from_top,
     ballot_closed_form,
@@ -305,6 +306,24 @@ def test_live_walks_do_not_share_completions():
         )
         assert [a for a, _ in got if a is not None] == _reference_walk(first, n)
         assert [b for _, b in got if b is not None] == _reference_walk(second, m)
+
+
+# with free v steps a G-Motzkin path of x-length 5 has up to 10 letters,
+# too many words to try; the acceptor is tried on words of at most this many
+_ACCEPTOR_MAX_LETTERS = 8
+
+
+@pytest.mark.parametrize("family", BIJECTION_FAMILIES, ids=PathFamily.describe)
+def test_acceptor_accepts_exactly_the_enumerated_words(family):
+    for n in range(6):
+        accepts = _acceptor(family, n)
+        paths = set(iter_step_strings(family, n))
+        assert all(accepts(word) for word in paths)
+        longest = min(max(map(len, paths), default=0), _ACCEPTOR_MAX_LETTERS)
+        for length in range(longest + 1):
+            for letters in itertools.product(family.alphabet, repeat=length):
+                word = "".join(letters)
+                assert accepts(word) == (word in paths), (n, word)
 
 
 @pytest.mark.parametrize("family", BIJECTION_FAMILIES, ids=PathFamily.describe)

@@ -5,24 +5,35 @@ import dataclasses
 import pytest
 
 from gpaths import bijections as bij
-from gpaths.paths import Path
 from gpaths.verification import CERTIFICATIONS, check_bijections
 
 
-def _corrupt_last_letter(path, trace=None):
-    back = bij.rho_inv(path, trace)
-    steps = back.steps
+def _corrupt_last_letter(s, trace=None):
+    steps = bij._rho_inv(s, trace)
     if steps:
         steps = steps[:-1] + ("v" if steps[-1] == "h" else "h")
-    return Path(back.family, steps)
+    return steps
 
 
-def _merge_uvh_into_uhv(path, trace=None):
+def _merge_uvh_into_uhv(q, trace=None):
     # uvh and uhv share the weight a*b, so only the round trip and the
     # image set can tell the two apart
-    if path.steps == "uvh":
-        path = Path(path.family, "uhv")
-    return bij.rho(path, trace)
+    return bij._rho_fwd("uhv" if q == "uvh" else q, trace)
+
+
+def _psi_opening_with_b(q, trace=None):
+    # b is a letter of psi's codomain, but no path of it opens with b
+    return "b" + bij._psi_fwd(q, trace)[1:]
+
+
+def _sigma_with_first_ud_turned(q, trace=None):
+    # du dips below the axis, where the inverse's match_table raises
+    return bij._sigma_fwd(q, trace).replace("ud", "du", 1)
+
+
+def _rho_reading_vu_for_uv(q, trace=None):
+    # the forward map itself raises on a word of its domain
+    return bij._rho_fwd(q.replace("uv", "vu"), trace)
 
 
 ROUND = "rho round trip is the identity up to n=3"
@@ -30,28 +41,69 @@ IMAGE = "rho maps onto its codomain up to n=3"
 
 
 @pytest.mark.parametrize(
-    "field, broken, failures",
+    "name, field, broken, failures",
     [
         (
-            "inverse",
+            "rho",
+            "inverse_steps",
             _corrupt_last_letter,
             {ROUND: "round trip fails at 'uv' -> 'b' -> 'uh'"},
         ),
         (
-            "forward",
+            "rho",
+            "forward_steps",
             _merge_uvh_into_uhv,
             {
                 ROUND: "round trip fails at 'uvh' -> 'ab' -> 'uhv'",
                 IMAGE: "forward map not injective at n=2",
             },
         ),
+        (
+            "rho",
+            "forward_steps",
+            _rho_reading_vu_for_uv,
+            {
+                ROUND: "forward map raises at 'uv': rho needs blocks u h^i v, u h^j d or h^n",
+                IMAGE: "image set differs at n=1: missing ['b'], extra []",
+            },
+        ),
+        (
+            "psi",
+            "forward_steps",
+            _psi_opening_with_b,
+            {
+                "psi round trip is the identity up to n=3": (
+                    "round trip fails at 'uv' -> 'b': "
+                    "varphi needs a path opening with the marked letter"
+                ),
+                "psi maps onto its codomain up to n=3": (
+                    "forward map not injective at n=1"
+                ),
+            },
+        ),
+        (
+            "sigma",
+            "forward_steps",
+            _sigma_with_first_ud_turned,
+            {
+                "sigma round trip is the identity up to n=3": (
+                    "round trip fails at 'uv' -> 'du': "
+                    "down step at index 0 has no matching u"
+                ),
+                "sigma maps onto its codomain up to n=3": (
+                    "image set differs at n=1: missing ['ud'], extra ['du']"
+                ),
+            },
+        ),
     ],
 )
 def test_certification_catches_a_broken_registered_map(
-    monkeypatch, field, broken, failures
+    monkeypatch, name, field, broken, failures
 ):
-    spec = dataclasses.replace(bij.BIJECTIONS["rho"], **{field: broken})
-    monkeypatch.setitem(bij.BIJECTIONS, "rho", spec)
+    # certification calls the row's string maps; a GPathError one of them
+    # raises is a counterexample, not a crash
+    spec = dataclasses.replace(bij.BIJECTIONS[name], **{field: broken})
+    monkeypatch.setitem(bij.BIJECTIONS, name, spec)
     results = check_bijections(n_max=3, theta_n_max=3)
     assert len(results) == 32
     assert {r.name: r.detail for r in results if not r.ok} == failures
