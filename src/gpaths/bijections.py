@@ -402,22 +402,20 @@ def _rho_inv(s: str, trace: Trace = None) -> str:
 # ---------------------------------------------------------------------------
 
 # letter tables: the marked horizontal letters and the peak they encode,
-# plus the down-step flavor created when a marked letter is stripped
+# plus the down-step flavor created when a marked letter is stripped (one
+# table for both: plain varphi has only the mark a, which closes with d)
 _PLAIN_PEAK_OF = {"a": "ud"}
 _COLORED_PEAK_OF = {"a": "uD", "A": "ud"}
-_PLAIN_CLOSER_OF = {"a": "d"}
-_COLORED_CLOSER_OF = {"a": "d", "A": "D"}
+_CLOSER_OF = {"a": "d", "A": "D"}
 # the down letter of a peak gives back its mark
 _PLAIN_MARK_OF = {peak[1]: mark for mark, peak in _PLAIN_PEAK_OF.items()}
 _COLORED_MARK_OF = {peak[1]: mark for mark, peak in _COLORED_PEAK_OF.items()}
 # the closing letter of an arch encodes the mark of its inner word
-_PLAIN_MARK_OF_CLOSER = {c: mark for mark, c in _PLAIN_CLOSER_OF.items()}
-_COLORED_MARK_OF_CLOSER = {c: mark for mark, c in _COLORED_CLOSER_OF.items()}
+_MARK_OF_CLOSER = {c: mark for mark, c in _CLOSER_OF.items()}
 
 
 def _varphi_fwd(q: str, trace: Trace = None, colored: bool = False) -> str:
     peak_of = _COLORED_PEAK_OF if colored else _PLAIN_PEAK_OF
-    mark_of_closer = _COLORED_MARK_OF_CLOSER if colored else _PLAIN_MARK_OF_CLOSER
     note = _recorder(trace)
     match = match_table(q)
     out: list[str] = []
@@ -446,7 +444,7 @@ def _varphi_fwd(q: str, trace: Trace = None, colored: bool = False) -> str:
                 # trailing down step: split off the arch it closes
                 note("C3")
                 opener = match[hi - 1]
-                work += ["d", (opener, hi - 1, mark_of_closer[last]), "u"]
+                work += ["d", (opener, hi - 1, _MARK_OF_CLOSER[last]), "u"]
                 hi = opener
         if first not in peak_of:
             raise DomainViolation("varphi needs a path opening with the marked letter")
@@ -456,7 +454,6 @@ def _varphi_fwd(q: str, trace: Trace = None, colored: bool = False) -> str:
 
 
 def _varphi_inv(p: str, trace: Trace = None, colored: bool = False) -> str:
-    closer_of = _COLORED_CLOSER_OF if colored else _PLAIN_CLOSER_OF
     mark_of = _COLORED_MARK_OF if colored else _PLAIN_MARK_OF
     note = _recorder(trace)
     match = match_table(p)
@@ -467,9 +464,9 @@ def _varphi_inv(p: str, trace: Trace = None, colored: bool = False) -> str:
     while work:
         item = work.pop()
         if len(item) == 2:
-            # the inner word w of an arch is in place: u w[1:] closer_of[w[0]]
+            # the inner word w of an arch is in place: u w[1:] _CLOSER_OF[w[0]]
             at, end = item
-            out[end] = closer_of[out[at]]
+            out[end] = _CLOSER_OF[out[at]]
             out[at] = "u"
             continue
         lo, hi, at = item

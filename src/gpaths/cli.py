@@ -12,14 +12,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .bijections import BIJECTIONS, apply_bijection
+from .bijections import BIJECTIONS
 from .enumeration import count_paths, iter_step_strings, weighted_count
 from .errors import GPathError
 from .paths import BASE_FAMILIES, PathFamily, parse
 from .series import RiordanArray, named_series, parse_series_expr
 from .stats import STAT_IDS, methods_for, stat_table
 from .verification import SUITES, run_suite
-from .weights import DEFAULT_WEIGHTING, WEIGHTINGS
+from .weights import DEFAULT_WEIGHTING
 
 AVOIDABLE = ("uvu", "uu", "uh", "hu")
 
@@ -82,11 +82,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
             if value is not None:
                 raise GPathError(f"--unweighted cannot be combined with {flag}")
     weighting = args.weighting or DEFAULT_WEIGHTING[args.family]
-    if weighting not in WEIGHTINGS:
-        raise GPathError(
-            f"unknown weighting {weighting!r}; choose from "
-            + ", ".join(sorted(WEIGHTINGS))
-        )
     point = _parse_weights(args.weights) if args.weights is not None else None
     sizes = (
         [args.length]
@@ -108,10 +103,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     spec = BIJECTIONS[args.bijection]
-    family = spec.domain if args.direction == "fwd" else spec.codomain
-    path = parse(args.input, family)
+    if args.direction == "fwd":
+        family, apply = spec.domain, spec.forward
+    else:
+        family, apply = spec.codomain, spec.inverse
     trace: list[str] = []
-    image = apply_bijection(args.bijection, args.direction, path, trace)
+    image = apply(parse(args.input, family), trace)
     if args.format == "json":
         payload = {
             "input": args.input,
@@ -316,10 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GPathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (GPathError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,9 +30,12 @@ but holds about 33,000, which raised the benchmark's exhaustive peak RSS
 from 21.4 to 23.4 MB (+10 %), where a split of 2 gives 21.8 MB (+2 %).
 Weighted counting (and so plain counting) is one pass over the same
 stream: the prefixes are merged by key, so its cost grows with the number
-of keys, not of paths.  Both are guarded by the same size cap: the
-pattern-avoiding and classical families stop at x-length 12, the
-unrestricted gmotzkin family (whose free v steps inflate growth) at 9.
+of keys, not of paths; each move's weight comes from
+`weights.step_exponents`, so peaks and which weightings apply are not
+known here.  Both are guarded by one size cap, checked at the public
+entry points: the pattern-avoiding and classical families stop at
+x-length 12, the unrestricted gmotzkin family (whose free v steps inflate
+growth) at 9.
 GPATHS_MAX_N in the environment (ASCII digits only), or an explicit
 override argument, moves the cap; exceeding it raises SizeLimitExceeded.
 
@@ -49,10 +52,10 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Iterator
 
-from .errors import FamilyMismatch, SizeLimitExceeded
+from .errors import SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
 from .series import catalan_series, square_coeff
-from .weights import A, B, C, DEFAULT_WEIGHTING, Polynomial, weight_exponents, weighting_table
+from .weights import A, B, C, DEFAULT_WEIGHTING, Polynomial, step_exponents
 
 MAX_N_DEFAULT = 12
 MAX_N_UNRESTRICTED_GMOTZKIN = 9
@@ -194,9 +197,7 @@ def _acceptor(family: PathFamily, n: int) -> Callable[[str], bool]:
     return accepts
 
 
-def _prefix_blocks(
-    family: PathFamily, n: int, max_n_override: int | None
-) -> Iterator[tuple[str, Key, list[str]]]:
+def _prefix_blocks(family: PathFamily, n: int) -> Iterator[tuple[str, Key, list[str]]]:
     """The words of iter_step_strings as blocks (word, key, tails), in DFS
     order: every word + tail, tail in tails, is a word of the family.
 
@@ -206,9 +207,9 @@ def _prefix_blocks(
     alphabet order, the move's letter followed by each tail of the key it
     moves to.  The walk proper is an explicit-stack DFS over the keys above
     the split; a key at or below it ends a block, word is the prefix that
-    reached it and tails its completions, one list per key.
+    reached it and tails its completions, one list per key.  It does not
+    check the size cap: its callers do.
     """
-    _check_size(family, n, max_n_override)
     graph = dict(_keys_from_top(family, n))
     empty_ok = _automaton(family)[1]
     tails: dict[Key, list[str]] = {}
@@ -234,7 +235,8 @@ def iter_step_strings(
 ) -> Iterator[str]:
     """All step strings of the family with x-length n, in DFS order: each
     prefix block of the walk, flattened."""
-    for word, _, tails in _prefix_blocks(family, n, max_n_override):
+    _check_size(family, n, max_n_override)
+    for word, _, tails in _prefix_blocks(family, n):
         for tail in tails:
             yield word + tail
 
@@ -253,40 +255,6 @@ def count_paths(family: PathFamily, n: int, max_n_override: int | None = None) -
     return sum(weighted_count(family, n, weighting, max_n_override).terms.values())
 
 
-@lru_cache(maxsize=None)
-def _step_exponents(
-    family: PathFamily, weighting: str
-) -> dict[tuple[str, str], tuple[int, int, int]]:
-    """The exponent triple of each letter of the family after each possible
-    previous letter ("" for the first step), as (previous, letter) -> triple.
-
-    A step's weight may depend on the letter before it (a peak), so it is
-    the weight of prev+letter less the weight of prev.
-    """
-    bases, letters = weighting_table(weighting)
-    base = family.base
-    missing = sorted(set(family.alphabet) - set(letters))
-    if missing:
-        raise FamilyMismatch(
-            f"weighting {weighting!r} gives no weight to step {missing[0]!r} "
-            f"of family {base!r}"
-        )
-    if base not in bases:
-        raise FamilyMismatch(
-            f"weighting {weighting!r} does not apply to family {base!r}"
-        )
-
-    out = {}
-    for prev in ("", *family.alphabet):
-        head = weight_exponents(prev, weighting, base)
-        for letter in family.alphabet:
-            whole = weight_exponents(prev + letter, weighting, base)
-            out[prev, letter] = (
-                whole[0] - head[0], whole[1] - head[1], whole[2] - head[2]
-            )
-    return out
-
-
 def weighted_count(
     family: PathFamily,
     n: int,
@@ -302,8 +270,8 @@ def weighted_count(
     that moves to it, so its sums are complete when it comes; it pops them,
     keeps them if it accepts, and pushes them along its moves.
     """
+    exponents = step_exponents(family, weighting)
     _check_size(family, n, max_n_override)
-    exponents = _step_exponents(family, weighting)
     empty_ok = _automaton(family)[1]
     sums_at: dict[Key, dict] = {(n, 0, ""): {(0, 0, 0): 1}}
     acc: dict[tuple[int, int, int], int] = {}

@@ -8,15 +8,20 @@ A weighting assigns each step a monomial weight; the weight of a path is
 the product over its steps, so it is always a single monomial, and a
 weighted count is a plain sum of monomials.  Peak rules (a down step
 immediately after an up step) are the only position-dependent case.
+
+This module alone decides whether a weighting applies to a family and
+what each step weighs: `step_exponents` raises the weighting faults and
+gives the counting DP its per-step table; `weight` validates through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import FamilyMismatch
-from .paths import Path
+from .paths import Path, PathFamily
 
 _ZERO = (0, 0, 0)
 
@@ -117,9 +122,6 @@ class Polynomial:
         return bool(self.terms)
 
     # -- queries ------------------------------------------------------------
-
-    def coefficient(self, ea: int, eb: int, ec: int) -> int:
-        return self.terms.get((ea, eb, ec), 0)
 
     def eval_at(self, a, b, c=0) -> Fraction:
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
@@ -247,24 +249,52 @@ DEFAULT_WEIGHTING = {
 }
 
 
-def weighting_table(
-    weighting: str,
-) -> tuple[frozenset[str], dict[str, tuple[int, int, int]]]:
-    """The (bases, step exponents) entry of WEIGHTINGS for a weighting name."""
+@lru_cache(maxsize=None)
+def step_exponents(
+    family: PathFamily, weighting: str
+) -> dict[tuple[str, str], tuple[int, int, int]]:
+    """The exponent triple of each letter of the family after each possible
+    previous letter ("" for the first step), as (previous, letter) -> triple.
+
+    The one place that decides whether a weighting applies: it raises
+    FamilyMismatch for an unknown weighting, for a letter of the family the
+    weighting gives no weight, and for a family of another base.  A step's
+    weight may depend on the letter before it (a peak), so it is the weight
+    of prev+letter less the weight of prev.
+    """
     try:
-        return WEIGHTINGS[weighting]
+        bases, letters = WEIGHTINGS[weighting]
     except KeyError:
-        raise FamilyMismatch(f"unknown weighting {weighting!r}") from None
+        raise FamilyMismatch(
+            f"unknown weighting {weighting!r}; choose from "
+            + ", ".join(sorted(WEIGHTINGS))
+        ) from None
+    base = family.base
+    missing = sorted(set(family.alphabet) - set(letters))
+    if missing:
+        raise FamilyMismatch(
+            f"weighting {weighting!r} gives no weight to step {missing[0]!r} "
+            f"of family {base!r}"
+        )
+    if base not in bases:
+        raise FamilyMismatch(
+            f"weighting {weighting!r} does not apply to family {base!r}"
+        )
+
+    out = {}
+    for prev in ("", *family.alphabet):
+        head = weight_exponents(prev, weighting, base)
+        for letter in family.alphabet:
+            whole = weight_exponents(prev + letter, weighting, base)
+            out[prev, letter] = (
+                whole[0] - head[0], whole[1] - head[1], whole[2] - head[2]
+            )
+    return out
 
 
 def weight(path: Path, weighting: str) -> Polynomial:
     """Product of the step weights: always a single monomial."""
-    bases = weighting_table(weighting)[0]
-    if path.family.base not in bases:
-        raise FamilyMismatch(
-            f"weighting {weighting!r} does not apply to family "
-            f"{path.family.base!r}"
-        )
+    step_exponents(path.family, weighting)
     return Polynomial({weight_exponents(path.steps, weighting, path.family.base): 1})
 
 

@@ -1,8 +1,9 @@
 """Acceptance gate: the full cross-checking suites at their contract sizes.
 
 Each test runs one suite, prints a single CRITERION line, and fails with
-the first offending check's detail if anything disagrees.  One more test
-keeps the package free of assert statements, which `python -O` strips.
+the first offending check's detail if anything disagrees.  Two more tests
+keep the package free of assert statements, which `python -O` strips, and
+of imports that no line of their module uses.
 """
 
 import ast
@@ -61,4 +62,29 @@ def test_no_assert_statement_in_the_package():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_no_unused_import_in_the_package():
+    """Every name a module imports is read somewhere in it, as a name or as
+    the base of an attribute; __init__.py only re-exports, so it is skipped."""
+    found = []
+    for path in sorted(Path(gpaths.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
     assert found == []

@@ -184,6 +184,16 @@ def test_usage_errors_exit_two(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unknown_weighting_lists_the_choices(capsys):
+    code, out, err = run(capsys, ["count", "--length", "2", "--weighting", "narayana"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unknown weighting 'narayana'; choose from bicolored_motzkin_ab, "
+        "dyck_peak_ab, gmotzkin_ab_bsq, gmotzkin_abc, hstring_ab, motzkin_ab, "
+        "psi_image_ab, schroder_ab\n"
+    )
+
+
 def test_zero_denominator_in_weights_names_the_value(capsys):
     argv = ["count", "--family", "dyck", "--length", "4", "--weights", "1/0,1"]
     code, out, err = run(capsys, argv)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gpaths.enumeration import weighted_count
 from gpaths.errors import FamilyMismatch
 from gpaths.paths import (
+    ALPHABETS,
     BICOLORED_MOTZKIN,
     COLORED_DYCK,
     DYCK,
@@ -17,6 +18,7 @@ from gpaths.paths import (
     MOTZKIN,
     SCHRODER,
     parse,
+    x_length,
 )
 from gpaths.weights import (
     A,
@@ -139,10 +141,38 @@ def test_family_mismatch():
 
 
 def test_unknown_weighting_is_a_family_mismatch():
-    with pytest.raises(FamilyMismatch, match="^unknown weighting 'bogus'$"):
+    text = (
+        "^unknown weighting 'bogus'; choose from bicolored_motzkin_ab, "
+        "dyck_peak_ab, gmotzkin_ab_bsq, gmotzkin_abc, hstring_ab, motzkin_ab, "
+        "psi_image_ab, schroder_ab$"
+    )
+    with pytest.raises(FamilyMismatch, match=text):
         weight(parse("uv", GMOTZKIN), "bogus")
-    with pytest.raises(FamilyMismatch, match="^unknown weighting 'bogus'$"):
+    with pytest.raises(FamilyMismatch, match=text):
         weighted_count(GMOTZKIN, 2, "bogus")
+
+
+@pytest.mark.parametrize(
+    "path, weighting",
+    [
+        (parse("uv", GMOTZKIN), "bogus"),
+        (parse("uHd", SCHRODER), "motzkin_ab"),
+        (parse("udud", DYCK), "motzkin_ab"),
+    ],
+    ids=["unknown", "no_step_weight", "other_base"],
+)
+def test_weight_and_weighted_count_raise_the_same_text(path, weighting):
+    with pytest.raises(FamilyMismatch) as weighed:
+        weight(path, weighting)
+    with pytest.raises(FamilyMismatch) as counted:
+        weighted_count(path.family, x_length(path), weighting)
+    assert str(weighed.value) == str(counted.value)
+
+
+def test_every_weighting_weighs_every_letter_of_its_bases():
+    for weighting, (bases, table) in WEIGHTINGS.items():
+        for base in bases:
+            assert set(ALPHABETS[base]) <= set(table), (weighting, base)
 
 
 def test_bsq_equals_abc_with_c_to_b_squared():
