@@ -9,8 +9,11 @@ start with its moves in alphabet order, height by height from the top
 (height 2 * x-length left + level, which every move lowers), so each key
 comes after every key that moves to it.  It holds the one geometric
 pruning rule; the walk, its completions, the counting DP and the
-membership test `_acceptor` all read their keys and moves from it
-(Stanley, EC1 4.7: the transfer-matrix method).
+membership test `_weigher` all read their keys and moves from it
+(Stanley, EC1 4.7: the transfer-matrix method).  The membership test also
+weighs: it numbers the keys, walks a word along int-indexed rows and sums
+its steps' packed weights, so one walk says whether a word is a path and
+what it weighs.
 
 Generation is a depth-first walk over that stream that checks only
 geometry, so output order is reproducible byte for byte.  Most of a walk's
@@ -55,7 +58,9 @@ from typing import Callable, Iterator
 from .errors import SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
 from .series import catalan_series, square_coeff
-from .weights import A, B, C, DEFAULT_WEIGHTING, Polynomial, step_exponents
+from .weights import (
+    A, B, C, DEFAULT_WEIGHTING, Polynomial, pack_exponents, step_exponents, unpack_exponents
+)
 
 MAX_N_DEFAULT = 12
 MAX_N_UNRESTRICTED_GMOTZKIN = 9
@@ -177,24 +182,53 @@ def _keys_from_top(
             yield key, moves
 
 
-def _acceptor(family: PathFamily, n: int) -> Callable[[str], bool]:
-    """Whether a word is a path of the family with x-length n, without
-    enumerating the paths: the word walks from (n, 0, "") letter by letter
-    along the moves of _keys_from_top, and _accepts the key it ends on.
+def _weigher(
+    family: PathFamily, n: int, weighting: str
+) -> Callable[[str], tuple[int, int, int] | None]:
+    """The exponent triple of a word under weighting if the word is a path of
+    the family with x-length n, else None, without enumerating the paths.
+
+    One pass over _keys_from_top numbers each key the first time a move
+    reaches it and drops the key once it comes, as no later key moves to it.
+    A key's row is its {letter: number of the next key}, and its weights the
+    {letter: packed triple} of step_exponents after the key's last letter,
+    one dict per previous letter, shared.  The word walks the rows from the
+    start, adding its steps' weights, and must end on an accepting key.
     """
-    graph = {key: dict(moves) for key, moves in _keys_from_top(family, n)}
+    exponents = step_exponents(family, weighting)
+    weights_after: dict[str, dict[str, int]] = {}
+    for (prev, letter), triple in exponents.items():
+        weights_after.setdefault(prev, {})[letter] = pack_exponents(triple)
     empty_ok = _automaton(family)[1]
-    start = (n, 0, "")
+    number = {(n, 0, ""): 0}
+    rows: list = [None]
+    weights: list = [None]
+    accepting = set()
+    for key, moves in _keys_from_top(family, n):
+        i = number.pop(key)
+        row = rows[i] = {}
+        for letter, nxt in moves:
+            j = number.get(nxt)
+            if j is None:
+                j = number[nxt] = len(rows)
+                rows.append(None)
+                weights.append(None)
+            row[letter] = j
+        weights[i] = weights_after[key[2][-1:]]
+        if _accepts(key, empty_ok):
+            accepting.add(i)
 
-    def accepts(word: str) -> bool:
-        key = start
-        for letter in word:
-            key = graph[key].get(letter)
-            if key is None:
-                return False
-        return _accepts(key, empty_ok)
+    def weigh(word: str) -> tuple[int, int, int] | None:
+        i = packed = 0
+        try:
+            for letter in word:
+                packed += weights[i][letter]
+                i = rows[i][letter]
+        except KeyError:
+            return None
+        return unpack_exponents(packed) if i in accepting else None
 
-    return accepts
+    return weigh
 
 
 def _prefix_blocks(family: PathFamily, n: int) -> Iterator[tuple[str, Key, list[str]]]:

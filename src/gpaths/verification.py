@@ -16,8 +16,12 @@ maps apply the row's string maps, which certification calls directly, one
 domain word at a time.  At each size f: A_n -> B_n is a bijection, since
 the inverse takes every image back to its domain word (f is injective),
 every image is accepted by B_n's step automaton and filter (f maps into
-B_n), and as many words are mapped as an enumeration of B_n yields (f is
-onto).  No set of paths is held but to word the fault of a failed size.
+B_n), and as many words are mapped as B_n has paths (f is onto): its
+transfer-matrix count, or with a filter the words its enumeration keeps;
+the count and the enumeration read one key stream with one pruning rule.
+One walk of each image over the automaton both accepts it and weighs it,
+and the weight must equal its domain word's.  No set of paths is held but
+to word the fault of a failed size.
 
 The four suites (counts, bijections, stats, identities) power both the CLI
 verify subcommand and the acceptance test module.
@@ -32,7 +36,7 @@ from types import MappingProxyType
 
 from . import bijections as bij
 from .enumeration import (
-    _acceptor,
+    _weigher,
     ballot_closed_form,
     ballot_coeff,
     closed_form,
@@ -383,8 +387,11 @@ def _certify(name: str, cert: Certification, sizes: range) -> list[CheckResult]:
 
     A size passes the third check when every round trip is the identity,
     every image is accepted by the codomain's key stream and cod_filter,
-    and the words mapped are as many as the codomain's.  Weights are
-    compared on accepted images only, as a foreign letter has none.
+    and the words mapped are as many as the codomain's: count_paths, or
+    the filtered enumeration where there is a cod_filter.  The codomain's
+    _weigher accepts and weighs each image in one walk, and an accepted
+    image's weight is compared with its domain word's; a fault names both
+    words and both exponent triples, domain first.
     """
     spec = bij.BIJECTIONS[name]
     forward, inverse = spec.forward_steps, spec.inverse_steps
@@ -394,20 +401,27 @@ def _certify(name: str, cert: Certification, sizes: range) -> list[CheckResult]:
     round_fault = weight_fault = image_fault = ""
     for n in sizes:
         dom_n, cod_n = cert.dom_scale * n, cert.cod_scale * n
-        accepts = _acceptor(cod, cod_n)
+        weigh = _weigher(cod, cod_n, w_cod)
         mapped = 0
         failed = False
         for steps in _step_strings(dom, dom_n, cert.dom_filter):
             mapped += 1
             image, fault = _round_trip(forward, inverse, steps)
             round_fault = round_fault or fault
-            accepted = image is not None and accepts(image) and (not keep or keep(image))
+            got = None if image is None else weigh(image)
+            accepted = got is not None and (not keep or keep(image))
             failed = failed or bool(fault) or not accepted
-            if accepted and weight_exponents(steps, w_dom, dom.base) != weight_exponents(
-                image, w_cod, cod.base
-            ):
-                weight_fault = weight_fault or f"weight not preserved at {steps!r}"
-        if failed or mapped != sum(1 for _ in _step_strings(cod, cod_n, keep)):
+            if accepted and not weight_fault:
+                want = weight_exponents(steps, w_dom, dom.base)
+                if got != want:
+                    weight_fault = (
+                        f"weight not preserved at {steps!r} -> {image!r}: {want} != {got}"
+                    )
+        if keep is None:
+            size = count_paths(cod, cod_n, _CAP)
+        else:
+            size = sum(1 for _ in _step_strings(cod, cod_n, keep))
+        if failed or mapped != size:
             image_fault = image_fault or _image_set_fault(
                 forward,
                 _step_strings(dom, dom_n, cert.dom_filter),

@@ -298,25 +298,50 @@ def weight(path: Path, weighting: str) -> Polynomial:
     return Polynomial({weight_exponents(path.steps, weighting, path.family.base): 1})
 
 
+# Exponent triples packed into one int, ea + eb R + ec R^2 with R = 2**32,
+# so adding packed triples adds the triples.  A letter raises each exponent
+# by at most 2 (tests pin that), so a word of fewer than 2**31 letters never
+# carries one digit into the next; c is the top digit, so sums without c stay
+# in a machine word.
+_DIGIT = 32
+_DIGIT_MASK = (1 << _DIGIT) - 1
+_MAX_LETTERS = 1 << (_DIGIT - 1)
+
+
+def pack_exponents(triple: tuple[int, int, int]) -> int:
+    ea, eb, ec = triple
+    return ea + (eb << _DIGIT) + (ec << 2 * _DIGIT)
+
+
+def unpack_exponents(packed: int) -> tuple[int, int, int]:
+    return (packed & _DIGIT_MASK, (packed >> _DIGIT) & _DIGIT_MASK, packed >> 2 * _DIGIT)
+
+
+# each weighting's letters as packed triples, and what a peak changes: its d
+# weighs a, not b
+_PACKED = {
+    name: {letter: pack_exponents(e) for letter, e in letters.items()}
+    for name, (_, letters) in WEIGHTINGS.items()
+}
+_PEAK = pack_exponents(_A1) - pack_exponents(_B1)
+
+
 def weight_exponents(
     steps: str, weighting: str, base: str
 ) -> tuple[int, int, int]:
-    """Exponent triple of the monomial weight of a step string.
+    """Exponent triple of the monomial weight of a step string: the sum of
+    its letters' packed triples, in C.
 
     On plain dyck paths the peak rule is structural (a d right after a u
-    weighs a); on colored paths the color letter alone decides.
+    weighs a, one per "ud"); on colored paths the color letter alone
+    decides.  A letter the weighting does not weigh raises KeyError.
     """
-    table = WEIGHTINGS[weighting][1]
-    ea = eb = ec = 0
-    peaks = weighting == "dyck_peak_ab" and base == "dyck"
-    prev = ""
-    for letter in steps:
-        if peaks and letter == "d" and prev == "u":
-            e = _A1
-        else:
-            e = table[letter]
-        ea += e[0]
-        eb += e[1]
-        ec += e[2]
-        prev = letter
-    return (ea, eb, ec)
+    if len(steps) >= _MAX_LETTERS:
+        raise ValueError(
+            f"a word of {len(steps)} letters is past the {_MAX_LETTERS - 1} "
+            "whose exponents fit the packed triple"
+        )
+    packed = sum(map(_PACKED[weighting].__getitem__, steps))
+    if weighting == "dyck_peak_ab" and base == "dyck":
+        packed += steps.count("ud") * _PEAK
+    return unpack_exponents(packed)

@@ -13,9 +13,9 @@ from gpaths.enumeration import (
     COMPLETION_SPLIT,
     MAX_N_DEFAULT,
     MAX_N_UNRESTRICTED_GMOTZKIN,
-    _acceptor,
     _automaton,
     _keys_from_top,
+    _weigher,
     ballot_closed_form,
     ballot_coeff,
     catalan_number,
@@ -309,30 +309,41 @@ def test_live_walks_do_not_share_completions():
 
 
 # with free v steps a G-Motzkin path of x-length 5 has up to 10 letters,
-# too many words to try; the acceptor is tried on words of at most this many
-_ACCEPTOR_MAX_LETTERS = 8
+# too many words to try; the weigher is tried on words of at most this many
+_WEIGHER_MAX_LETTERS = 8
 
 
-@pytest.mark.parametrize("family", BIJECTION_FAMILIES, ids=PathFamily.describe)
-def test_acceptor_accepts_exactly_the_enumerated_words(family):
-    for n in range(6):
-        accepts = _acceptor(family, n)
-        paths = set(iter_step_strings(family, n))
-        assert all(accepts(word) for word in paths)
-        longest = min(max(map(len, paths), default=0), _ACCEPTOR_MAX_LETTERS)
-        for length in range(longest + 1):
-            for letters in itertools.product(family.alphabet, repeat=length):
-                word = "".join(letters)
-                assert accepts(word) == (word in paths), (n, word)
-
-
-@pytest.mark.parametrize("family", BIJECTION_FAMILIES, ids=PathFamily.describe)
-def test_transfer_count_equals_the_per_path_weight_sum(family):
-    weightings = [
+def _weightings_covering(family):
+    return [
         name
         for name, (bases, letters) in sorted(WEIGHTINGS.items())
         if family.base in bases and set(family.alphabet) <= set(letters)
     ]
+
+
+@pytest.mark.parametrize("family", BIJECTION_FAMILIES, ids=PathFamily.describe)
+def test_acceptor_accepts_exactly_the_enumerated_words(family):
+    # the weigher under every weighting that covers the family: the word's
+    # weight on the enumerated words, None on every other word
+    weightings = _weightings_covering(family)
+    for n in range(6):
+        weighers = {w: _weigher(family, n, w) for w in weightings}
+        paths = set(iter_step_strings(family, n))
+        for weighting, weigh in weighers.items():
+            for word in paths:
+                assert weigh(word) == weight_exponents(word, weighting, family.base)
+        longest = min(max(map(len, paths), default=0), _WEIGHER_MAX_LETTERS)
+        for length in range(longest + 1):
+            for letters in itertools.product(family.alphabet, repeat=length):
+                word = "".join(letters)
+                if word not in paths:
+                    for weighting, weigh in weighers.items():
+                        assert weigh(word) is None, (n, word, weighting)
+
+
+@pytest.mark.parametrize("family", BIJECTION_FAMILIES, ids=PathFamily.describe)
+def test_transfer_count_equals_the_per_path_weight_sum(family):
+    weightings = _weightings_covering(family)
     assert DEFAULT_WEIGHTING[family.base] in weightings
     for weighting in weightings:
         for n in range(8):

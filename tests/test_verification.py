@@ -109,6 +109,35 @@ def test_certification_catches_a_broken_registered_map(
     assert {r.name: r.detail for r in results if not r.ok} == failures
 
 
+_SWAP_AB = str.maketrans("ab", "ba")
+
+
+def _theta_with_colors_swapped(q, trace=None):
+    return bij._theta_fwd(q, trace).translate(_SWAP_AB)
+
+
+def _theta_inv_with_colors_swapped(s, trace=None):
+    return bij._theta_inv(s.translate(_SWAP_AB), trace)
+
+
+def test_certification_catches_a_weight_only_fault(monkeypatch):
+    # swapping the two colors is a bijection of bicolored Motzkin paths, so
+    # the round trip and onto checks pass; only the weights tell
+    spec = dataclasses.replace(
+        bij.BIJECTIONS["theta"],
+        forward_steps=_theta_with_colors_swapped,
+        inverse_steps=_theta_inv_with_colors_swapped,
+    )
+    monkeypatch.setitem(bij.BIJECTIONS, "theta", spec)
+    results = check_bijections(n_max=3, theta_n_max=3)
+    assert len(results) == 32
+    assert {r.name: r.detail for r in results if not r.ok} == {
+        "theta preserves the step weights up to n=3": (
+            "weight not preserved at 'uv' -> 'a': (0, 1, 0) != (1, 0, 0)"
+        ),
+    }
+
+
 def test_every_registered_bijection_is_certified():
     assert set(CERTIFICATIONS) == set(bij.BIJECTIONS)
 

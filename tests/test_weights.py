@@ -1,11 +1,13 @@
 """Exact polynomial arithmetic and the step-weight functions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gpaths import weights
 from gpaths.enumeration import weighted_count
 from gpaths.errors import FamilyMismatch
 from gpaths.paths import (
@@ -186,6 +188,71 @@ def test_bsq_equals_abc_with_c_to_b_squared():
                 eb + 2 * ec,
                 0,
             )
+
+
+_WEIGHTED_BASES = [
+    (weighting, base)
+    for weighting, (bases, _) in sorted(WEIGHTINGS.items())
+    for base in sorted(bases)
+]
+
+
+def _exponents_letter_by_letter(steps, weighting, base):
+    # under dyck_peak_ab a d right after a u weighs a on plain dyck paths
+    table = WEIGHTINGS[weighting][1]
+    ea = eb = ec = 0
+    for i, letter in enumerate(steps):
+        if weighting == "dyck_peak_ab" and base == "dyck" and steps[i - 1 : i + 1] == "ud":
+            e = (1, 0, 0)
+        else:
+            e = table[letter]
+        ea, eb, ec = ea + e[0], eb + e[1], ec + e[2]
+    return (ea, eb, ec)
+
+
+@pytest.mark.parametrize("weighting, base", _WEIGHTED_BASES)
+@given(data=st.data())
+def test_packed_exponents_equal_the_letter_by_letter_sum(weighting, base, data):
+    letters = sorted(WEIGHTINGS[weighting][1])
+    steps = data.draw(st.text(alphabet=letters, max_size=60))
+    assert weight_exponents(steps, weighting, base) == _exponents_letter_by_letter(
+        steps, weighting, base
+    )
+
+
+@pytest.mark.parametrize("weighting, base", _WEIGHTED_BASES)
+def test_packed_exponents_are_exact_on_long_words(weighting, base):
+    letters = sorted(WEIGHTINGS[weighting][1])
+    rng = random.Random(f"{weighting} {base}")
+    steps = "".join(rng.choices(letters, k=10**5))
+    assert weight_exponents(steps, weighting, base) == _exponents_letter_by_letter(
+        steps, weighting, base
+    )
+    # every exponent at its largest: each letter raising the same one
+    for letter in letters:
+        ea, eb, ec = WEIGHTINGS[weighting][1][letter]
+        assert weight_exponents(letter * 10**5, weighting, base) == (
+            ea * 10**5, eb * 10**5, ec * 10**5
+        )
+
+
+@pytest.mark.parametrize("weighting, base", _WEIGHTED_BASES)
+def test_a_foreign_letter_has_no_weight(weighting, base):
+    letters = WEIGHTINGS[weighting][1]
+    foreign = next(x for x in "hvdDuHaAbxyz" if x not in letters)
+    with pytest.raises(KeyError):
+        weight_exponents(min(letters) + foreign, weighting, base)
+
+
+def test_packed_exponents_refuse_a_word_that_could_carry(monkeypatch):
+    # a word of _MAX_LETTERS letters, each raising an exponent by at most 2,
+    # stays below the packing radix 2**32
+    rises = [max(e) for _, table in WEIGHTINGS.values() for e in table.values()]
+    assert weights._MAX_LETTERS * max(rises) <= 1 << weights._DIGIT
+    monkeypatch.setattr(weights, "_MAX_LETTERS", 4)
+    assert weight_exponents("uud", "dyck_peak_ab", "dyck") == (1, 0, 0)
+    with pytest.raises(ValueError, match="a word of 4 letters is past the 3"):
+        weight_exponents("uudd", "dyck_peak_ab", "dyck")
 
 
 def test_weight_multiplicative_over_concatenation():
