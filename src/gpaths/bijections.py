@@ -12,7 +12,11 @@ definition, and a trace list records them in that order; varphi's inverse
 maps the inside of the last arch before the prefix, as its definition
 does, and writes each image straight to its final offset.  Nothing is
 sliced, rescanned or recursed into: paths of any length map in linear
-time.  The underscore forms work on raw step strings.
+time.  psi is the exception: it runs sigma, then colored varphi in one
+pass over the word's letters, with no match table, reading or writing
+the Schroder word's H and ud as the marked peaks uD and ud of the colored
+Dyck word; its trace holds colored varphi's cases in reading order.  The
+underscore forms work on raw step strings.
 
 Maps and their domains:
 
@@ -24,7 +28,8 @@ Maps and their domains:
   rho          {uvu,uu,hu}-avoiding gmotzkin  <->  two-letter strings
   varphi       a-prefixed bicolored motzkin  <->  dyck
   psi          uvu-avoiding gmotzkin  <->  flavored-image paths
-               (the composite varphi^-1 after phi_peak^-1 after sigma)
+               (varphi^-1 after phi_peak^-1 after sigma, two passes
+               per direction; tests compose the three rows as reference)
   varphi_theta h-prefixed {uvu,uu}-avoiding gmotzkin  <->  dyck
 
 In psi's image the two flavors of the marked horizontal letter (a/A) and
@@ -498,13 +503,93 @@ def _varphi_inv(p: str, trace: Trace = None, colored: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
+# the marked peaks of the colored Dyck word as factors of the Schroder word
+# (phi_peak reads H for uD): psi's second pass in each direction reads or
+# writes them there, with no colored Dyck word in between
+_SCHRODER_PEAK_OF = {mark: _phi_fwd(peak) for mark, peak in _COLORED_PEAK_OF.items()}
+
+
 def _psi_fwd(q: str, trace: Trace = None) -> str:
-    return _varphi_inv(_phi_inv(_sigma_fwd(q, trace)), trace, True)
+    """sigma, then colored varphi's inverse in one left-to-right pass.
+
+    With the Schroder word as blocks B1...Bk on the axis, the image is
+    f(B1) g(B2)...g(Bk): a peak gives its mark, f(u w d) = image(w) b and
+    g(u w d) = u image(w)[1:] closer, where the closer is _CLOSER_OF the
+    mark image(w)[0] of w's first peak.  So a later arch writes u and holds
+    its closer open until the first peak of its range is read.
+    """
+    blocks = _sigma_fwd(q, trace)
+    for mark, peak in _SCHRODER_PEAK_OF.items():
+        blocks = blocks.replace(peak, mark)
+    note = _recorder(trace)
+    out: list[str] = []
+    closers: list[str] = []  # per open arch: b, or a later arch's closer
+    later = -1  # the later arch whose range's first mark is unread, -1 the word's
+    start = True  # the next letter opens its range's first block
+    for c in blocks:
+        if c == "u":
+            if start:
+                note("C2")
+                closers.append("b")
+            else:
+                note("C3")
+                out.append("u")
+                later = len(closers)
+                closers.append("")
+                start = True
+        elif c == "d":
+            out.append(closers.pop())
+        elif start:
+            note("base")
+            if later < 0:
+                out.append(c)
+            else:
+                closers[later] = _CLOSER_OF[c]
+            start = False
+        else:
+            note("C1")
+            out.append(c)
+    return "".join(out)
 
 
 def _psi_inv(p: str, trace: Trace = None) -> str:
-    colored = _varphi_fwd(p, trace, True)
-    return _sigma_inv(_phi_fwd(colored), trace)
+    """Colored varphi in one right-to-left pass, then sigma's inverse.
+
+    A range starts at index 0 or at a u, whose arch's closer names the
+    range's first mark.  Each b of a range wraps the range's image so far in
+    an arch: it writes d, and the range's start writes one u for it, after
+    the u of the range's own arch and before the peak of its first mark.
+    """
+    if p[:1] not in _SCHRODER_PEAK_OF:
+        raise DomainViolation("varphi needs a path opening with the marked letter")
+    note = _recorder(trace)
+    out: list[str] = []  # the Schroder word, last piece first
+    ranges: list[tuple[str, int]] = []  # the enclosing ranges' (first mark, u's)
+    first, ups = p[0], 0
+    for c in p[:0:-1]:
+        if c == "b":
+            note("C2")
+            out.append("d")
+            ups += 1
+        elif c == "u":
+            if not ranges:
+                raise DomainViolation("u has no matching down step")
+            note("base")
+            out += (_SCHRODER_PEAK_OF[first], "u" * ups)
+            first, ups = ranges.pop()
+        elif c in _SCHRODER_PEAK_OF:
+            note("C1")
+            out.append(_SCHRODER_PEAK_OF[c])
+        else:
+            note("C3")
+            out.append("d")
+            ranges.append((first, ups))
+            first, ups = _MARK_OF_CLOSER[c], 1
+    if ranges:
+        raise DomainViolation("down step has no matching u")
+    note("base")
+    out += (_SCHRODER_PEAK_OF[first], "u" * ups)
+    return _sigma_inv("".join(reversed(out)), trace)
 
 
 def _varphi_theta_fwd(q: str, trace: Trace = None) -> str:

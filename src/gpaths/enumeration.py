@@ -31,6 +31,10 @@ walk takes about 0.02 s against 0.18 s for the plain walk, holding about
 8,000 completion strings; a split of 3 is faster on long Schroder paths
 but holds about 33,000, which raised the benchmark's exhaustive peak RSS
 from 21.4 to 23.4 MB (+10 %), where a split of 2 gives 21.8 MB (+2 %).
+Asked for a weighting, the same walk also sums each word's packed weight
+on its stack and fills each key's tails' packed weights with its tails, so
+criterion 3 (`verification._certify`) weighs a domain word with one
+addition; without one, no weight table is built and every weight stays 0.
 Weighted counting (and so plain counting) is one pass over the same
 stream: the prefixes are merged by key, so its cost grows with the number
 of keys, not of paths; each move's weight comes from
@@ -59,7 +63,7 @@ from .errors import SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
 from .series import catalan_series, square_coeff
 from .weights import (
-    A, B, C, DEFAULT_WEIGHTING, Polynomial, pack_exponents, step_exponents, unpack_exponents
+    A, B, C, DEFAULT_WEIGHTING, Polynomial, pack_exponents, step_exponents
 )
 
 MAX_N_DEFAULT = 12
@@ -182,11 +186,18 @@ def _keys_from_top(
             yield key, moves
 
 
-def _weigher(
-    family: PathFamily, n: int, weighting: str
-) -> Callable[[str], tuple[int, int, int] | None]:
-    """The exponent triple of a word under weighting if the word is a path of
-    the family with x-length n, else None, without enumerating the paths.
+def _packed_steps(family: PathFamily, weighting: str) -> dict[str, dict[str, int]]:
+    """step_exponents as previous letter -> {letter: packed triple}."""
+    after: dict[str, dict[str, int]] = {}
+    for (prev, letter), triple in step_exponents(family, weighting).items():
+        after.setdefault(prev, {})[letter] = pack_exponents(triple)
+    return after
+
+
+def _weigher(family: PathFamily, n: int, weighting: str) -> Callable[[str], int | None]:
+    """The packed exponent triple of a word under weighting if the word is a
+    path of the family with x-length n, else None, without enumerating the
+    paths.
 
     One pass over _keys_from_top numbers each key the first time a move
     reaches it and drops the key once it comes, as no later key moves to it.
@@ -195,10 +206,7 @@ def _weigher(
     one dict per previous letter, shared.  The word walks the rows from the
     start, adding its steps' weights, and must end on an accepting key.
     """
-    exponents = step_exponents(family, weighting)
-    weights_after: dict[str, dict[str, int]] = {}
-    for (prev, letter), triple in exponents.items():
-        weights_after.setdefault(prev, {})[letter] = pack_exponents(triple)
+    weights_after = _packed_steps(family, weighting)
     empty_ok = _automaton(family)[1]
     number = {(n, 0, ""): 0}
     rows: list = [None]
@@ -218,7 +226,7 @@ def _weigher(
         if _accepts(key, empty_ok):
             accepting.add(i)
 
-    def weigh(word: str) -> tuple[int, int, int] | None:
+    def weigh(word: str) -> int | None:
         i = packed = 0
         try:
             for letter in word:
@@ -226,14 +234,17 @@ def _weigher(
                 i = rows[i][letter]
         except KeyError:
             return None
-        return unpack_exponents(packed) if i in accepting else None
+        return packed if i in accepting else None
 
     return weigh
 
 
-def _prefix_blocks(family: PathFamily, n: int) -> Iterator[tuple[str, Key, list[str]]]:
-    """The words of iter_step_strings as blocks (word, key, tails), in DFS
-    order: every word + tail, tail in tails, is a word of the family.
+def _prefix_blocks(
+    family: PathFamily, n: int, weighting: str | None = None
+) -> Iterator[tuple[str, Key, list[str], int, list[int] | None]]:
+    """The words of iter_step_strings as blocks (word, key, tails, weight,
+    tail_weights), in DFS order: every word + tail, tail in tails, is a
+    word of the family.
 
     graph is the key stream of _keys_from_top.  Read backwards it lists
     every key after the keys it moves to, so one pass fills the tails of the
@@ -241,27 +252,47 @@ def _prefix_blocks(family: PathFamily, n: int) -> Iterator[tuple[str, Key, list[
     alphabet order, the move's letter followed by each tail of the key it
     moves to.  The walk proper is an explicit-stack DFS over the keys above
     the split; a key at or below it ends a block, word is the prefix that
-    reached it and tails its completions, one list per key.  It does not
-    check the size cap: its callers do.
+    reached it and tails its completions, one list per key.  Under a
+    weighting, weight is the word's packed weight, summed on the stack, and
+    tail_weights the packed weights of the tails after the key's last
+    letter, filled with them, so word + tails[i] weighs weight +
+    tail_weights[i]; without one, weight is 0 and tail_weights None.  It
+    does not check the size cap: its callers do.
     """
-    graph = dict(_keys_from_top(family, n))
+    # each key's moves last to first, the order the walk pushes them in, so
+    # they are popped in alphabet order
+    graph = {key: moves[::-1] for key, moves in _keys_from_top(family, n)}
     empty_ok = _automaton(family)[1]
+    after = None if weighting is None else _packed_steps(family, weighting)
     tails: dict[Key, list[str]] = {}
+    tail_weights: dict[Key, list[int]] = {}
+    shared: dict[int, int] = {}
     for key in reversed(graph):
         if key[0] <= COMPLETION_SPLIT:
-            out = [""] if _accepts(key, empty_ok) else []
-            for letter, nxt in graph[key]:
+            accepted = _accepts(key, empty_ok)
+            out = [""] if accepted else []
+            for letter, nxt in reversed(graph[key]):
                 out.extend([letter + tail for tail in tails[nxt]])
             tails[key] = out
-    stack = [((n, 0, ""), "")]
+            if after is not None:
+                step = after[key[2][-1:]]
+                sums = [0] if accepted else []
+                for letter, nxt in reversed(graph[key]):
+                    w = step[letter]
+                    sums.extend([w + s for s in tail_weights[nxt]])
+                # the tails take few distinct weights: one int object each
+                tail_weights[key] = [shared.setdefault(s, s) for s in sums]
+    stack = [((n, 0, ""), "", 0)]
     while stack:
-        key, word = stack.pop()
+        key, word, weight = stack.pop()
         if key[0] <= COMPLETION_SPLIT:
-            yield word, key, tails[key]
+            yield word, key, tails[key], weight, tail_weights.get(key)
             continue
-        # pushed last to first, so they are popped in alphabet order
-        for letter, nxt in reversed(graph[key]):
-            stack.append((nxt, word + letter))
+        step = None if after is None else after[key[2][-1:]]
+        for letter, nxt in graph[key]:
+            stack.append(
+                (nxt, word + letter, weight if step is None else weight + step[letter])
+            )
 
 
 def iter_step_strings(
@@ -270,7 +301,7 @@ def iter_step_strings(
     """All step strings of the family with x-length n, in DFS order: each
     prefix block of the walk, flattened."""
     _check_size(family, n, max_n_override)
-    for word, _, tails in _prefix_blocks(family, n):
+    for word, _, tails, _, _ in _prefix_blocks(family, n):
         for tail in tails:
             yield word + tail
 

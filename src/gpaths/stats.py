@@ -100,7 +100,7 @@ def _brute_counts(family: PathFamily, m: int):
     step_counts: dict[tuple[str, int], int] = {}
     point_counts: dict[int, int] = {}
     ends: dict[tuple[int, int, str], list] = {}
-    for word, key, tails in _prefix_blocks(family, m):
+    for word, key, tails, _, _ in _prefix_blocks(family, m):
         k = len(tails)
         if not k:
             continue

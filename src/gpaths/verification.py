@@ -20,8 +20,10 @@ B_n), and as many words are mapped as B_n has paths (f is onto): its
 transfer-matrix count, or with a filter the words its enumeration keeps;
 the count and the enumeration read one key stream with one pruning rule.
 One walk of each image over the automaton both accepts it and weighs it,
-and the weight must equal its domain word's.  No set of paths is held but
-to word the fault of a failed size.
+and the weight must equal its domain word's, which the domain's walk gives
+as a block's weight plus a tail's; both are packed ints, unpacked only to
+word a fault.  No set of paths is held but to word the fault of a failed
+size.
 
 The four suites (counts, bijections, stats, identities) power both the CLI
 verify subcommand and the acceptance test module.
@@ -36,6 +38,8 @@ from types import MappingProxyType
 
 from . import bijections as bij
 from .enumeration import (
+    _check_size,
+    _prefix_blocks,
     _weigher,
     ballot_closed_form,
     ballot_coeff,
@@ -58,7 +62,9 @@ from .paths import (
 )
 from .series import guvu_series_at
 from .stats import methods_for, stat_brute, stat_formula, stat_riordan, stat_table
-from .weights import A, B, DEFAULT_WEIGHTING, ZERO, Polynomial, weight_exponents
+from .weights import (
+    A, B, DEFAULT_WEIGHTING, ZERO, Polynomial, unpack_exponents, weight_exponents
+)
 
 # ---------------------------------------------------------------------------
 # frozen reference data
@@ -388,34 +394,41 @@ def _certify(name: str, cert: Certification, sizes: range) -> list[CheckResult]:
     A size passes the third check when every round trip is the identity,
     every image is accepted by the codomain's key stream and cod_filter,
     and the words mapped are as many as the codomain's: count_paths, or
-    the filtered enumeration where there is a cod_filter.  The codomain's
-    _weigher accepts and weighs each image in one walk, and an accepted
-    image's weight is compared with its domain word's; a fault names both
-    words and both exponent triples, domain first.
+    the filtered enumeration where there is a cod_filter.  The domain words
+    come from the walk's weighted prefix blocks, so a word's packed weight
+    is its block's plus its tail's; the codomain's _weigher accepts and
+    weighs each image in one walk, and an accepted image's packed weight
+    must equal its domain word's.  A fault names both words and both
+    exponent triples, domain first.
     """
     spec = bij.BIJECTIONS[name]
     forward, inverse = spec.forward_steps, spec.inverse_steps
     dom, cod = spec.domain, spec.codomain
     w_dom, w_cod = _WEIGHTING_OF[dom.base], _WEIGHTING_OF[cod.base]
-    keep = cert.cod_filter
+    dom_keep, keep = cert.dom_filter, cert.cod_filter
     round_fault = weight_fault = image_fault = ""
     for n in sizes:
         dom_n, cod_n = cert.dom_scale * n, cert.cod_scale * n
+        _check_size(dom, dom_n, _CAP)
         weigh = _weigher(cod, cod_n, w_cod)
         mapped = 0
         failed = False
-        for steps in _step_strings(dom, dom_n, cert.dom_filter):
-            mapped += 1
-            image, fault = _round_trip(forward, inverse, steps)
-            round_fault = round_fault or fault
-            got = None if image is None else weigh(image)
-            accepted = got is not None and (not keep or keep(image))
-            failed = failed or bool(fault) or not accepted
-            if accepted and not weight_fault:
-                want = weight_exponents(steps, w_dom, dom.base)
-                if got != want:
+        for word, _, tails, weight, tail_weights in _prefix_blocks(dom, dom_n, w_dom):
+            for tail, tail_weight in zip(tails, tail_weights):
+                steps = word + tail
+                if dom_keep and not dom_keep(steps):
+                    continue
+                mapped += 1
+                image, fault = _round_trip(forward, inverse, steps)
+                round_fault = round_fault or fault
+                got = None if image is None else weigh(image)
+                accepted = got is not None and (not keep or keep(image))
+                failed = failed or bool(fault) or not accepted
+                want = weight + tail_weight
+                if accepted and got != want and not weight_fault:
                     weight_fault = (
-                        f"weight not preserved at {steps!r} -> {image!r}: {want} != {got}"
+                        f"weight not preserved at {steps!r} -> {image!r}: "
+                        f"{unpack_exponents(want)} != {unpack_exponents(got)}"
                     )
         if keep is None:
             size = count_paths(cod, cod_n, _CAP)
@@ -424,7 +437,7 @@ def _certify(name: str, cert: Certification, sizes: range) -> list[CheckResult]:
         if failed or mapped != size:
             image_fault = image_fault or _image_set_fault(
                 forward,
-                _step_strings(dom, dom_n, cert.dom_filter),
+                _step_strings(dom, dom_n, dom_keep),
                 _step_strings(cod, cod_n, keep),
                 n,
             )

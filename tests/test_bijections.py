@@ -1,6 +1,7 @@
 """The weight-preserving maps between path families."""
 
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -337,7 +338,9 @@ def test_apply_bijection_dispatch():
 
 
 # forward and inverse traces of each map on a worked example, recorded from
-# the recursive definitions: (input, image, forward trace, inverse trace)
+# the recursive definitions: (input, image, forward trace, inverse trace);
+# psi's second pass in each direction takes colored varphi's cases in
+# reading order, so its labels are the composite's in another order
 WORKED_TRACES = {
     "sigma": (
         SIGMA_EXAMPLE_IN,
@@ -377,10 +380,10 @@ WORKED_TRACES = {
         SIGMA_EXAMPLE_IN,
         "AuauDDaAuubDDuD",
         ["C4", "C2", "C5", "base", "base", "C1", "C3", "C5", "base", "base",
-         "C5", "base", "base", "C3", "base", "C3", "C3", "C2", "base", "base",
-         "C1", "C1", "C3", "C3", "base", "C1", "base", "base"],
-        ["C3", "C3", "C1", "C1", "C3", "base", "C3", "C1", "base", "base",
-         "C3", "base", "C2", "base", "base", "C3", "C4", "C2", "C5", "base",
+         "C5", "base", "base", "base", "C3", "base", "C1", "C3", "base", "C1",
+         "C1", "C3", "base", "C3", "C2", "base", "C3", "base"],
+        ["C3", "base", "C3", "C3", "C2", "base", "base", "C1", "C1", "C3",
+         "C3", "base", "C1", "base", "base", "C3", "C4", "C2", "C5", "base",
          "base", "base", "C1", "C3", "C4", "C3", "C5", "base", "base", "base",
          "base", "C5", "base", "base"],
     ),
@@ -434,6 +437,55 @@ def test_long_paths_map_without_recursion(name):
     trace = []
     assert spec.inverse(p, trace) == q
     assert trace
+
+
+def _psi_composite(q, trace=None):
+    # psi as the registered maps it stands for: sigma, then phi_peak's
+    # inverse, then colored varphi's inverse
+    return bij._varphi_inv(bij._phi_inv(bij._sigma_fwd(q, trace)), trace, True)
+
+
+def _psi_inv_composite(p, trace=None):
+    return bij._sigma_inv(bij._phi_fwd(bij._varphi_fwd(p, trace, True)), trace)
+
+
+def test_psi_equals_the_composite():
+    for n in range(1, 8):
+        for q in iter_step_strings(GMOTZKIN_UVU, n):
+            trace, want = [], []
+            p = bij._psi_fwd(q, trace)
+            assert p == _psi_composite(q, want)
+            assert n > 6 or Counter(trace) == Counter(want)
+            trace, want = [], []
+            assert bij._psi_inv(p, trace) == _psi_inv_composite(p, want) == q
+            assert n > 6 or Counter(trace) == Counter(want)
+
+
+@pytest.mark.parametrize("p", ["", "b", "Au", "AuA", "Ad", "AbD"])
+def test_psi_inv_refuses_what_the_composite_refuses(p):
+    # no opening mark, or a u or a closer without its partner: certification
+    # takes a DomainViolation from a broken forward map as a counterexample
+    with pytest.raises(DomainViolation):
+        _psi_inv_composite(p)
+    with pytest.raises(DomainViolation):
+        bij._psi_inv(p)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        # domain words whose Schroder words are deep for psi's second pass
+        bij._sigma_inv("u" * 5000 + "H" + "d" * 5000),  # first-block arches
+        bij._sigma_inv("H" + "uHd" * 3000),  # many later arches
+        bij._sigma_inv("H" + "uH" * 3000 + "d" * 3000),  # later arches nested
+        LONG_INPUTS["psi"],
+    ],
+    ids=["first-block", "later", "later-nested", "long-input"],
+)
+def test_psi_equals_the_composite_on_deep_paths(steps):
+    p = bij._psi_fwd(steps)
+    assert p == _psi_composite(steps)
+    assert bij._psi_inv(p) == steps
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +543,8 @@ def test_random_domain_paths(name, data):
     assert weight_exponents(q.steps, _WEIGHTING_OF[dom], dom) == weight_exponents(
         p.steps, _WEIGHTING_OF[cod], cod
     )
+    if name == "psi":
+        assert p.steps == _psi_composite(q.steps)
 
 
 def test_registry_is_complete():

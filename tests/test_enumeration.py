@@ -15,6 +15,7 @@ from gpaths.enumeration import (
     MAX_N_UNRESTRICTED_GMOTZKIN,
     _automaton,
     _keys_from_top,
+    _prefix_blocks,
     _weigher,
     ballot_closed_form,
     ballot_coeff,
@@ -50,10 +51,12 @@ from gpaths.paths import (
     parse,
     validate_steps,
 )
+from gpaths.verification import _WEIGHTING_OF, CERTIFICATIONS
 from gpaths.weights import (
     DEFAULT_WEIGHTING,
     WEIGHTINGS,
     Polynomial,
+    pack_exponents,
     weight,
     weight_exponents,
 )
@@ -331,7 +334,8 @@ def test_acceptor_accepts_exactly_the_enumerated_words(family):
         paths = set(iter_step_strings(family, n))
         for weighting, weigh in weighers.items():
             for word in paths:
-                assert weigh(word) == weight_exponents(word, weighting, family.base)
+                want = pack_exponents(weight_exponents(word, weighting, family.base))
+                assert weigh(word) == want
         longest = min(max(map(len, paths), default=0), _WEIGHER_MAX_LETTERS)
         for length in range(longest + 1):
             for letters in itertools.product(family.alphabet, repeat=length):
@@ -339,6 +343,37 @@ def test_acceptor_accepts_exactly_the_enumerated_words(family):
                 if word not in paths:
                     for weighting, weigh in weighers.items():
                         assert weigh(word) is None, (n, word, weighting)
+
+
+# each certified domain at sizes up to 6 under the weighting criterion 3
+# gives it, and Dyck paths under the peak weighting, where a peak can
+# straddle the split between a block's word and its tail
+WALK_WEIGHT_CASES = {
+    name: (
+        BIJECTIONS[name].domain,
+        _WEIGHTING_OF[BIJECTIONS[name].domain.base],
+        [cert.dom_scale * n for n in cert.sizes(6, 6)],
+    )
+    for name, cert in CERTIFICATIONS.items()
+}
+WALK_WEIGHT_CASES["dyck"] = (DYCK, "dyck_peak_ab", range(0, 13, 2))
+
+
+@pytest.mark.parametrize("case", sorted(WALK_WEIGHT_CASES))
+def test_walk_weights_equal_the_per_word_weights(case):
+    family, weighting, lengths = WALK_WEIGHT_CASES[case]
+    for n in lengths:
+        plain = list(_prefix_blocks(family, n))
+        weighed = list(_prefix_blocks(family, n, weighting))
+        # one walk: the same blocks, and no weights without a weighting
+        assert [b[:3] for b in weighed] == [b[:3] for b in plain]
+        assert all(b[3:] == (0, None) for b in plain)
+        for word, _, tails, weight, tail_weights in weighed:
+            assert len(tail_weights) == len(tails)
+            for tail, tail_weight in zip(tails, tail_weights):
+                steps = word + tail
+                want = weight_exponents(steps, weighting, family.base)
+                assert weight + tail_weight == pack_exponents(want), (steps, weighting)
 
 
 @pytest.mark.parametrize("family", BIJECTION_FAMILIES, ids=PathFamily.describe)
