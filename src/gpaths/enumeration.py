@@ -317,7 +317,7 @@ def count_paths(family: PathFamily, n: int, max_n_override: int | None = None) -
     """The number of paths: the coefficient sum of the weighted count under
     the family's default weighting."""
     weighting = DEFAULT_WEIGHTING[family.base]
-    return sum(weighted_count(family, n, weighting, max_n_override).terms.values())
+    return weighted_count(family, n, weighting, max_n_override).coefficient_sum()
 
 
 def weighted_count(
@@ -330,29 +330,29 @@ def weighted_count(
 
     A transfer-matrix DP over the key stream of _keys_from_top: every
     prefix that reaches the same (x-length left, level, state) key extends
-    the same way, so each key holds the exponent triples of its prefixes
-    with their multiplicities.  The stream gives each key after every key
-    that moves to it, so its sums are complete when it comes; it pops them,
-    keeps them if it accepts, and pushes them along its moves.
+    the same way, so each key holds the packed exponent triples of its
+    prefixes with their multiplicities.  The stream gives each key after
+    every key that moves to it, so its sums are complete when it comes; it
+    pops them, keeps them if it accepts, and pushes them along its moves.
     """
-    exponents = step_exponents(family, weighting)
+    after = _packed_steps(family, weighting)
     _check_size(family, n, max_n_override)
     empty_ok = _automaton(family)[1]
-    sums_at: dict[Key, dict] = {(n, 0, ""): {(0, 0, 0): 1}}
-    acc: dict[tuple[int, int, int], int] = {}
+    sums_at: dict[Key, dict[int, int]] = {(n, 0, ""): {0: 1}}
+    acc: dict[int, int] = {}
     for key, moves in _keys_from_top(family, n):
         sums = sums_at.pop(key)
         if _accepts(key, empty_ok):
-            for triple, k in sums.items():
-                acc[triple] = acc.get(triple, 0) + k
-        prev = key[2][-1:]
+            for packed, k in sums.items():
+                acc[packed] = acc.get(packed, 0) + k
+        step = after[key[2][-1:]]
         for letter, nxt in moves:
-            wa, wb, wc = exponents[prev, letter]
+            w = step[letter]
             target = sums_at.setdefault(nxt, {})
-            for (ea, eb, ec), k in sums.items():
-                triple = (ea + wa, eb + wb, ec + wc)
-                target[triple] = target.get(triple, 0) + k
-    return Polynomial(acc)
+            for packed, k in sums.items():
+                packed += w
+                target[packed] = target.get(packed, 0) + k
+    return Polynomial._from_packed(acc)
 
 
 # ---------------------------------------------------------------------------

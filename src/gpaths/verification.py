@@ -63,7 +63,7 @@ from .paths import (
 from .series import guvu_series_at
 from .stats import methods_for, stat_brute, stat_formula, stat_riordan, stat_table
 from .weights import (
-    A, B, DEFAULT_WEIGHTING, ZERO, Polynomial, unpack_exponents, weight_exponents
+    A, B, DEFAULT_WEIGHTING, ZERO, Polynomial, packed_weight, unpack_exponents
 )
 
 # ---------------------------------------------------------------------------
@@ -157,11 +157,11 @@ class CheckResult:
 def _enumerated_weight(family: PathFamily, n: int, weighting: str) -> Polynomial:
     """The weight polynomial summed path by path over the generated paths,
     independently of the transfer-matrix DP behind weighted_count."""
-    terms: dict[tuple[int, int, int], int] = {}
+    terms: dict[int, int] = {}
     for steps in iter_step_strings(family, n, _CAP):
-        key = weight_exponents(steps, weighting, family.base)
+        key = packed_weight(steps, weighting, family.base)
         terms[key] = terms.get(key, 0) + 1
-    return Polynomial(terms)
+    return Polynomial._from_packed(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Sparse integer polynomials in a, b, c and the step weightings.
 
 A Polynomial maps exponent triples (ea, eb, ec) to nonzero integer
-coefficients.  This is the value ring for all weighted counts: exact, no
-floats anywhere.  Evaluation substitutes Fractions and returns a Fraction.
+coefficients, stored under packed keys ea + eb R + ec R^2 with R = 2**32
+(pack_exponents), so a product of two terms adds two ints.  This is the
+value ring for all weighted counts: exact, no floats anywhere.  Evaluation
+substitutes Fractions and returns a Fraction.
 
 A weighting assigns each step a monomial weight; the weight of a path is
 the product over its steps, so it is always a single monomial, and a
@@ -17,28 +19,85 @@ gives the counting DP its per-step table; `weight` validates through it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterator
 
 from .errors import FamilyMismatch
 from .paths import Path, PathFamily
 
-_ZERO = (0, 0, 0)
+# Exponent triples packed into one int, ea + eb R + ec R^2 with R = 2**32,
+# so adding packed triples adds the triples.  An a or b digit below 2**31
+# plus another never carries into the next digit; c is the top digit and
+# unbounded, so sums without c stay in a machine word.
+_DIGIT = 32
+_DIGIT_MASK = (1 << _DIGIT) - 1
+_HALF_DIGIT = 1 << (_DIGIT - 1)
+# the top bit of the a and b digits: set in a key whose a or b exponent
+# could carry when added to another
+_CARRY_BITS = _HALF_DIGIT | (_HALF_DIGIT << _DIGIT)
+
+
+def pack_exponents(triple: tuple[int, int, int]) -> int:
+    ea, eb, ec = triple
+    return ea + (eb << _DIGIT) + (ec << 2 * _DIGIT)
+
+
+def unpack_exponents(packed: int) -> tuple[int, int, int]:
+    return (packed & _DIGIT_MASK, (packed >> _DIGIT) & _DIGIT_MASK, packed >> 2 * _DIGIT)
+
+
+def _checked_key(triple: tuple[int, int, int]) -> int:
+    """pack_exponents of a Polynomial's exponent triple, refusing what the
+    packed key cannot hold: a non-int or negative exponent, or an a or b
+    exponent of 2**31 or more."""
+    ea, eb, _ = triple
+    for e in triple:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent {e!r} of {triple!r} is not an int >= 0")
+    if ea >= _HALF_DIGIT or eb >= _HALF_DIGIT:
+        raise ValueError(
+            f"exponents {triple!r}: an a or b exponent must be below {_HALF_DIGIT}"
+        )
+    return pack_exponents(triple)
 
 
 class Polynomial:
-    """Integer polynomial in a, b, c with sparse exponent-dict storage."""
+    """Integer polynomial in a, b, c: {packed exponent key: nonzero coeff}.
 
-    __slots__ = ("terms",)
+    The constructor takes {(ea, eb, ec): coeff} and refuses a non-int or
+    negative exponent and an a or b exponent of 2**31 or more; a product
+    refuses an operand with such an a or b exponent, so no sum of two
+    exponents carries into the next digit.  `terms` is a read-only view in
+    the constructor's shape, rebuilt on each read.
+    """
+
+    __slots__ = ("_packed",)
 
     def __init__(self, terms: dict[tuple[int, int, int], int] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        packed = self._packed = {}
+        for e, c in (terms or {}).items():
+            key = _checked_key(e)
+            if c != 0:
+                packed[key] = c
+
+    @classmethod
+    def _from_packed(cls, packed: dict[int, int]) -> "Polynomial":
+        """The polynomial of a {packed key: coeff} dict, zeros dropped."""
+        poly = object.__new__(cls)
+        poly._packed = {e: c for e, c in packed.items() if c != 0}
+        return poly
+
+    @property
+    def terms(self) -> dict[tuple[int, int, int], int]:
+        """{(ea, eb, ec): coeff}, a fresh dict on each read."""
+        return {unpack_exponents(e): c for e, c in self._packed.items()}
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def const(cls, n: int) -> "Polynomial":
-        return cls({_ZERO: n})
+        return cls._from_packed({0: n})
 
     @classmethod
     def monomial(cls, coeff: int, ea: int, eb: int, ec: int) -> "Polynomial":
@@ -46,10 +105,7 @@ class Polynomial:
 
     @classmethod
     def var(cls, name: str) -> "Polynomial":
-        i = "abc".index(name)
-        e = [0, 0, 0]
-        e[i] = 1
-        return cls({tuple(e): 1})
+        return cls._from_packed({1 << _DIGIT * "abc".index(name): 1})
 
     # -- ring operations ----------------------------------------------------
 
@@ -65,15 +121,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._packed)
+        for e, c in other._packed.items():
             out[e] = out.get(e, 0) + c
-        return Polynomial(out)
+        return Polynomial._from_packed(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({e: -c for e, c in self.terms.items()})
+        return Polynomial._from_packed({e: -c for e, c in self._packed.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -88,12 +144,19 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, int, int], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial(out)
+        mine, theirs = self._packed, other._packed
+        if (reduce(or_, mine, 0) | reduce(or_, theirs, 0)) & _CARRY_BITS:
+            raise ValueError(
+                f"an a or b exponent of {_HALF_DIGIT} or more could carry "
+                "in a product"
+            )
+        out: dict[int, int] = {}
+        get = out.get
+        for e1, c1 in mine.items():
+            for e2, c2 in theirs.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return Polynomial._from_packed(out)
 
     __rmul__ = __mul__
 
@@ -113,15 +176,19 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self._packed == other._packed
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._packed.items()))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._packed)
 
     # -- queries ------------------------------------------------------------
+
+    def coefficient_sum(self) -> int:
+        """The value at a = b = c = 1."""
+        return sum(self._packed.values())
 
     def eval_at(self, a, b, c=0) -> Fraction:
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
@@ -146,7 +213,7 @@ class Polynomial:
         )
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
         pieces = []
         for exps, coeff in self._sorted_terms():
@@ -184,7 +251,7 @@ ZERO = Polynomial()
 # ---------------------------------------------------------------------------
 
 # exponent triple contributed by a step; the one peak rule (a d right after
-# a u weighs a, under dyck_peak_ab on plain dyck paths) is in weight_exponents
+# a u weighs a, under dyck_peak_ab on plain dyck paths) is in packed_weight
 _U = (0, 0, 0)
 _A1 = (1, 0, 0)
 _B1 = (0, 1, 0)
@@ -295,27 +362,14 @@ def step_exponents(
 def weight(path: Path, weighting: str) -> Polynomial:
     """Product of the step weights: always a single monomial."""
     step_exponents(path.family, weighting)
-    return Polynomial({weight_exponents(path.steps, weighting, path.family.base): 1})
+    return Polynomial._from_packed(
+        {packed_weight(path.steps, weighting, path.family.base): 1}
+    )
 
 
-# Exponent triples packed into one int, ea + eb R + ec R^2 with R = 2**32,
-# so adding packed triples adds the triples.  A letter raises each exponent
-# by at most 2 (tests pin that), so a word of fewer than 2**31 letters never
-# carries one digit into the next; c is the top digit, so sums without c stay
-# in a machine word.
-_DIGIT = 32
-_DIGIT_MASK = (1 << _DIGIT) - 1
-_MAX_LETTERS = 1 << (_DIGIT - 1)
-
-
-def pack_exponents(triple: tuple[int, int, int]) -> int:
-    ea, eb, ec = triple
-    return ea + (eb << _DIGIT) + (ec << 2 * _DIGIT)
-
-
-def unpack_exponents(packed: int) -> tuple[int, int, int]:
-    return (packed & _DIGIT_MASK, (packed >> _DIGIT) & _DIGIT_MASK, packed >> 2 * _DIGIT)
-
+# A letter raises each exponent by at most 2 (tests pin that), so a word of
+# fewer than 2**31 letters never carries one digit into the next.
+_MAX_LETTERS = _HALF_DIGIT
 
 # each weighting's letters as packed triples, and what a peak changes: its d
 # weighs a, not b
@@ -326,11 +380,9 @@ _PACKED = {
 _PEAK = pack_exponents(_A1) - pack_exponents(_B1)
 
 
-def weight_exponents(
-    steps: str, weighting: str, base: str
-) -> tuple[int, int, int]:
-    """Exponent triple of the monomial weight of a step string: the sum of
-    its letters' packed triples, in C.
+def packed_weight(steps: str, weighting: str, base: str) -> int:
+    """The packed exponent triple of the monomial weight of a step string:
+    the sum of its letters' packed triples, in C.
 
     On plain dyck paths the peak rule is structural (a d right after a u
     weighs a, one per "ud"); on colored paths the color letter alone
@@ -344,4 +396,12 @@ def weight_exponents(
     packed = sum(map(_PACKED[weighting].__getitem__, steps))
     if weighting == "dyck_peak_ab" and base == "dyck":
         packed += steps.count("ud") * _PEAK
-    return unpack_exponents(packed)
+    return packed
+
+
+def weight_exponents(
+    steps: str, weighting: str, base: str
+) -> tuple[int, int, int]:
+    """Exponent triple of the monomial weight of a step string: packed_weight
+    unpacked."""
+    return unpack_exponents(packed_weight(steps, weighting, base))

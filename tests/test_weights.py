@@ -101,6 +101,149 @@ def test_eval_is_a_ring_homomorphism(p, q):
     assert (p + q).eval_at(*point) == p.eval_at(*point) + q.eval_at(*point)
 
 
+# A tuple-keyed reference for the packed Polynomial: {(ea, eb, ec): coeff},
+# no zero coefficients.
+
+
+def _ref(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return _ref(out)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for (a1, b1, c1), x in p.items():
+        for (a2, b2, c2), y in q.items():
+            e = (a1 + a2, b1 + b2, c1 + c2)
+            out[e] = out.get(e, 0) + x * y
+    return _ref(out)
+
+
+def _ref_pow(p, n):
+    out = {(0, 0, 0): 1}
+    for _ in range(n):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _ref_str(p):
+    text = ""
+    for e, x in sorted(p.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        factors = [v if k == 1 else f"{v}^{k}" for v, k in zip("abc", e) if k]
+        body = "*".join(([str(abs(x))] if abs(x) != 1 or not factors else []) + factors)
+        if text:
+            text += (" - " if x < 0 else " + ") + body
+        else:
+            text = ("-" if x < 0 else "") + body
+    return text or "0"
+
+
+def _ref_eval(p, a, b, c):
+    return sum((x * a**ea * b**eb * c**ec for (ea, eb, ec), x in p.items()), Fraction(0))
+
+
+_big_coeffs = st.integers(-(10**30), 10**30)
+_ref_polys = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+    _big_coeffs,
+    max_size=4,
+)
+# substituted for a, b and c: few small terms, so a 6th power stays small
+_ref_small = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3),
+    max_size=2,
+)
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@given(_ref_polys, _ref_polys, st.integers(0, 3))
+def test_packed_polynomial_matches_the_tuple_keyed_reference(p, q, n):
+    pp, qq = Polynomial(p), Polynomial(q)
+    rp, rq = _ref(p), _ref(q)
+    assert pp.terms == rp
+    assert all(type(e) is tuple and len(e) == 3 for e in pp.terms)
+    assert (pp + qq).terms == _ref_add(rp, rq)
+    assert (pp - qq).terms == _ref_add(rp, {e: -c for e, c in rq.items()})
+    assert (-pp).terms == {e: -c for e, c in rp.items()}
+    assert (pp * qq).terms == _ref_mul(rp, rq)
+    assert (pp**n).terms == _ref_pow(rp, n)
+    assert (pp == qq) == (rp == rq)
+    assert bool(pp) == bool(rp)
+    assert str(pp) == _ref_str(rp)
+    # equal values built in different orders hash equally
+    assert pp + qq == qq + pp
+    assert hash(pp + qq) == hash(qq + pp) == hash(Polynomial(_ref_add(rp, rq)))
+    assert hash(pp * qq) == hash(Polynomial(_ref_mul(rq, rp)))
+
+
+@given(_ref_polys, _fractions, _fractions, _fractions)
+def test_packed_eval_matches_the_reference(p, a, b, c):
+    assert Polynomial(p).eval_at(a, b, c) == _ref_eval(p, a, b, c)
+
+
+@given(_ref_polys, _ref_small, _ref_small, _ref_small)
+def test_packed_subs_matches_the_reference(p, a, b, c):
+    want = {}
+    for (ea, eb, ec), x in p.items():
+        term = _ref_mul(_ref_mul(_ref_pow(a, ea), _ref_pow(b, eb)), _ref_pow(c, ec))
+        want = _ref_add(want, {e: x * y for e, y in term.items()})
+    got = Polynomial(p).subs(Polynomial(a), Polynomial(b), Polynomial(c))
+    assert got.terms == want
+
+
+def test_terms_is_a_view_not_the_storage():
+    p = A + 2 * B
+    view = p.terms
+    view[(0, 0, 5)] = 1
+    assert p.terms == {(1, 0, 0): 1, (0, 1, 0): 2}
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [
+        (-1, 0, 0), (0, -1, 0), (0, 0, -1),
+        (2**31, 0, 0), (0, 2**31, 0), (1.0, 0, 0), ("1", 0, 0),
+    ],
+)
+def test_constructor_refuses_exponents_the_packed_key_cannot_hold(exps):
+    with pytest.raises(ValueError, match="exponent"):
+        Polynomial({exps: 1})
+    with pytest.raises(ValueError, match="exponent"):
+        Polynomial.monomial(1, *exps)
+
+
+def test_constructor_takes_the_largest_exponents_that_never_carry():
+    top = 2**31 - 1
+    p = Polynomial({(top, top, 2**40): 3})
+    assert p.terms == {(top, top, 2**40): 3}
+    # exponents are checked even under a zero coefficient
+    with pytest.raises(ValueError, match="exponent"):
+        Polynomial({(-1, 0, 0): 0})
+
+
+@pytest.mark.parametrize(
+    "var, below, edge",
+    [(A, (2**31 - 1, 0, 0), (2**31, 0, 0)), (B, (0, 2**31 - 1, 0), (0, 2**31, 0))],
+)
+def test_a_product_that_could_carry_raises(var, below, edge):
+    # two exponents below 2**31 never carry, even when they sum to 2**31
+    big = Polynomial({below: 1}) * var
+    assert big.terms == {edge: 1}
+    assert big + C == C + big
+    for product in (lambda: big * var, lambda: var * big, lambda: big * 1, lambda: big**2):
+        with pytest.raises(ValueError, match="could carry"):
+            product()
+    # c is the top digit: nothing to carry into
+    assert (Polynomial({(0, 0, 2**40): 1}) * C).terms == {(0, 0, 2**40 + 1): 1}
+
+
 def test_weight_of_the_eleven_step_example():
     path = parse("uhuduuvvdhh", GMOTZKIN)
     assert weight(path, "gmotzkin_abc") == A**3 * B**2 * C**2
