@@ -49,7 +49,11 @@ override argument, moves the cap; exceeding it raises SizeLimitExceeded.
 The counting side is exact integer/polynomial arithmetic throughout:
 recurrence coefficients for the two generating-function equations, the
 classical closed forms, the double/triple sums, and the ballot numbers
-[x^m] C(x)^k extracted from the Catalan series.
+[x^m] C(x)^k extracted from the Catalan series.  Each recurrence body is
+written once, generic in its multipliers, and runs on ints at one point,
+a = 2^W, b = 1, c = 2^(W (n_max + 1)), whose base-2^W digits are the
+coefficients (Kronecker substitution), so its products are big-int
+products and not Polynomial term loops.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from .errors import SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
 from .series import catalan_series, square_coeff
 from .weights import (
-    A, B, C, DEFAULT_WEIGHTING, Polynomial, pack_exponents, step_exponents
+    B, DEFAULT_WEIGHTING, Polynomial, pack_exponents, step_exponents
 )
 
 MAX_N_DEFAULT = 12
@@ -359,35 +363,121 @@ def weighted_count(
 # recurrences for the two generating-function equations
 # ---------------------------------------------------------------------------
 
-def guvu_coeffs(n_max: int) -> list[Polynomial]:
-    """Weighted counts of uvu-avoiding paths, from
-    G = 1 + bx + (a-b+abx) x G + (b+cx) x G^2, coefficientwise."""
-    a_minus_b, ab = A - B, A * B
-    g: list[Polynomial] = [Polynomial.const(1)]
-    g_squared: list[Polynomial] = []  # [x^m] G^2, each computed once
+def _guvu_values(n_max: int, a_minus_b, b, ab, c) -> list:
+    """g_0 .. g_n_max of G = 1 + bx + (a-b+abx) x G + (b+cx) x G^2,
+    coefficientwise, in the ring of the four multipliers; g_0 is the int 1."""
+    g = [1]
+    g_squared = []  # [x^m] G^2, each computed once
     for n in range(1, n_max + 1):
         g_squared.append(square_coeff(g, n - 1))
-        total = a_minus_b * g[n - 1] + B * g_squared[n - 1]
+        total = a_minus_b * g[n - 1] + b * g_squared[n - 1]
         if n == 1:
-            total = total + B
+            total = total + b
         if n >= 2:
-            total = total + ab * g[n - 2] + C * g_squared[n - 2]
+            total = total + ab * g[n - 2] + c * g_squared[n - 2]
         g.append(total)
     return g
+
+
+def _gfull_values(n_max: int, a, b, c) -> list:
+    """g_0 .. g_n_max of G = 1 + a x G + b x G^2 + c x^2 G^2,
+    coefficientwise, in the ring of the three multipliers; g_0 is the int 1."""
+    g = [1]
+    g_squared = []  # [x^m] G^2, each computed once
+    for n in range(1, n_max + 1):
+        g_squared.append(square_coeff(g, n - 1))
+        total = a * g[n - 1] + b * g_squared[n - 1]
+        if n >= 2:
+            total = total + c * g_squared[n - 2]
+        g.append(total)
+    return g
+
+
+def _decode(value: int, n: int, width: int, s: int) -> Polynomial:
+    """The polynomial g_n, homogeneous of degree n when a and b weigh 1 and
+    c weighs 2, from its value at a = X, b = 1, c = X^s with X = 2^(8 width).
+
+    Digit ea + s ec of value in base X, read as a signed digit, is the
+    coefficient of a^ea b^(n-ea-2ec) c^ec, provided ea < s and every
+    coefficient lies in [-X/2, X/2).  One bias of X/2 per digit makes every
+    digit nonnegative, and one to_bytes splits the biased value into them.
+    A biased value out of range or a nonzero digit with ea + 2 ec > n means
+    the value is not of that form: ArithmeticError, not a wrong Polynomial.
+    """
+    digits = s * (n // 2) + n % 2 + 1  # up to the digit of c^(n//2)
+    half = 1 << 8 * width - 1
+    biased = value + int.from_bytes(half.to_bytes(width, "little") * digits, "little")
+    if biased < 0 or biased >> 8 * width * digits:
+        raise ArithmeticError(
+            f"g_{n} does not fit {digits} signed {8 * width}-bit digits"
+        )
+    raw = biased.to_bytes(width * digits, "little")
+    terms = {}
+    for i in range(digits):
+        coeff = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+        if coeff:
+            ec, ea = divmod(i, s)
+            eb = n - ea - 2 * ec
+            if eb < 0:
+                raise ArithmeticError(
+                    f"g_{n} has a term a^{ea} c^{ec} of degree above {n}"
+                )
+            terms[pack_exponents((ea, eb, ec))] = coeff
+    return Polynomial._from_packed(terms)
+
+
+def _at_one_point(
+    n_max: int, values: Callable[[int, int, int], list[int]]
+) -> list[Polynomial]:
+    """g_0 .. g_n_max as Polynomials from values(a, b, c), a recurrence's
+    g_0 .. g_n_max on ints (Kronecker substitution; Harvey, JSC 44, 2009).
+
+    The caller vouches that g_n is homogeneous of degree n when a and b
+    weigh 1 and c weighs 2, and that no coefficient of g_n exceeds
+    g_n(1, 1, 1) in absolute value.  So values(1, 1, 1) sizes the digit
+    width W, whole bytes with a sign bit, and each of values(2^W, 1,
+    2^(W s)), s = n_max + 1, is decoded (_decode).
+    """
+    if n_max <= 0:
+        return [Polynomial.const(1)]
+    width = max(values(1, 1, 1)).bit_length() // 8 + 1
+    s = n_max + 1
+    x = 1 << 8 * width
+    return [
+        _decode(value, n, width, s)
+        for n, value in enumerate(values(x, 1, x**s))
+    ]
+
+
+def guvu_coeffs(n_max: int) -> list[Polynomial]:
+    """Weighted counts of uvu-avoiding paths, from
+    G = 1 + bx + (a-b+abx) x G + (b+cx) x G^2, coefficientwise.
+
+    The recurrence runs once on ints at a = X, b = 1, c = X^s and its values
+    are decoded (_at_one_point).  Each term of step n has degree n when a
+    and b weigh 1 and c weighs 2, so g_n is homogeneous of degree n.  The
+    width bound is g_n(1, 1, 1), the large Schroder number: g_1 = a + b,
+    and for n >= 2, [x^(n-1)] G^2 = 2 g_(n-1) + sum_(1<=k<=n-2) g_k
+    g_(n-1-k), so g_n = (a + b) g_(n-1) + b sum_(1<=k<=n-2) g_k g_(n-1-k)
+    + ab g_(n-2) + c [x^(n-2)] G^2, a sum of products of polynomials with
+    nonnegative coefficients, whose coefficients are at most their sum.
+    """
+    return _at_one_point(
+        n_max, lambda a, b, c: _guvu_values(n_max, a - b, b, a * b, c)
+    )
 
 
 def gfull_coeffs(n_max: int) -> list[Polynomial]:
     """Weighted counts of unrestricted paths, from
-    G = 1 + a x G + b x G^2 + c x^2 G^2."""
-    g: list[Polynomial] = [Polynomial.const(1)]
-    g_squared: list[Polynomial] = []  # [x^m] G^2, each computed once
-    for n in range(1, n_max + 1):
-        g_squared.append(square_coeff(g, n - 1))
-        total = A * g[n - 1] + B * g_squared[n - 1]
-        if n >= 2:
-            total = total + C * g_squared[n - 2]
-        g.append(total)
-    return g
+    G = 1 + a x G + b x G^2 + c x^2 G^2, coefficientwise.
+
+    The recurrence runs once on ints at a = X, b = 1, c = X^s and its values
+    are decoded (_at_one_point).  Each term of step n has degree n when a
+    and b weigh 1 and c weighs 2, so g_n is homogeneous of degree n; its
+    multipliers a, b, c have coefficient 1, so every coefficient of g_n is
+    nonnegative and at most g_n(1, 1, 1), the width bound.
+    """
+    return _at_one_point(n_max, lambda a, b, c: _gfull_values(n_max, a, b, c))
 
 
 # ---------------------------------------------------------------------------

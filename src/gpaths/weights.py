@@ -2,9 +2,11 @@
 
 A Polynomial maps exponent triples (ea, eb, ec) to nonzero integer
 coefficients, stored under packed keys ea + eb R + ec R^2 with R = 2**32
-(pack_exponents), so a product of two terms adds two ints.  This is the
-value ring for all weighted counts: exact, no floats anywhere.  Evaluation
-substitutes Fractions and returns a Fraction.
+(pack_exponents), so a product of two terms adds two ints.  Every
+weighted count the package returns is one: exact, no floats anywhere (the
+two recurrences of `enumeration` compute theirs on ints at one point and
+decode them into Polynomials).  Evaluation substitutes Fractions and
+returns a Fraction.
 
 A weighting assigns each step a monomial weight; the weight of a path is
 the product over its steps, so it is always a single monomial, and a

@@ -14,6 +14,10 @@ from gpaths.enumeration import (
     MAX_N_DEFAULT,
     MAX_N_UNRESTRICTED_GMOTZKIN,
     _automaton,
+    _at_one_point,
+    _decode,
+    _gfull_values,
+    _guvu_values,
     _keys_from_top,
     _prefix_blocks,
     _weigher,
@@ -147,6 +151,38 @@ def test_gfull_recurrence_matches_enumeration():
     for n in range(8):
         assert g[n] == weighted_count(GMOTZKIN, n, "gmotzkin_abc")
     assert [p.eval_at(1, 1, 1) for p in g[:7]] == GFULL_COUNTS
+
+
+def test_recurrences_equal_their_bodies_over_the_polynomial_ring():
+    # the same recurrence bodies, run on Polynomials instead of at one point
+    a, b, c = Polynomial.var("a"), Polynomial.var("b"), Polynomial.var("c")
+    for n_max in range(21):
+        for got, want in (
+            (guvu_coeffs(n_max), _guvu_values(n_max, a - b, b, a * b, c)),
+            (gfull_coeffs(n_max), _gfull_values(n_max, a, b, c)),
+        ):
+            want = [Polynomial() + p for p in want]  # g_0 is the int 1
+            assert got == want
+            assert [str(p) for p in got] == [str(p) for p in want]
+    assert guvu_coeffs(-1) == [1]
+    assert gfull_coeffs(-1) == [1]
+
+
+def test_decoder_refuses_a_value_not_of_the_decoded_form():
+    a, c = Polynomial.var("a"), Polynomial.var("c")
+    x = 1 << 8
+    # one-byte digits, s = 3: at n = 2, digit 2 holds a^2 and digit 3 holds c
+    assert _decode(5 * x**2 - 2 * x**3, 2, 1, 3) == 5 * a**2 - 2 * c
+    # s = 4: digit 3 would be a^3, of degree above 2
+    with pytest.raises(ArithmeticError, match="degree above 2"):
+        _decode(x**3, 2, 1, 4)
+    # outside the signed range of the four digits of n = 2, s = 3: a top
+    # digit of 128, a value below -128 in every digit, a digit past the last
+    for value in (x**4 // 2, -(x**4), x**5):
+        with pytest.raises(ArithmeticError, match="does not fit"):
+            _decode(value, 2, 1, 3)
+    # the width keeps a sign bit: a largest value of 128 takes two bytes
+    assert _at_one_point(1, lambda at_a, _b, _c: [1, 128 * at_a]) == [1, 128 * a]
 
 
 # Every family a bijection maps from or to, the restricted ones, and each
@@ -391,7 +427,9 @@ def test_transfer_count_equals_the_per_path_weight_sum(family):
 
 def test_transfer_count_past_the_reach_of_enumeration():
     assert weighted_count(GMOTZKIN_UVU, 20, "gmotzkin_abc", 20) == guvu_coeffs(20)[20]
-    assert weighted_count(GMOTZKIN, 12, "gmotzkin_abc", 12) == gfull_coeffs(12)[12]
+    gfull = gfull_coeffs(30)
+    for n in (12, 30):
+        assert weighted_count(GMOTZKIN, n, "gmotzkin_abc", n) == gfull[n]
     assert count_paths(SCHRODER, 24, 24) == closed_form("schroder_ab", 12).eval_at(1, 1)
 
 
@@ -449,8 +487,8 @@ def test_dfs_rejects_multi_letter_prefixes():
 
 
 def test_prop21_both_variants_match_recurrence():
-    g = guvu_coeffs(25)
-    for n in range(26):
+    g = guvu_coeffs(40)
+    for n in range(41):
         assert prop21(n, "first") == g[n]
         assert prop21(n, "second") == g[n]
     with pytest.raises(ValueError):
