@@ -37,12 +37,13 @@ criterion 3 (`verification._certify`) weighs a domain word with one
 addition; without one, no weight table is built and every weight stays 0.
 Weighted counting (and so plain counting) is one pass over the same
 stream: the prefixes are merged by key, so its cost grows with the number
-of keys, not of paths; each move's weight comes from
-`weights.step_exponents`, so peaks and which weightings apply are not
-known here.  Both are guarded by one size cap, checked at the public
-entry points: the pattern-avoiding and classical families stop at
-x-length 12, the unrestricted gmotzkin family (whose free v steps inflate
-growth) at 9.
+of keys, not of paths.  The walk, the weigher and the counting DP take
+each move's packed weight from one table, `weights.step_exponents`, built
+once per family and weighting, so peaks, which weightings apply and how a
+triple is packed are not known here.  Generation and counting are guarded
+by one size cap, checked at the public entry points: the pattern-avoiding
+and classical families stop at x-length 12, the unrestricted gmotzkin
+family (whose free v steps inflate growth) at 9.
 GPATHS_MAX_N in the environment (ASCII digits only), or an explicit
 override argument, moves the cap; exceeding it raises SizeLimitExceeded.
 
@@ -66,9 +67,7 @@ from typing import Callable, Iterator
 from .errors import SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
 from .series import catalan_series, square_coeff
-from .weights import (
-    B, DEFAULT_WEIGHTING, Polynomial, pack_exponents, step_exponents
-)
+from .weights import B, DEFAULT_WEIGHTING, Polynomial, step_exponents
 
 MAX_N_DEFAULT = 12
 MAX_N_UNRESTRICTED_GMOTZKIN = 9
@@ -190,14 +189,6 @@ def _keys_from_top(
             yield key, moves
 
 
-def _packed_steps(family: PathFamily, weighting: str) -> dict[str, dict[str, int]]:
-    """step_exponents as previous letter -> {letter: packed triple}."""
-    after: dict[str, dict[str, int]] = {}
-    for (prev, letter), triple in step_exponents(family, weighting).items():
-        after.setdefault(prev, {})[letter] = pack_exponents(triple)
-    return after
-
-
 def _weigher(family: PathFamily, n: int, weighting: str) -> Callable[[str], int | None]:
     """The packed exponent triple of a word under weighting if the word is a
     path of the family with x-length n, else None, without enumerating the
@@ -210,7 +201,7 @@ def _weigher(family: PathFamily, n: int, weighting: str) -> Callable[[str], int 
     one dict per previous letter, shared.  The word walks the rows from the
     start, adding its steps' weights, and must end on an accepting key.
     """
-    weights_after = _packed_steps(family, weighting)
+    weights_after = step_exponents(family, weighting)
     empty_ok = _automaton(family)[1]
     number = {(n, 0, ""): 0}
     rows: list = [None]
@@ -267,7 +258,7 @@ def _prefix_blocks(
     # they are popped in alphabet order
     graph = {key: moves[::-1] for key, moves in _keys_from_top(family, n)}
     empty_ok = _automaton(family)[1]
-    after = None if weighting is None else _packed_steps(family, weighting)
+    after = None if weighting is None else step_exponents(family, weighting)
     tails: dict[Key, list[str]] = {}
     tail_weights: dict[Key, list[int]] = {}
     shared: dict[int, int] = {}
@@ -339,7 +330,7 @@ def weighted_count(
     every key that moves to it, so its sums are complete when it comes; it
     pops them, keeps them if it accepts, and pushes them along its moves.
     """
-    after = _packed_steps(family, weighting)
+    after = step_exponents(family, weighting)
     _check_size(family, n, max_n_override)
     empty_ok = _automaton(family)[1]
     sums_at: dict[Key, dict[int, int]] = {(n, 0, ""): {0: 1}}
@@ -422,8 +413,8 @@ def _decode(value: int, n: int, width: int, s: int) -> Polynomial:
                 raise ArithmeticError(
                     f"g_{n} has a term a^{ea} c^{ec} of degree above {n}"
                 )
-            terms[pack_exponents((ea, eb, ec))] = coeff
-    return Polynomial._from_packed(terms)
+            terms[ea, eb, ec] = coeff
+    return Polynomial._from_terms(terms)
 
 
 def _at_one_point(

@@ -1,12 +1,10 @@
 """Sparse integer polynomials in a, b, c and the step weightings.
 
 A Polynomial maps exponent triples (ea, eb, ec) to nonzero integer
-coefficients, stored under packed keys ea + eb R + ec R^2 with R = 2**32
-(pack_exponents), so a product of two terms adds two ints.  Every
-weighted count the package returns is one: exact, no floats anywhere (the
-two recurrences of `enumeration` compute theirs on ints at one point and
-decode them into Polynomials).  Evaluation substitutes Fractions and
-returns a Fraction.
+coefficients.  Every weighted count the package returns is one: exact, no
+floats anywhere (the two recurrences of `enumeration` compute theirs on
+ints at one point and decode them into Polynomials).  Evaluation
+substitutes Fractions and returns a Fraction.
 
 A weighting assigns each step a monomial weight; the weight of a path is
 the product over its steps, so it is always a single monomial, and a
@@ -15,91 +13,67 @@ immediately after an up step) are the only position-dependent case.
 
 This module alone decides whether a weighting applies to a family and
 what each step weighs: `step_exponents` raises the weighting faults and
-gives the counting DP its per-step table; `weight` validates through it.
+gives the walks and the counting DP their per-step table; `weight`
+validates through it.  It alone decides the packed encoding of an exponent
+triple as one int (pack_exponents), used only where step weights are
+summed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import FamilyMismatch
 from .paths import Path, PathFamily
 
-# Exponent triples packed into one int, ea + eb R + ec R^2 with R = 2**32,
-# so adding packed triples adds the triples.  An a or b digit below 2**31
-# plus another never carries into the next digit; c is the top digit and
-# unbounded, so sums without c stay in a machine word.
-_DIGIT = 32
-_DIGIT_MASK = (1 << _DIGIT) - 1
-_HALF_DIGIT = 1 << (_DIGIT - 1)
-# the top bit of the a and b digits: set in a key whose a or b exponent
-# could carry when added to another
-_CARRY_BITS = _HALF_DIGIT | (_HALF_DIGIT << _DIGIT)
-
-
-def pack_exponents(triple: tuple[int, int, int]) -> int:
-    ea, eb, ec = triple
-    return ea + (eb << _DIGIT) + (ec << 2 * _DIGIT)
-
-
-def unpack_exponents(packed: int) -> tuple[int, int, int]:
-    return (packed & _DIGIT_MASK, (packed >> _DIGIT) & _DIGIT_MASK, packed >> 2 * _DIGIT)
-
-
-def _checked_key(triple: tuple[int, int, int]) -> int:
-    """pack_exponents of a Polynomial's exponent triple, refusing what the
-    packed key cannot hold: a non-int or negative exponent, or an a or b
-    exponent of 2**31 or more."""
-    ea, eb, _ = triple
-    for e in triple:
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent {e!r} of {triple!r} is not an int >= 0")
-    if ea >= _HALF_DIGIT or eb >= _HALF_DIGIT:
-        raise ValueError(
-            f"exponents {triple!r}: an a or b exponent must be below {_HALF_DIGIT}"
-        )
-    return pack_exponents(triple)
+_ZERO = (0, 0, 0)
 
 
 class Polynomial:
-    """Integer polynomial in a, b, c: {packed exponent key: nonzero coeff}.
+    """Integer polynomial in a, b, c: {(ea, eb, ec): nonzero coeff}.
 
-    The constructor takes {(ea, eb, ec): coeff} and refuses a non-int or
-    negative exponent and an a or b exponent of 2**31 or more; a product
-    refuses an operand with such an a or b exponent, so no sum of two
-    exponents carries into the next digit.  `terms` is a read-only view in
-    the constructor's shape, rebuilt on each read.
+    The constructor refuses a key that is not a triple and a non-int or
+    negative exponent, also under a zero coefficient.  `terms` is a fresh dict on each read, so a hashed
+    value cannot be changed through it.
     """
 
-    __slots__ = ("_packed",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[tuple[int, int, int], int] | None = None):
-        packed = self._packed = {}
-        for e, c in (terms or {}).items():
-            key = _checked_key(e)
-            if c != 0:
-                packed[key] = c
+        terms = terms or {}
+        for triple in terms:
+            if len(triple) != 3:
+                raise ValueError(f"exponents {triple!r} are not a triple")
+            for e in triple:
+                if not isinstance(e, int) or e < 0:
+                    raise ValueError(f"exponent {e!r} of {triple!r} is not an int >= 0")
+        self._terms = {e: c for e, c in terms.items() if c != 0}
+
+    @classmethod
+    def _from_terms(cls, terms: dict[tuple[int, int, int], int]) -> "Polynomial":
+        """The polynomial of {(ea, eb, ec): coeff}, zeros dropped, its
+        exponents trusted."""
+        poly = object.__new__(cls)
+        poly._terms = {e: c for e, c in terms.items() if c != 0}
+        return poly
 
     @classmethod
     def _from_packed(cls, packed: dict[int, int]) -> "Polynomial":
-        """The polynomial of a {packed key: coeff} dict, zeros dropped."""
-        poly = object.__new__(cls)
-        poly._packed = {e: c for e, c in packed.items() if c != 0}
-        return poly
+        """The polynomial of a {packed exponents: coeff} dict, zeros dropped."""
+        return cls._from_terms({unpack_exponents(e): c for e, c in packed.items()})
 
     @property
     def terms(self) -> dict[tuple[int, int, int], int]:
         """{(ea, eb, ec): coeff}, a fresh dict on each read."""
-        return {unpack_exponents(e): c for e, c in self._packed.items()}
+        return dict(self._terms)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def const(cls, n: int) -> "Polynomial":
-        return cls._from_packed({0: n})
+        return cls._from_terms({_ZERO: n})
 
     @classmethod
     def monomial(cls, coeff: int, ea: int, eb: int, ec: int) -> "Polynomial":
@@ -107,7 +81,9 @@ class Polynomial:
 
     @classmethod
     def var(cls, name: str) -> "Polynomial":
-        return cls._from_packed({1 << _DIGIT * "abc".index(name): 1})
+        e = [0, 0, 0]
+        e["abc".index(name)] = 1
+        return cls._from_terms({tuple(e): 1})
 
     # -- ring operations ----------------------------------------------------
 
@@ -123,15 +99,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._packed)
-        for e, c in other._packed.items():
+        out = dict(self._terms)
+        for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
-        return Polynomial._from_packed(out)
+        return Polynomial._from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._from_packed({e: -c for e, c in self._packed.items()})
+        return Polynomial._from_terms({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -146,19 +122,13 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        mine, theirs = self._packed, other._packed
-        if (reduce(or_, mine, 0) | reduce(or_, theirs, 0)) & _CARRY_BITS:
-            raise ValueError(
-                f"an a or b exponent of {_HALF_DIGIT} or more could carry "
-                "in a product"
-            )
-        out: dict[int, int] = {}
+        out: dict[tuple[int, int, int], int] = {}
         get = out.get
-        for e1, c1 in mine.items():
-            for e2, c2 in theirs.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return Polynomial._from_packed(out)
+        for (a1, b1, c1), k1 in self._terms.items():
+            for (a2, b2, c2), k2 in other._terms.items():
+                e = (a1 + a2, b1 + b2, c1 + c2)
+                out[e] = get(e, 0) + k1 * k2
+        return Polynomial._from_terms(out)
 
     __rmul__ = __mul__
 
@@ -178,31 +148,35 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._packed == other._packed
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._packed.items()))
+        terms = self._terms
+        if not terms.keys() - {_ZERO}:
+            # a constant equals its int, so it hashes as that int
+            return hash(terms.get(_ZERO, 0))
+        return hash(frozenset(terms.items()))
 
     def __bool__(self) -> bool:
-        return bool(self._packed)
+        return bool(self._terms)
 
     # -- queries ------------------------------------------------------------
 
     def coefficient_sum(self) -> int:
         """The value at a = b = c = 1."""
-        return sum(self._packed.values())
+        return sum(self._terms.values())
 
     def eval_at(self, a, b, c=0) -> Fraction:
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
         total = Fraction(0)
-        for (ea, eb, ec), coeff in self.terms.items():
+        for (ea, eb, ec), coeff in self._terms.items():
             total += coeff * a**ea * b**eb * c**ec
         return total
 
     def subs(self, a: "Polynomial", b: "Polynomial", c: "Polynomial") -> "Polynomial":
         """Substitute polynomials for the three variables."""
         total = Polynomial()
-        for (ea, eb, ec), coeff in self.terms.items():
+        for (ea, eb, ec), coeff in self._terms.items():
             total = total + coeff * a**ea * b**eb * c**ec
         return total
 
@@ -211,11 +185,11 @@ class Polynomial:
     def _sorted_terms(self) -> Iterator[tuple[tuple[int, int, int], int]]:
         # degree-lexicographic, highest first
         return iter(
-            sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+            sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
         )
 
     def __str__(self) -> str:
-        if not self._packed:
+        if not self._terms:
             return "0"
         pieces = []
         for exps, coeff in self._sorted_terms():
@@ -319,17 +293,17 @@ DEFAULT_WEIGHTING = {
 
 
 @lru_cache(maxsize=None)
-def step_exponents(
-    family: PathFamily, weighting: str
-) -> dict[tuple[str, str], tuple[int, int, int]]:
-    """The exponent triple of each letter of the family after each possible
-    previous letter ("" for the first step), as (previous, letter) -> triple.
+def step_exponents(family: PathFamily, weighting: str) -> dict[str, dict[str, int]]:
+    """The packed exponent triple of each letter of the family after each
+    possible previous letter ("" for the first step), as {previous:
+    {letter: packed triple}}: the one step table the walks of `enumeration`
+    read.
 
     The one place that decides whether a weighting applies: it raises
     FamilyMismatch for an unknown weighting, for a letter of the family the
     weighting gives no weight, and for a family of another base.  A step's
-    weight may depend on the letter before it (a peak), so it is the weight
-    of prev+letter less the weight of prev.
+    weight may depend on the letter before it (a peak), so it is the packed
+    weight of prev+letter less that of prev.
     """
     try:
         bases, letters = WEIGHTINGS[weighting]
@@ -349,16 +323,14 @@ def step_exponents(
         raise FamilyMismatch(
             f"weighting {weighting!r} does not apply to family {base!r}"
         )
-
-    out = {}
-    for prev in ("", *family.alphabet):
-        head = weight_exponents(prev, weighting, base)
-        for letter in family.alphabet:
-            whole = weight_exponents(prev + letter, weighting, base)
-            out[prev, letter] = (
-                whole[0] - head[0], whole[1] - head[1], whole[2] - head[2]
-            )
-    return out
+    return {
+        prev: {
+            letter: packed_weight(prev + letter, weighting, base)
+            - packed_weight(prev, weighting, base)
+            for letter in family.alphabet
+        }
+        for prev in ("", *family.alphabet)
+    }
 
 
 def weight(path: Path, weighting: str) -> Polynomial:
@@ -369,9 +341,26 @@ def weight(path: Path, weighting: str) -> Polynomial:
     )
 
 
+# Exponent triples packed into one int, ea + eb R + ec R^2 with R = 2**32,
+# so adding packed triples adds the triples: the step table above and
+# packed_weight give packed weights to code that sums them, and
+# Polynomial._from_packed unpacks the sums.
+_DIGIT = 32
+_DIGIT_MASK = (1 << _DIGIT) - 1
+
+
+def pack_exponents(triple: tuple[int, int, int]) -> int:
+    ea, eb, ec = triple
+    return ea + (eb << _DIGIT) + (ec << 2 * _DIGIT)
+
+
+def unpack_exponents(packed: int) -> tuple[int, int, int]:
+    return (packed & _DIGIT_MASK, (packed >> _DIGIT) & _DIGIT_MASK, packed >> 2 * _DIGIT)
+
+
 # A letter raises each exponent by at most 2 (tests pin that), so a word of
 # fewer than 2**31 letters never carries one digit into the next.
-_MAX_LETTERS = _HALF_DIGIT
+_MAX_LETTERS = 1 << (_DIGIT - 1)
 
 # each weighting's letters as packed triples, and what a peak changes: its d
 # weighs a, not b
