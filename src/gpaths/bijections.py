@@ -3,20 +3,28 @@
 Every map is a case analysis on the head or tail of the word (labels
 "C1".."C5" and "base"): a case writes a few letters and maps one or two
 factors of the word, such as the inside of an arch and what follows it.
-Each map is one loop over a work stack of index ranges into its input
-string.  A case finds the matching step of its range's first or last
-letter in a table built by one pass of `paths.match_table`, writes its
-leading letters, pushes what comes after its first factor, and goes on
-with that factor.  So the cases are taken in the order of the recursive
-definition, and a trace list records them in that order; varphi's inverse
-maps the inside of the last arch before the prefix, as its definition
-does, and writes each image straight to its final offset.  Nothing is
-sliced, rescanned or recursed into: paths of any length map in linear
-time.  psi is the exception: it runs sigma, then colored varphi in one
-pass over the word's letters, with no match table, reading or writing
-the Schroder word's H and ud as the marked peaks uD and ud of the colored
-Dyck word; its trace holds colored varphi's cases in reading order.  The
-underscore forms work on raw step strings.
+A trace list records them in the order of the recursive definition.
+Nothing is sliced, rescanned or recursed into: paths of any length map in
+linear time.  The underscore forms work on raw step strings.
+
+sigma's forward map and theta's two maps are one left-to-right pass each:
+each u pushes its position, and its arch's closer fills in what the u
+writes and notes, once the case is known.  theta reads one letter ahead;
+sigma resolves its case u^i core v^i at the outermost v of the run.
+sigma's inverse and varphi loop over a work stack of index ranges and read
+the partner of a range's first or last letter from `paths.match_table`,
+as vartheta's inverse does; varphi's inverse maps the inside of the last
+arch before the prefix, as its definition does, and writes each image
+straight to its final offset.  psi runs sigma, then colored varphi in one
+pass, reading or writing the Schroder word's H and ud as the marked peaks
+uD and ud of the colored Dyck word; its trace holds colored varphi's cases
+in reading order.
+
+On a word with a letter outside its alphabet or an unmatched step, a
+string map raises DomainViolation and no other error, so certification
+reports a broken map as a counterexample.  Five may give back a word
+instead: sigma's inverse reads no closer, phi_peak's maps rewrite one
+factor, and vartheta's maps move two.
 
 Maps and their domains:
 
@@ -75,9 +83,24 @@ VARPHI_THETA_DOMAIN = replace(GMOTZKIN_UVU_UU, prefixes=("h",))
 Trace = Optional[list]
 
 
+def _malformed(name: str) -> DomainViolation:
+    return DomainViolation(f"{name} got a letter outside its alphabet or an unmatched step")
+
+
 def _recorder(trace: Trace) -> Callable[[str], None]:
     # without a trace the labels go to a throwaway list: cheaper than a no-op call
     return ([] if trace is None else trace).append
+
+
+def _close_pass(name: str, out: list, labels: list, opens: list, trace: Trace) -> str:
+    """The image of a one-pass map: out[i] and labels[i] are what the letter
+    at i writes and notes, and labels[-1] the word's end."""
+    if opens:
+        raise _malformed(name)
+    if trace is not None:
+        labels[-1] = "base"
+        trace += filter(None, labels)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -86,59 +109,54 @@ def _recorder(trace: Trace) -> Callable[[str], None]:
 
 
 def _sigma_fwd(q: str, trace: Trace = None) -> str:
-    note = _recorder(trace)
-    match = match_table(q)
-    out: list[str] = []
-    work = [("", 0, len(q))]
-    while work:
-        lead, lo, hi = work.pop()
-        out.append(lead)
-        # an item writes `lead`, then maps q[lo:hi]; each case writes its
-        # leading letters, pushes the letters and the factor that follow
-        # its first factor, and goes on with that first factor
-        while True:
-            if lo == hi:
-                note("base")
-                break
-            if q[lo] == "h":
-                note("C1")
-                out.append("H")
-                lo += 1
-            elif hi - lo == 2 and q[lo + 1] == "v":
-                note("base")
-                out.append("ud")
-                break
-            elif q.startswith("uvh", lo):
-                note("C2")
-                out.append("udH")
-                lo += 3
+    n = len(q)
+    out, labels = [""] * n, [""] * (n + 1)
+    opens: list[int] = []  # the u's of the open arches
+    run = 0  # v-closed arches of the run u^run ... v^run the next letter closes
+    prim = False  # the inside of that run is one arch, which closes with d
+    i = 0
+    try:
+        while i < n:
+            c = q[i]
+            if c == "h":
+                out[i], labels[i] = "H", "C1"
+                i += 1
+            elif c == "v":
+                o = opens.pop()
+                if not run:
+                    labels[i] = "base"  # the end of the run's core
+                run += 1
+                if not (opens and opens[-1] == o - 1 and q[i + 1] == "v"):
+                    # the outermost arch of the run u^i core v^i: by the
+                    # maximality of i a one-arch core closes with d (C3),
+                    # and C3 writes what C4 writes for i - 1, then ud
+                    j, odd = divmod(run - prim, 2)
+                    out[o], out[i] = "u" * odd + "udu" * j + "ud" * prim, "d" * (j + odd)
+                    labels[o] = "C3" if prim else "C4"
+                    run, prim = 0, False
+                i += 1
+            elif c == "d":
+                # the u is matched by a d: its weight c = b^2 splits in two
+                o = opens.pop()
+                out[o], labels[o], out[i], labels[i] = "uu", "C5", "dd", "base"
+                prim = bool(opens) and opens[-1] == o - 1 and q[i + 1] == "v"
+                i += 1
+            elif c != "u":
+                raise _malformed("sigma")
+            elif q[i + 1] != "v" or opens and opens[-1] == i - 1 and q[i + 2] == "v":
+                # an arch, or the empty innermost arch of a run
+                opens.append(i)
+                i += 1
+            elif q.startswith("h", i + 2):
+                out[i], labels[i] = "udH", "C2"
+                i += 3
             else:
-                m = match[lo]
-                if q[m] == "v":
-                    # split u^i core v^i tail with i maximal: the k-th u is
-                    # matched by the v k-1 places before the first u's match
-                    i = 1
-                    while q[lo + i] == "u" and q[m - i] == "v" and match[lo + i] == m - i:
-                        i += 1
-                    j, odd = divmod(i, 2)
-                    core_lo, core_hi = lo + i, m - i + 1
-                    if core_lo < core_hi and match[core_lo] == core_hi - 1:
-                        # maximality of i forces a primitive core to close with d
-                        note("C3")
-                        out.append("udu" * j + "ud" if odd else "u" + "udu" * (j - 1) + "ud")
-                        work.append(("d" * j, m + 1, hi))
-                    else:
-                        note("C4")
-                        out.append("u" + "udu" * j if odd else "udu" * j)
-                        work.append(("d" * (j + odd), m + 1, hi))
-                    lo, hi = core_lo, core_hi
-                else:
-                    # the leading u is matched by a d: its weight c = b^2 splits in two
-                    note("C5")
-                    out.append("uu")
-                    work.append(("dd", m + 1, hi))
-                    lo, hi = lo + 1, m
-    return "".join(out)
+                # a bare uv ends its range, and the range's end notes its base
+                out[i] = "ud"
+                i += 2
+    except IndexError:
+        raise _malformed("sigma") from None
+    return _close_pass("sigma", out, labels, opens, trace)
 
 
 def _sigma_inv(p: str, trace: Trace = None) -> str:
@@ -159,6 +177,8 @@ def _sigma_inv(p: str, trace: Trace = None) -> str:
                 lo += 1
                 continue
             m = match[lo]
+            if m < 0:
+                raise _malformed("sigma_inv")
             if m == lo + 1:
                 # empty arch ud, then the rest
                 if m + 1 == hi:
@@ -215,11 +235,14 @@ def _phi_inv(p: str, trace: Trace = None) -> str:
 def _axis_h(p: str, start: int = 0) -> int:
     """Index of the first axis-level H of p[start:], read from the axis, or -1."""
     level = 0
-    for idx in range(start, len(p)):
-        c = p[idx]
-        if c == "H" and level == 0:
-            return idx
-        level += STEP_GEOMETRY[c][1]
+    try:
+        for idx in range(start, len(p)):
+            c = p[idx]
+            if c == "H" and level == 0:
+                return idx
+            level += STEP_GEOMETRY[c][1]
+    except KeyError:
+        raise _malformed("vartheta") from None
     return -1
 
 
@@ -253,93 +276,82 @@ def _vartheta_inv(p: str, trace: Trace = None) -> str:
 
 
 def _theta_fwd(q: str, trace: Trace = None) -> str:
-    note = _recorder(trace)
-    match = match_table(q)
-    out: list[str] = []
-    work = [("", 0, len(q))]
-    while work:
-        lead, lo, hi = work.pop()
-        out.append(lead)
-        while True:
-            if lo == hi:
-                note("base")
-                break
-            if q[lo] == "h":
-                note("C1")
-                out.append("a")
-                lo += 1
-            elif q[lo + 1] == "d":
-                note("C2")
-                out.append("bb")
-                lo += 2
-            elif q[lo + 1] == "v":
-                if hi - lo == 2:
-                    note("base")
-                    out.append("b")
-                    break
-                # uvu is forbidden and a down step cannot follow at level 0
-                note("C4")
-                out.append("ba")
-                lo += 3
+    n = len(q)
+    out, labels = [""] * n, [""] * (n + 1)
+    opens: list[int] = []  # the u's of the open uh arches
+    i = 0
+    try:
+        while i < n:
+            c = q[i]
+            if c == "h":
+                out[i], labels[i] = "a", "C1"
+                i += 1
+            elif c == "d" or c == "v":
+                o = opens.pop()
+                out[o], labels[o] = ("bu", "C3") if c == "d" else ("u", "C5")
+                out[i], labels[i] = "d", "base"
+                i += 1
+            elif c != "u":
+                raise _malformed("theta")
+            elif q[i + 1] == "h":
+                # uu is forbidden, so the arch's inside starts after the h
+                opens.append(i)
+                i += 2
+            elif q[i + 1] == "d":
+                out[i], labels[i] = "bb", "C2"
+                i += 2
+            elif q[i + 1] != "v":
+                raise _malformed("theta")
+            elif q.startswith("h", i + 2):
+                # uvu is forbidden and a down step after uv ends the range
+                out[i], labels[i] = "ba", "C4"
+                i += 3
             else:
-                # uu is forbidden, so the u is followed by h and the arch is nonempty
-                m = match[lo]
-                if q[m] == "d":
-                    note("C3")
-                    out.append("bu")
-                else:
-                    note("C5")
-                    out.append("u")
-                work.append(("d", m + 1, hi))
-                lo, hi = lo + 2, m
-    return "".join(out)
+                # a bare uv ends its range, and the range's end notes its base
+                out[i] = "b"
+                i += 2
+    except IndexError:
+        raise _malformed("theta") from None
+    return _close_pass("theta", out, labels, opens, trace)
+
+
+# theta_inv's cases for b and the letter after it, when that letter is not d
+_THETA_INV_OF_B = {"b": ("ud", "C2"), "a": ("uvh", "C4"), "u": ("uh", "C3")}
 
 
 def _theta_inv(p: str, trace: Trace = None) -> str:
-    note = _recorder(trace)
-    match = match_table(p)
-    out: list[str] = []
-    work = [("", 0, len(p))]
-    while work:
-        lead, lo, hi = work.pop()
-        out.append(lead)
-        while True:
-            if lo == hi:
-                note("base")
-                break
-            c = p[lo]
+    n = len(p)
+    out, labels = [""] * n, [""] * (n + 1)
+    closers: list[str] = []  # per open arch, the closer of its preimage
+    i = 0
+    try:
+        while i < n:
+            c = p[i]
             if c == "a":
-                note("C1")
-                out.append("h")
-                lo += 1
-            elif c == "b":
-                if hi - lo == 1:
-                    note("base")
-                    out.append("uv")
-                    break
-                nxt = p[lo + 1]
-                if nxt == "b":
-                    note("C2")
-                    out.append("ud")
-                    lo += 2
-                elif nxt == "a":
-                    note("C4")
-                    out.append("uvh")
-                    lo += 2
-                else:
-                    note("C3")
-                    m = match[lo + 1]
-                    out.append("uh")
-                    work.append(("d", m + 1, hi))
-                    lo, hi = lo + 2, m
+                out[i], labels[i] = "h", "C1"
+                i += 1
+            elif c == "u":
+                # the image of a v-closed arch; its inside may be empty
+                out[i], labels[i] = "uh", "C5"
+                closers.append("v")
+                i += 1
+            elif c == "d":
+                out[i], labels[i] = closers.pop(), "base"
+                i += 1
+            elif c != "b":
+                raise _malformed("theta_inv")
+            elif i + 1 == n or p[i + 1] == "d":
+                # a bare b ends its range, and the range's end notes its base
+                out[i] = "uv"
+                i += 1
             else:
-                # leading u: the image of a v-closed arch; its interior may be empty
-                note("C5")
-                m = match[lo]
-                out.append("uh")
-                work.append(("v", m + 1, hi))
-                lo, hi = lo + 1, m
-    return "".join(out)
+                out[i], labels[i] = _THETA_INV_OF_B[p[i + 1]]
+                if p[i + 1] == "u":
+                    closers.append("d")
+                i += 2
+    except (IndexError, KeyError):
+        raise _malformed("theta_inv") from None
+    return _close_pass("theta_inv", out, labels, closers, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +368,8 @@ def _rho_fwd(q: str, trace: Trace = None) -> str:
     while lo < h_run:
         if q.startswith("uv", lo):
             # hu-avoidance leaves only horizontal steps after a uv at the end
+            if lo + 2 != h_run:
+                raise DomainViolation("rho needs blocks u h^i v, u h^j d or h^n")
             note("C2")
             out.append("b" + "a" * (n - lo - 2))
             return "".join(out)
@@ -364,12 +378,14 @@ def _rho_fwd(q: str, trace: Trace = None) -> str:
         i = lo + 1
         while i < n and q[i] == "h":
             i += 1
-        if q[i] == "v":
+        if q.startswith("v", i):
             note("C3")
             out.append("a" * (i - lo - 1) + "b")
-        else:
+        elif q.startswith("d", i):
             note("C4")
             out.append("b" + "a" * (i - lo - 1) + "b")
+        else:
+            raise DomainViolation("rho needs blocks u h^i v, u h^j d or h^n")
         lo = i + 1
     note("C1")
     out.append("a" * (n - lo))
@@ -377,6 +393,8 @@ def _rho_fwd(q: str, trace: Trace = None) -> str:
 
 
 def _rho_inv(s: str, trace: Trace = None) -> str:
+    if s.strip(HSTRING.alphabet):
+        raise _malformed("rho_inv")
     note = _recorder(trace)
     out: list[str] = []
     n = len(s)
@@ -420,6 +438,8 @@ _MARK_OF_CLOSER = {c: mark for mark, c in _CLOSER_OF.items()}
 
 
 def _varphi_fwd(q: str, trace: Trace = None, colored: bool = False) -> str:
+    if q.strip(PSI_IMAGE.alphabet if colored else BICOLORED_MOTZKIN.alphabet):
+        raise _malformed("varphi")
     peak_of = _COLORED_PEAK_OF if colored else _PLAIN_PEAK_OF
     note = _recorder(trace)
     match = match_table(q)
@@ -459,6 +479,10 @@ def _varphi_fwd(q: str, trace: Trace = None, colored: bool = False) -> str:
 
 
 def _varphi_inv(p: str, trace: Trace = None, colored: bool = False) -> str:
+    if p.strip(COLORED_DYCK.alphabet if colored else DYCK.alphabet):
+        raise _malformed("varphi_inv")
+    if not p:
+        raise DomainViolation("varphi_inv needs a nonempty path")
     mark_of = _COLORED_MARK_OF if colored else _PLAIN_MARK_OF
     note = _recorder(trace)
     match = match_table(p)
@@ -580,11 +604,13 @@ def _psi_inv(p: str, trace: Trace = None) -> str:
         elif c in _SCHRODER_PEAK_OF:
             note("C1")
             out.append(_SCHRODER_PEAK_OF[c])
-        else:
+        elif c in _MARK_OF_CLOSER:
             note("C3")
             out.append("d")
             ranges.append((first, ups))
             first, ups = _MARK_OF_CLOSER[c], 1
+        else:
+            raise _malformed("psi_inv")
     if ranges:
         raise DomainViolation("down step has no matching u")
     note("base")

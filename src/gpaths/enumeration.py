@@ -66,7 +66,7 @@ from typing import Callable, Iterator
 
 from .errors import SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
-from .series import catalan_series, square_coeff
+from .series import TruncatedSeries, catalan_series, square_coeff
 from .weights import B, DEFAULT_WEIGHTING, Polynomial, step_exponents
 
 MAX_N_DEFAULT = 12
@@ -599,12 +599,23 @@ def prop21(n: int, variant: str = "first") -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+# C^0, C^1, ... of one Catalan series, grown on demand; a coefficient past
+# its order rebuilds it at twice the order, or at m if that is higher
+_catalan_powers = [TruncatedSeries([1], 0), catalan_series(0)]
+
+
 @lru_cache(maxsize=None)
 def ballot_coeff(m: int, k: int) -> int:
     """[x^m] C(x)^k, extracted from the Catalan series itself."""
     if m < 0 or k < 0:
         return 0
-    value = (catalan_series(m) ** k).coeff(m)
+    powers = _catalan_powers
+    if m > powers[0].order:
+        order = max(m, 2 * powers[0].order)
+        powers[:] = [TruncatedSeries([1], order), catalan_series(order)]
+    while len(powers) <= k:
+        powers.append(powers[-1] * powers[1])
+    value = powers[k].coeff(m)
     if not isinstance(value, int):
         raise TypeError(f"ballot number [x^{m}] C^{k} is {value!r}, not an int")
     return value

@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,8 @@ from gpaths.paths import (
     SCHRODER,
     STEP_GEOMETRY,
     Path,
+    PathFamily,
+    match_table,
     parse,
     point_levels,
 )
@@ -471,6 +474,34 @@ def test_psi_inv_refuses_what_the_composite_refuses(p):
         bij._psi_inv(p)
 
 
+# the string maps that may give back a word for a malformed one: sigma's
+# inverse reads no closer, phi_peak rewrites one factor, and vartheta moves
+# two factors; the others read every letter
+LENIENT_MAPS = {
+    ("sigma", "inv"), ("phi_peak", "fwd"), ("phi_peak", "inv"),
+    ("vartheta", "fwd"), ("vartheta", "inv"),
+}
+
+
+@pytest.mark.parametrize("name, direction", MAP_DIRECTIONS)
+def test_string_map_refuses_a_malformed_word(name, direction):
+    # a letter outside the alphabet or an unmatched step; certification
+    # takes a DomainViolation as a counterexample, any other error escapes
+    _, _, family = row_map(name, direction)
+    spec = BIJECTIONS[name]
+    string_map = spec.forward_steps if direction == "fwd" else spec.inverse_steps
+    letters = family.alphabet + "".join(set(STEP_GEOMETRY) - set(family.alphabet)) + "x"
+    base = PathFamily(family.base)
+    lenient = (name, direction) in LENIENT_MAPS
+    for n in range(1, 4):
+        for word in map("".join, product(letters, repeat=n)):
+            if isinstance(_outcome(lambda w: parse(w, base), word), Path):
+                continue
+            got = _outcome(string_map, word)
+            refused = isinstance(got, tuple) and got[0] is DomainViolation
+            assert refused or lenient and isinstance(got, str), (word, got)
+
+
 @pytest.mark.parametrize(
     "steps",
     [
@@ -486,6 +517,180 @@ def test_psi_equals_the_composite_on_deep_paths(steps):
     p = bij._psi_fwd(steps)
     assert p == _psi_composite(steps)
     assert bij._psi_inv(p) == steps
+
+
+# ---------------------------------------------------------------------------
+# the stack-based maps that walk the recursive definitions, as reference
+# ---------------------------------------------------------------------------
+
+# Each loops over a work stack of index ranges and finds the matching step
+# of a range's first letter in `match_table`.  Criterion 3 certifies only
+# that a registered map is some weight-preserving bijection; these pin
+# sigma and theta to the paper's maps, case by case.
+
+
+def _reference_sigma_fwd(q, trace=None):
+    note = ([] if trace is None else trace).append
+    match = match_table(q)
+    out: list[str] = []
+    work = [("", 0, len(q))]
+    while work:
+        lead, lo, hi = work.pop()
+        out.append(lead)
+        # an item writes `lead`, then maps q[lo:hi]; each case writes its
+        # leading letters, pushes the letters and the factor that follow
+        # its first factor, and goes on with that first factor
+        while True:
+            if lo == hi:
+                note("base")
+                break
+            if q[lo] == "h":
+                note("C1")
+                out.append("H")
+                lo += 1
+            elif hi - lo == 2 and q[lo + 1] == "v":
+                note("base")
+                out.append("ud")
+                break
+            elif q.startswith("uvh", lo):
+                note("C2")
+                out.append("udH")
+                lo += 3
+            else:
+                m = match[lo]
+                if q[m] == "v":
+                    # split u^i core v^i tail with i maximal: the k-th u is
+                    # matched by the v k-1 places before the first u's match
+                    i = 1
+                    while q[lo + i] == "u" and q[m - i] == "v" and match[lo + i] == m - i:
+                        i += 1
+                    j, odd = divmod(i, 2)
+                    core_lo, core_hi = lo + i, m - i + 1
+                    if core_lo < core_hi and match[core_lo] == core_hi - 1:
+                        # maximality of i forces a primitive core to close with d
+                        note("C3")
+                        out.append("udu" * j + "ud" if odd else "u" + "udu" * (j - 1) + "ud")
+                        work.append(("d" * j, m + 1, hi))
+                    else:
+                        note("C4")
+                        out.append("u" + "udu" * j if odd else "udu" * j)
+                        work.append(("d" * (j + odd), m + 1, hi))
+                    lo, hi = core_lo, core_hi
+                else:
+                    # the leading u is matched by a d: its weight c = b^2 splits in two
+                    note("C5")
+                    out.append("uu")
+                    work.append(("dd", m + 1, hi))
+                    lo, hi = lo + 1, m
+    return "".join(out)
+
+
+def _reference_theta_fwd(q, trace=None):
+    note = ([] if trace is None else trace).append
+    match = match_table(q)
+    out: list[str] = []
+    work = [("", 0, len(q))]
+    while work:
+        lead, lo, hi = work.pop()
+        out.append(lead)
+        while True:
+            if lo == hi:
+                note("base")
+                break
+            if q[lo] == "h":
+                note("C1")
+                out.append("a")
+                lo += 1
+            elif q[lo + 1] == "d":
+                note("C2")
+                out.append("bb")
+                lo += 2
+            elif q[lo + 1] == "v":
+                if hi - lo == 2:
+                    note("base")
+                    out.append("b")
+                    break
+                # uvu is forbidden and a down step cannot follow at level 0
+                note("C4")
+                out.append("ba")
+                lo += 3
+            else:
+                # uu is forbidden, so the u is followed by h and the arch is nonempty
+                m = match[lo]
+                if q[m] == "d":
+                    note("C3")
+                    out.append("bu")
+                else:
+                    note("C5")
+                    out.append("u")
+                work.append(("d", m + 1, hi))
+                lo, hi = lo + 2, m
+    return "".join(out)
+
+
+def _reference_theta_inv(p, trace=None):
+    note = ([] if trace is None else trace).append
+    match = match_table(p)
+    out: list[str] = []
+    work = [("", 0, len(p))]
+    while work:
+        lead, lo, hi = work.pop()
+        out.append(lead)
+        while True:
+            if lo == hi:
+                note("base")
+                break
+            c = p[lo]
+            if c == "a":
+                note("C1")
+                out.append("h")
+                lo += 1
+            elif c == "b":
+                if hi - lo == 1:
+                    note("base")
+                    out.append("uv")
+                    break
+                nxt = p[lo + 1]
+                if nxt == "b":
+                    note("C2")
+                    out.append("ud")
+                    lo += 2
+                elif nxt == "a":
+                    note("C4")
+                    out.append("uvh")
+                    lo += 2
+                else:
+                    note("C3")
+                    m = match[lo + 1]
+                    out.append("uh")
+                    work.append(("d", m + 1, hi))
+                    lo, hi = lo + 2, m
+            else:
+                # leading u: the image of a v-closed arch; its interior may be empty
+                note("C5")
+                m = match[lo]
+                out.append("uh")
+                work.append(("v", m + 1, hi))
+                lo, hi = lo + 1, m
+    return "".join(out)
+
+
+def test_one_pass_maps_equal_the_recursive_definitions():
+    cases = [
+        (bij._sigma_fwd, _reference_sigma_fwd, GMOTZKIN_UVU, range(8)),
+        (bij._theta_fwd, _reference_theta_fwd, GMOTZKIN_UVU_UU, range(9)),
+    ]
+    for one_pass, reference, domain, sizes in cases:
+        for n in sizes:
+            for q in iter_step_strings(domain, n):
+                trace, want = [], []
+                p = one_pass(q, trace)
+                assert (p, trace) == (reference(q, want), want), q
+                if one_pass is bij._theta_fwd:
+                    trace, want = [], []
+                    back = bij._theta_inv(p, trace)
+                    assert (back, trace) == (_reference_theta_inv(p, want), want), p
+                    assert back == q
 
 
 # ---------------------------------------------------------------------------
