@@ -15,16 +15,23 @@ sigma's inverse and varphi loop over a work stack of index ranges and read
 the partner of a range's first or last letter from `paths.match_table`,
 as vartheta's inverse does; varphi's inverse maps the inside of the last
 arch before the prefix, as its definition does, and writes each image
-straight to its final offset.  psi runs sigma, then colored varphi in one
-pass, reading or writing the Schroder word's H and ud as the marked peaks
-uD and ud of the colored Dyck word; its trace holds colored varphi's cases
-in reading order.
+straight to its final offset.
+
+psi and varphi_theta are declared as a `Composite(first, second)`, the
+string map second(first(word)).  psi forward is sigma, then colored
+varphi's inverse in one pass (`_psi_mark`); psi inverse is colored varphi
+in one pass (`_psi_unmark`), then sigma's inverse.  Those passes read or
+write the Schroder word's H and ud as the marked peaks uD and ud of the
+colored Dyck word, so no colored Dyck word is built; psi's trace holds
+sigma's cases, then colored varphi's in reading order.  Without a trace
+every string map is pure, a function of its word alone: certification
+relies on that when it answers a Composite's part with the result of the
+same call made for another row (`verification._certify`).
 
 On a word with a letter outside its alphabet or an unmatched step, a
 string map raises DomainViolation and no other error, so certification
-reports a broken map as a counterexample.  Five may give back a word
-instead: sigma's inverse reads no closer, phi_peak's maps rewrite one
-factor, and vartheta's maps move two.
+reports a broken map as a counterexample.  Four may give back a word
+instead: phi_peak's maps rewrite one factor, and vartheta's maps move two.
 
 Maps and their domains:
 
@@ -51,7 +58,8 @@ from those same string maps: they check the input's base (FamilyMismatch)
 and the factors its family avoids and the prefixes it requires
 (DomainViolation), refuse the empty path where the map has no image of
 it, and return a Path of the other family.  Certification
-(`verification`) calls the string maps of the row directly.
+(`verification`) calls the string maps of the row, a Composite part by
+part.
 """
 
 from __future__ import annotations
@@ -81,6 +89,24 @@ VARPHI_DOMAIN = PathFamily("bicolored_motzkin", prefixes=("a",))
 VARPHI_THETA_DOMAIN = replace(GMOTZKIN_UVU_UU, prefixes=("h",))
 
 Trace = Optional[list]
+StringMap = Callable[[str, Trace], str]
+
+
+@dataclass(frozen=True)
+class Composite:
+    """The string map second(first(word)), both parts noting in one trace.
+
+    A map declared this way shows certification its parts
+    (`verification._certify`): a part that another row of the same walk
+    also runs is called through a memo of the current word's calls, so it
+    is not run twice on one word.
+    """
+
+    first: StringMap
+    second: StringMap
+
+    def __call__(self, word: str, trace: Trace = None) -> str:
+        return self.second(self.first(word, trace), trace)
 
 
 def _malformed(name: str) -> DomainViolation:
@@ -159,7 +185,15 @@ def _sigma_fwd(q: str, trace: Trace = None) -> str:
     return _close_pass("sigma", out, labels, opens, trace)
 
 
+# str.translate deleting these leaves exactly the letters outside the
+# Schroder alphabet (one C-level pass, faster than str.strip on long words)
+_SCHRODER_LETTERS_DELETED = dict.fromkeys(map(ord, SCHRODER.alphabet))
+
+
 def _sigma_inv(p: str, trace: Trace = None) -> str:
+    if p.translate(_SCHRODER_LETTERS_DELETED):
+        # match_table pairs any down letter, and no case reads a closer
+        raise _malformed("sigma_inv")
     note = _recorder(trace)
     match = match_table(p)
     out: list[str] = []
@@ -533,16 +567,16 @@ def _varphi_inv(p: str, trace: Trace = None, colored: bool = False) -> str:
 _SCHRODER_PEAK_OF = {mark: _phi_fwd(peak) for mark, peak in _COLORED_PEAK_OF.items()}
 
 
-def _psi_fwd(q: str, trace: Trace = None) -> str:
-    """sigma, then colored varphi's inverse in one left-to-right pass.
+def _psi_mark(blocks: str, trace: Trace = None) -> str:
+    """psi's second pass: colored varphi's inverse, read off sigma's
+    Schroder word in one left-to-right pass.
 
-    With the Schroder word as blocks B1...Bk on the axis, the image is
+    With that word as blocks B1...Bk on the axis, the image is
     f(B1) g(B2)...g(Bk): a peak gives its mark, f(u w d) = image(w) b and
     g(u w d) = u image(w)[1:] closer, where the closer is _CLOSER_OF the
     mark image(w)[0] of w's first peak.  So a later arch writes u and holds
     its closer open until the first peak of its range is read.
     """
-    blocks = _sigma_fwd(q, trace)
     for mark, peak in _SCHRODER_PEAK_OF.items():
         blocks = blocks.replace(peak, mark)
     note = _recorder(trace)
@@ -576,8 +610,9 @@ def _psi_fwd(q: str, trace: Trace = None) -> str:
     return "".join(out)
 
 
-def _psi_inv(p: str, trace: Trace = None) -> str:
-    """Colored varphi in one right-to-left pass, then sigma's inverse.
+def _psi_unmark(p: str, trace: Trace = None) -> str:
+    """psi's inverse's first pass: colored varphi in one right-to-left pass,
+    written as the Schroder word that sigma's inverse reads.
 
     A range starts at index 0 or at a u, whose arch's closer names the
     range's first mark.  Each b of a range wraps the range's image so far in
@@ -615,15 +650,13 @@ def _psi_inv(p: str, trace: Trace = None) -> str:
         raise DomainViolation("down step has no matching u")
     note("base")
     out += (_SCHRODER_PEAK_OF[first], "u" * ups)
-    return _sigma_inv("".join(reversed(out)), trace)
+    return "".join(reversed(out))
 
 
-def _varphi_theta_fwd(q: str, trace: Trace = None) -> str:
-    return _varphi_fwd(_theta_fwd(q, trace), trace)
-
-
-def _varphi_theta_inv(p: str, trace: Trace = None) -> str:
-    return _theta_inv(_varphi_inv(p, trace), trace)
+_psi_fwd = Composite(_sigma_fwd, _psi_mark)
+_psi_inv = Composite(_psi_unmark, _sigma_inv)
+_varphi_theta_fwd = Composite(_theta_fwd, _varphi_fwd)
+_varphi_theta_inv = Composite(_varphi_inv, _theta_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +664,6 @@ def _varphi_theta_inv(p: str, trace: Trace = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-StringMap = Callable[[str, Trace], str]
 PathMap = Callable[[Path, Trace], Path]
 
 # the maps with no image of the empty path, and what each raises for it

@@ -1,10 +1,10 @@
 """Exhaustive path generation and exact counting formulas.
 
 Each family's word rules (its letter order, which is the order of
-`family.alphabet`, a one-letter prefix, avoided factors of one to three
-letters, D only after u, no horizontal step on the axis) are compiled once
-into a step automaton.  Its keys are (x-length left, level, state), and
-one generator, `_keys_from_top`, streams every key reachable from the
+`family.alphabet`, prefixes of one or two letters, avoided factors of one
+to three letters, D only after u, no horizontal step on the axis) are
+compiled once into a step automaton.  Its keys are (x-length left, level,
+state), and one generator, `_keys_from_top`, streams every key reachable from the
 start with its moves in alphabet order, height by height from the top
 (height 2 * x-length left + level, which every move lowers), so each key
 comes after every key that moves to it.  It holds the one geometric
@@ -110,24 +110,27 @@ def _check_size(family: PathFamily, n: int, max_n_override: int | None) -> None:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _automaton(family: PathFamily) -> tuple[dict, bool]:
+def _automaton(family: PathFamily) -> tuple[dict, tuple[str, ...]]:
     """The family's word rules as a table (state, on_axis) -> moves.
 
     A state is the last two letters of the word so far ("" before the first
-    step); a move is (letter, dx, dy, next state), in alphabet order.  The
-    flag says whether the empty word is a path of the family.
+    step), so a state of fewer than two letters is the whole word; a move is
+    (letter, dx, dy, next state), in alphabet order.  A prefix of one or two
+    letters is checked on the word's first two letters.  The tuple gives the
+    openings of a path, the family's prefixes or ("",): a word of two letters
+    or more met them on its way, and a shorter one must start with one.
     """
-    if any(len(p) != 1 for p in family.prefixes):
+    if any(not 1 <= len(p) <= 2 for p in family.prefixes):
         raise ValueError(
-            f"family {family.describe()!r} has a prefix longer than one "
-            "letter; the DFS supports one-letter prefixes only"
+            f"family {family.describe()!r} has a prefix that is not one or two "
+            "letters; the DFS supports prefixes of one or two letters"
         )
     if any(not 1 <= len(p) <= 3 for p in family.avoid):
         raise ValueError(
             f"family {family.describe()!r} avoids a factor longer than three "
             "letters; the DFS supports avoided factors of one to three letters"
         )
-    alphabet = family.alphabet
+    alphabet, prefixes = family.alphabet, family.prefixes
     states = [""] + list(alphabet) + [x + y for x in alphabet for y in alphabet]
     table = {}
     for state in states:
@@ -136,7 +139,11 @@ def _automaton(family: PathFamily) -> tuple[dict, bool]:
             for letter in alphabet:
                 dx, dy = STEP_GEOMETRY[letter]
                 word = state + letter
-                if not state and family.prefixes and letter not in family.prefixes:
+                if (
+                    prefixes
+                    and len(state) < 2
+                    and not any(p.startswith(word) or word.startswith(p) for p in prefixes)
+                ):
                     continue
                 if any(word.endswith(p) for p in family.avoid):
                     continue
@@ -146,14 +153,15 @@ def _automaton(family: PathFamily) -> tuple[dict, bool]:
                     continue
                 moves.append((letter, dx, dy, word[-2:]))
             table[state, on_axis] = tuple(moves)
-    return table, not family.prefixes
+    return table, prefixes or ("",)
 
 
-def _accepts(key: Key, empty_ok: bool) -> bool:
+def _accepts(key: Key, openings: tuple[str, ...]) -> bool:
     """Whether the words that reach key are paths: x-length 0 on the axis,
-    unless key is the empty word of a family that excludes it."""
+    and a word of fewer than two letters, which is its state, starts with
+    one of the family's openings (_automaton)."""
     rem, level, state = key
-    return rem == 0 and level == 0 and (state != "" or empty_ok)
+    return rem == 0 and level == 0 and (len(state) == 2 or state.startswith(openings))
 
 
 def _keys_from_top(
@@ -202,7 +210,7 @@ def _weigher(family: PathFamily, n: int, weighting: str) -> Callable[[str], int 
     start, adding its steps' weights, and must end on an accepting key.
     """
     weights_after = step_exponents(family, weighting)
-    empty_ok = _automaton(family)[1]
+    openings = _automaton(family)[1]
     number = {(n, 0, ""): 0}
     rows: list = [None]
     weights: list = [None]
@@ -218,7 +226,7 @@ def _weigher(family: PathFamily, n: int, weighting: str) -> Callable[[str], int 
                 weights.append(None)
             row[letter] = j
         weights[i] = weights_after[key[2][-1:]]
-        if _accepts(key, empty_ok):
+        if _accepts(key, openings):
             accepting.add(i)
 
     def weigh(word: str) -> int | None:
@@ -257,14 +265,14 @@ def _prefix_blocks(
     # each key's moves last to first, the order the walk pushes them in, so
     # they are popped in alphabet order
     graph = {key: moves[::-1] for key, moves in _keys_from_top(family, n)}
-    empty_ok = _automaton(family)[1]
+    openings = _automaton(family)[1]
     after = None if weighting is None else step_exponents(family, weighting)
     tails: dict[Key, list[str]] = {}
     tail_weights: dict[Key, list[int]] = {}
     shared: dict[int, int] = {}
     for key in reversed(graph):
         if key[0] <= COMPLETION_SPLIT:
-            accepted = _accepts(key, empty_ok)
+            accepted = _accepts(key, openings)
             out = [""] if accepted else []
             for letter, nxt in reversed(graph[key]):
                 out.extend([letter + tail for tail in tails[nxt]])
@@ -332,12 +340,12 @@ def weighted_count(
     """
     after = step_exponents(family, weighting)
     _check_size(family, n, max_n_override)
-    empty_ok = _automaton(family)[1]
+    openings = _automaton(family)[1]
     sums_at: dict[Key, dict[int, int]] = {(n, 0, ""): {0: 1}}
     acc: dict[int, int] = {}
     for key, moves in _keys_from_top(family, n):
         sums = sums_at.pop(key)
-        if _accepts(key, empty_ok):
+        if _accepts(key, openings):
             for packed, k in sums.items():
                 acc[packed] = acc.get(packed, 0) + k
         step = after[key[2][-1:]]

@@ -9,21 +9,24 @@ nothing in here derives them from the code under test.
 
 Criterion 3 is table-driven: `CERTIFICATIONS` gives each map of
 `bijections.BIJECTIONS` its sizes, the x-lengths a size stands for in the
-domain and codomain, optional filters on step strings, and its worked
-examples.  The maps and families themselves are read from the registry, so
-a registered map is certified exactly as it is dispatched: the public Path
-maps apply the row's string maps, which certification calls directly, one
-domain word at a time.  At each size f: A_n -> B_n is a bijection, since
-the inverse takes every image back to its domain word (f is injective),
-every image is accepted by B_n's step automaton and filter (f maps into
-B_n), and as many words are mapped as B_n has paths (f is onto): its
-transfer-matrix count, or with a filter the words its enumeration keeps;
-the count and the enumeration read one key stream with one pruning rule.
-One walk of each image over the automaton both accepts it and weighs it,
-and the weight must equal its domain word's, which the domain's walk gives
-as a block's weight plus a tail's; both are packed ints, unpacked only to
-word a fault.  No set of paths is held but to word the fault of a failed
-size.
+domain and codomain, optional prefixes that narrow a side's walk and
+filters on its step strings, and its worked examples.  The maps and
+families themselves are read from the registry, so a registered map is
+certified exactly as it is dispatched: the public Path maps apply the
+row's string maps, which certification calls, one domain word at a time.
+Rows whose domain walks are the same (sigma and psi) are certified in one
+walk, where a map declared as a `bijections.Composite` has its parts
+answered by the other rows' calls on the same word.  At each size
+f: A_n -> B_n is a bijection, since the inverse takes every image back to
+its domain word (f is injective), every image is accepted by B_n's step
+automaton and filter (f maps into B_n), and as many words are mapped as
+B_n has paths (f is onto): its transfer-matrix count, or with a filter the
+words its enumeration keeps; the count and the enumeration read one key
+stream with one pruning rule.  One walk of each image over the automaton
+both accepts it and weighs it, and the weight must equal its domain
+word's, which the domain's walk gives as a block's weight plus a tail's;
+both are packed ints, unpacked only to word a fault.  No set of paths is
+held but to word the fault of a failed size.
 
 The four suites (counts, bijections, stats, identities) power both the CLI
 verify subcommand and the acceptance test module.
@@ -31,8 +34,9 @@ verify subcommand and the acceptance test module.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -275,15 +279,19 @@ class Certification:
     """How criterion 3 certifies one map of `bijections.BIJECTIONS`.
 
     Size n pairs the domain paths of x-length dom_scale*n with the codomain
-    paths of x-length cod_scale*n, each kept where its filter, if any,
-    accepts the step string.  Each example is a check name with its
-    (map, input, forward image) cases.
+    paths of x-length cod_scale*n.  A side with prefixes walks only the
+    paths that open with one of them (one or two letters, in place of the
+    family's own), and a side with a filter keeps only the step strings it
+    accepts; the prefixes cut the walk, the filter tests each word.  Each
+    example is a check name with its (map, input, forward image) cases.
     """
 
     sizes: Callable[[int, int], range]  # (n_max, theta_n_max) -> sizes
     dom_scale: int
     cod_scale: int
     examples: tuple[tuple[str, tuple[tuple[str, str, str], ...]], ...] = ()
+    dom_prefixes: tuple[str, ...] = ()
+    cod_prefixes: tuple[str, ...] = ()
     dom_filter: Callable[[str], bool] | None = None
     cod_filter: Callable[[str], bool] | None = None
 
@@ -309,12 +317,12 @@ CERTIFICATIONS: Mapping[str, Certification] = MappingProxyType({
             ("vartheta", "udHH", "HuHd"),
             ("vartheta", "uduuddH", "Huuddud"),
         )),),
-        # opens with ud and has an H on the axis
-        dom_filter=lambda p: p.startswith("ud") and bij._axis_h(p) >= 0,
-        # opens with H, ends with d, and has no later H on the axis
-        cod_filter=lambda p: (
-            p.startswith("H") and p.endswith("d") and bij._axis_h(p, 1) < 0
-        ),
+        dom_prefixes=("ud",),
+        cod_prefixes=("H",),
+        # has an H on the axis
+        dom_filter=lambda p: bij._axis_h(p) >= 0,
+        # ends with d, and has no H on the axis after the first letter
+        cod_filter=lambda p: p.endswith("d") and bij._axis_h(p, 1) < 0,
     ),
     "rho": Certification(lambda n, t: range(n + 1), 1, 1, (
         ("rho reproduces the worked examples",
@@ -338,6 +346,10 @@ CERTIFICATIONS: Mapping[str, Certification] = MappingProxyType({
 })
 
 
+def _narrowed(family: PathFamily, prefixes: tuple[str, ...]) -> PathFamily:
+    return replace(family, prefixes=prefixes) if prefixes else family
+
+
 def _step_strings(
     family: PathFamily, n: int, keep: Callable[[str], bool] | None
 ) -> Iterable[str]:
@@ -346,7 +358,7 @@ def _step_strings(
 
 
 def _round_trip(
-    forward: bij.StringMap, inverse: bij.StringMap, steps: str
+    forward: Callable[[str], str], inverse: Callable[[str], str], steps: str
 ) -> tuple[str | None, str]:
     """(image, fault): the image of steps, None if the forward map raises,
     and the round trip's counterexample, "" if it gives steps back."""
@@ -386,10 +398,100 @@ def _image_set_fault(
     return ""
 
 
-def _certify(name: str, cert: Certification, sizes: range) -> list[CheckResult]:
+def _walk_of(name: str) -> tuple[PathFamily, int, Callable[[str], bool] | None]:
+    """The domain walk that certifies a row: the rows with the same walked
+    family, scale and filter, and so the same weighting, map the same
+    words, and _certify certifies them in one walk."""
+    cert = CERTIFICATIONS[name]
+    dom = _narrowed(bij.BIJECTIONS[name].domain, cert.dom_prefixes)
+    return dom, cert.dom_scale, cert.dom_filter
+
+
+def _parts(f: bij.StringMap) -> tuple[bij.StringMap, ...]:
+    """The plain string maps that f runs on a word, in order."""
+    if isinstance(f, bij.Composite):
+        return _parts(f.first) + _parts(f.second)
+    return (f,)
+
+
+def _through(memo: dict, f: bij.StringMap) -> Callable[[str], str]:
+    """f as a walk of _certify calls it.  A bij.Composite is its two parts,
+    each called so.  A plain map with a slot in memo keeps its last call
+    there as (word, image), and a call of it on the same word is answered
+    from the slot; the string maps are pure without a trace, so an answer
+    kept for another row is still right.  A map without a slot is called
+    as it is."""
+    if isinstance(f, bij.Composite):
+        first, second = _through(memo, f.first), _through(memo, f.second)
+        return lambda word: second(first(word))
+    if f not in memo:
+        return f
+
+    def call(word: str) -> str:
+        kept = memo[f]
+        if kept is not None and kept[0] == word:
+            return kept[1]
+        image = f(word)
+        memo[f] = word, image
+        return image
+
+    return call
+
+
+class _Row:
+    """One registry row in a walk of _certify: its string maps, as called
+    there and as registered, its codomain, and each check's first
+    counterexample."""
+
+    def __init__(self, name: str, memo: dict):
+        spec, cert = bij.BIJECTIONS[name], CERTIFICATIONS[name]
+        self.name = name
+        self.forward, self.inverse = spec.forward_steps, spec.inverse_steps
+        self.calls = _through(memo, self.forward), _through(memo, self.inverse)
+        self.cod = _narrowed(spec.codomain, cert.cod_prefixes)
+        self.cod_scale, self.keep = cert.cod_scale, cert.cod_filter
+        self.failed = False
+        self.round_fault = self.weight_fault = self.image_fault = ""
+
+    def checker(self, n: int) -> Callable[[str, int], None]:
+        """The checks of a domain word of size n against its packed weight;
+        failed says whether one of them failed at this size."""
+        forward, inverse = self.calls
+        weigh = _weigher(self.cod, self.cod_scale * n, _WEIGHTING_OF[self.cod.base])
+        keep = self.keep
+        self.failed = False
+
+        def check(steps: str, want: int) -> None:
+            image, fault = _round_trip(forward, inverse, steps)
+            got = None if image is None else weigh(image)
+            accepted = got is not None and (not keep or keep(image))
+            if fault or not accepted:
+                self.failed = True
+                self.round_fault = self.round_fault or fault
+            if accepted and got != want and not self.weight_fault:
+                self.weight_fault = (
+                    f"weight not preserved at {steps!r} -> {image!r}: "
+                    f"{unpack_exponents(want)} != {unpack_exponents(got)}"
+                )
+
+        return check
+
+    def results(self, nmax: int) -> list[CheckResult]:
+        return [
+            CheckResult(f"{self.name} {claim} up to n={nmax}", not fault, fault)
+            for claim, fault in (
+                ("round trip is the identity", self.round_fault),
+                ("preserves the step weights", self.weight_fault),
+                ("maps onto its codomain", self.image_fault),
+            )
+        ]
+
+
+def _certify(rows: Mapping[str, range]) -> dict[str, list[CheckResult]]:
     """Round trip, weight preservation, and onto the codomain, for the
-    string maps of a registry row; each check keeps its own first
-    counterexample, and a GPathError from a map is one.
+    string maps of the registry rows that share one domain walk (_walk_of),
+    at each row's sizes; each check keeps its own first counterexample, and
+    a GPathError from a map is one.
 
     A size passes the third check when every round trip is the identity,
     every image is accepted by the codomain's key stream and cod_filter,
@@ -400,56 +502,55 @@ def _certify(name: str, cert: Certification, sizes: range) -> list[CheckResult]:
     weighs each image in one walk, and an accepted image's packed weight
     must equal its domain word's.  A fault names both words and both
     exponent triples, domain first.
+
+    The walk reads each size's words once, and each row whose sizes hold
+    that size checks every word in turn.  The maps are called through
+    _through, a bij.Composite part by part, with a memo slot for each
+    plain map that the walk's rows call more than once per word: a call
+    made before on the same word answers from it.  So psi's sigma forward
+    map is sigma's own call, and psi's sigma inverse is too whenever psi's
+    first inverse pass gives back sigma's image.  A map called once per
+    word has no slot, since a lookup that never hits only costs time.
     """
-    spec = bij.BIJECTIONS[name]
-    forward, inverse = spec.forward_steps, spec.inverse_steps
-    dom, cod = spec.domain, spec.codomain
-    w_dom, w_cod = _WEIGHTING_OF[dom.base], _WEIGHTING_OF[cod.base]
-    dom_keep, keep = cert.dom_filter, cert.cod_filter
-    round_fault = weight_fault = image_fault = ""
-    for n in sizes:
-        dom_n, cod_n = cert.dom_scale * n, cert.cod_scale * n
+    dom, dom_scale, dom_keep = _walk_of(next(iter(rows)))
+    w_dom = _WEIGHTING_OF[dom.base]
+    calls = Counter(
+        part
+        for name in rows
+        for f in (bij.BIJECTIONS[name].forward_steps, bij.BIJECTIONS[name].inverse_steps)
+        for part in _parts(f)
+    )
+    memo = {f: None for f, count in calls.items() if count > 1}
+    state = {name: _Row(name, memo) for name in rows}
+    for n in sorted(set().union(*rows.values())):
+        dom_n = dom_scale * n
         _check_size(dom, dom_n, _CAP)
-        weigh = _weigher(cod, cod_n, w_cod)
+        active = [state[name] for name, sizes in rows.items() if n in sizes]
+        checks = [row.checker(n) for row in active]
         mapped = 0
-        failed = False
         for word, _, tails, weight, tail_weights in _prefix_blocks(dom, dom_n, w_dom):
             for tail, tail_weight in zip(tails, tail_weights):
                 steps = word + tail
                 if dom_keep and not dom_keep(steps):
                     continue
                 mapped += 1
-                image, fault = _round_trip(forward, inverse, steps)
-                round_fault = round_fault or fault
-                got = None if image is None else weigh(image)
-                accepted = got is not None and (not keep or keep(image))
-                failed = failed or bool(fault) or not accepted
                 want = weight + tail_weight
-                if accepted and got != want and not weight_fault:
-                    weight_fault = (
-                        f"weight not preserved at {steps!r} -> {image!r}: "
-                        f"{unpack_exponents(want)} != {unpack_exponents(got)}"
-                    )
-        if keep is None:
-            size = count_paths(cod, cod_n, _CAP)
-        else:
-            size = sum(1 for _ in _step_strings(cod, cod_n, keep))
-        if failed or mapped != size:
-            image_fault = image_fault or _image_set_fault(
-                forward,
-                _step_strings(dom, dom_n, dom_keep),
-                _step_strings(cod, cod_n, keep),
-                n,
-            )
-    nmax = max(sizes)
-    return [
-        CheckResult(f"{name} {claim} up to n={nmax}", not fault, fault)
-        for claim, fault in (
-            ("round trip is the identity", round_fault),
-            ("preserves the step weights", weight_fault),
-            ("maps onto its codomain", image_fault),
-        )
-    ]
+                for check in checks:
+                    check(steps, want)
+        for row in active:
+            cod_n = row.cod_scale * n
+            if row.keep is None:
+                size = count_paths(row.cod, cod_n, _CAP)
+            else:
+                size = sum(1 for _ in _step_strings(row.cod, cod_n, row.keep))
+            if row.failed or mapped != size:
+                row.image_fault = row.image_fault or _image_set_fault(
+                    row.forward,
+                    _step_strings(dom, dom_n, dom_keep),
+                    _step_strings(row.cod, cod_n, row.keep),
+                    n,
+                )
+    return {name: row.results(max(rows[name])) for name, row in state.items()}
 
 
 def check_bijections(n_max: int = 8, theta_n_max: int = 10) -> list[CheckResult]:
@@ -459,9 +560,15 @@ def check_bijections(n_max: int = 8, theta_n_max: int = 10) -> list[CheckResult]
             f"varphi, psi and varphi_theta start at size 1); got n_max={n_max}, "
             f"theta_n_max={theta_n_max}"
         )
+    walks: dict[tuple, dict[str, range]] = {}
+    for name, cert in CERTIFICATIONS.items():
+        walks.setdefault(_walk_of(name), {})[name] = cert.sizes(n_max, theta_n_max)
+    certified: dict[str, list[CheckResult]] = {}
+    for rows in walks.values():
+        certified.update(_certify(rows))
     results = []
     for name, cert in CERTIFICATIONS.items():
-        results += _certify(name, cert, cert.sizes(n_max, theta_n_max))
+        results += certified[name]
         for check, cases in cert.examples:
             ok = True
             for m, given, want in cases:

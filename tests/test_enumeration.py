@@ -1,5 +1,6 @@
 """Exhaustive generation and the exact counting formulas."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -258,14 +259,14 @@ def test_walks_agree_with_the_parse_side_oracle(family):
 def _reference_walk(family: PathFamily, n: int) -> list[str]:
     """The plain depth-first walk over the step automaton, one stack entry
     per prefix, with no completions shared between prefixes."""
-    table, empty_ok = _automaton(family)
+    table, _ = _automaton(family)
     bounded = "v" not in family.alphabet
     out = []
     stack = [(n, 0, "", "")]
     while stack:
         rem, level, state, word = stack.pop()
         if rem == 0 and level == 0:
-            if state or empty_ok:
+            if word.startswith(family.prefixes or ("",)):
                 out.append(word)
             continue
         for letter, dx, dy, nxt in reversed(table[state, level == 0]):
@@ -480,10 +481,28 @@ def test_weighting_of_another_family_is_a_family_mismatch():
     assert str(counted.value) == "weighting 'motzkin_ab' does not apply to family 'dyck'"
 
 
-def test_dfs_rejects_multi_letter_prefixes():
-    family = PathFamily("dyck", prefixes=("ud",))
-    with pytest.raises(ValueError, match="one-letter prefixes"):
-        next(iter_step_strings(family, 2))
+@pytest.mark.parametrize("prefix", ["ud", "H", "uu"])
+def test_two_letter_prefixes_filter_the_walk_in_order(prefix):
+    family = dataclasses.replace(SCHRODER, prefixes=(prefix,))
+    for n in range(7):
+        want = [w for w in iter_step_strings(SCHRODER, 2 * n) if w.startswith(prefix)]
+        assert list(iter_step_strings(family, 2 * n)) == want
+        assert count_paths(family, 2 * n) == len(want)
+
+
+def test_a_word_shorter_than_its_prefix_is_no_path():
+    family = dataclasses.replace(SCHRODER, prefixes=("HH",))
+    assert list(iter_step_strings(family, 2)) == []
+    assert count_paths(family, 2) == 0
+    assert list(iter_step_strings(family, 4)) == ["HH"]
+    assert _weigher(family, 2, "schroder_ab")("H") is None
+
+
+def test_dfs_rejects_three_letter_prefixes():
+    family = PathFamily("dyck", prefixes=("udu",))
+    with pytest.raises(ValueError, match="prefixes of one or two letters") as info:
+        next(iter_step_strings(family, 4))
+    assert "\n" not in str(info.value)
 
 
 def test_prop21_both_variants_match_recurrence():

@@ -1,10 +1,14 @@
 """Criterion 3 certifies the registered maps and catches a broken one."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from gpaths import bijections as bij
+from gpaths import verification
+from gpaths.enumeration import count_paths
+from gpaths.paths import GMOTZKIN_UVU
 from gpaths.verification import CERTIFICATIONS, check_bijections
 
 
@@ -160,6 +164,53 @@ def test_certification_catches_a_weight_only_fault(monkeypatch):
 
 def test_every_registered_bijection_is_certified():
     assert set(CERTIFICATIONS) == set(bij.BIJECTIONS)
+
+
+def test_psi_reuses_sigma_calls_in_the_shared_walk(monkeypatch):
+    # one counting wrapper per sigma map, as sigma's row map and as the part
+    # of psi's Composite: each runs once per sigma domain word, so psi's
+    # sigma parts are all answered by sigma's own calls
+    calls = Counter()
+
+    def counted(string_map):
+        def call(word, trace=None):
+            calls[string_map] += 1
+            return string_map(word, trace)
+
+        return call
+
+    fwd, inv = counted(bij._sigma_fwd), counted(bij._sigma_inv)
+    sigma, psi = bij.BIJECTIONS["sigma"], bij.BIJECTIONS["psi"]
+    monkeypatch.setitem(
+        bij.BIJECTIONS, "sigma",
+        dataclasses.replace(sigma, forward_steps=fwd, inverse_steps=inv),
+    )
+    monkeypatch.setitem(
+        bij.BIJECTIONS, "psi",
+        dataclasses.replace(
+            psi,
+            forward_steps=bij.Composite(fwd, psi.forward_steps.second),
+            inverse_steps=bij.Composite(psi.inverse_steps.first, inv),
+        ),
+    )
+    results = check_bijections(n_max=4, theta_n_max=4)
+    words = sum(count_paths(GMOTZKIN_UVU, n) for n in CERTIFICATIONS["sigma"].sizes(4, 4))
+    assert calls == {bij._sigma_fwd: words, bij._sigma_inv: words}
+    assert len(results) == 32
+    assert all(r.ok for r in results)
+
+
+def test_shared_walk_gives_the_results_of_one_walk_per_row(monkeypatch):
+    shared = check_bijections(n_max=4, theta_n_max=4)
+    certify = verification._certify
+
+    def one_walk_per_row(rows):
+        return {name: certify({name: sizes})[name] for name, sizes in rows.items()}
+
+    monkeypatch.setattr(verification, "_certify", one_walk_per_row)
+    alone = check_bijections(n_max=4, theta_n_max=4)
+    assert len(alone) == 32
+    assert alone == shared
 
 
 
