@@ -11,27 +11,27 @@ sigma's forward map and theta's two maps are one left-to-right pass each:
 each u pushes its position, and its arch's closer fills in what the u
 writes and notes, once the case is known.  theta reads one letter ahead;
 sigma resolves its case u^i core v^i at the outermost v of the run.
-sigma's inverse and varphi loop over a work stack of index ranges and read
-the partner of a range's first or last letter from `paths.match_table`,
-as vartheta's inverse does; varphi's inverse maps the inside of the last
-arch before the prefix, as its definition does, and writes each image
-straight to its final offset.
+sigma's inverse loops over a work stack of index ranges and reads the
+partner of a range's first letter from `paths.match_table`, as vartheta's
+inverse does.
 
-psi and varphi_theta are declared as a `Composite(first, second)`, the
-string map second(first(word)).  psi forward is sigma, then colored
-varphi's inverse in one pass (`_psi_mark`); psi inverse is colored varphi
-in one pass (`_psi_unmark`), then sigma's inverse.  Those passes read or
-write the Schroder word's H and ud as the marked peaks uD and ud of the
-colored Dyck word, so no colored Dyck word is built; psi's trace holds
-sigma's cases, then colored varphi's in reading order.  Without a trace
-every string map is pure, a function of its word alone: certification
-relies on that when it answers a Composite's part with the result of the
-same call made for another row (`verification._certify`).
+varphi is one pair of one-pass maps (`_varphi_passes`), built once for
+plain varphi and once for colored varphi, the last stage of psi.  psi and
+varphi_theta are declared as a `Composite(first, second)`, the string map
+second(first(word)).  psi forward is sigma, then colored varphi's inverse
+(`_psi_mark`); psi inverse is colored varphi (`_psi_unmark`), then sigma's
+inverse.  Those passes read or write the Schroder word's H and ud as the
+marked peaks uD and ud of the colored Dyck word, so no colored Dyck word
+is built.  Every trace, psi's too, is in the order of the recursive
+definitions, a Composite's first part's cases then its second's.  Without
+a trace every string map is pure, a function of its word alone:
+certification relies on that when it answers a Composite's part with the
+result of the same call made for another row (`verification._certify`).
 
 On a word with a letter outside its alphabet or an unmatched step, a
 string map raises DomainViolation and no other error, so certification
-reports a broken map as a counterexample.  Four may give back a word
-instead: phi_peak's maps rewrite one factor, and vartheta's maps move two.
+reports a broken map as a counterexample.  Only phi_peak's two maps may
+give back a word instead: each rewrites one factor.
 
 Maps and their domains:
 
@@ -269,22 +269,35 @@ def _phi_inv(p: str, trace: Trace = None) -> str:
 def _axis_h(p: str, start: int = 0) -> int:
     """Index of the first axis-level H of p[start:], read from the axis, or -1."""
     level = 0
-    try:
-        for idx in range(start, len(p)):
-            c = p[idx]
-            if c == "H" and level == 0:
-                return idx
-            level += STEP_GEOMETRY[c][1]
-    except KeyError:
-        raise _malformed("vartheta") from None
+    for idx in range(start, len(p)):
+        c = p[idx]
+        if c == "H" and level == 0:
+            return idx
+        level += STEP_GEOMETRY[c][1]
     return -1
 
 
 def _vartheta_fwd(p: str, trace: Trace = None) -> str:
     _recorder(trace)("C1")
+    if p.translate(_SCHRODER_LETTERS_DELETED):
+        raise _malformed("vartheta")
     if not p.startswith("ud"):
         raise DomainViolation("vartheta needs a path opening with ud")
-    split = _axis_h(p, 2)
+    # one scan finds the first axis-level H after ud and checks that the
+    # rest of the word stays at or above the axis and ends on it
+    level, split = 0, -1
+    for i in range(2, len(p)):
+        c = p[i]
+        if c == "u":
+            level += 1
+        elif c == "d":
+            level -= 1
+            if level < 0:
+                raise _malformed("vartheta")
+        elif split < 0 and not level:
+            split = i
+    if level:
+        raise _malformed("vartheta")
     if split < 0:
         raise DomainViolation("vartheta needs a horizontal step on the axis")
     return "H" + p[2:split] + "u" + p[split + 1 :] + "d"
@@ -292,6 +305,9 @@ def _vartheta_fwd(p: str, trace: Trace = None) -> str:
 
 def _vartheta_inv(p: str, trace: Trace = None) -> str:
     _recorder(trace)("C1")
+    if p.translate(_SCHRODER_LETTERS_DELETED):
+        # match_table pairs any down letter
+        raise _malformed("vartheta_inv")
     if not p.startswith("H"):
         raise DomainViolation("vartheta_inv needs a path opening with H")
     if p[-1] != "d":
@@ -455,204 +471,165 @@ def _rho_inv(s: str, trace: Trace = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# varphi: a-prefixed bicolored motzkin <-> dyck, plain and flavored
+# varphi: a-prefixed bicolored motzkin <-> dyck, plain and colored
 # ---------------------------------------------------------------------------
 
-# letter tables: the marked horizontal letters and the peak they encode,
-# plus the down-step flavor created when a marked letter is stripped (one
-# table for both: plain varphi has only the mark a, which closes with d)
-_PLAIN_PEAK_OF = {"a": "ud"}
-_COLORED_PEAK_OF = {"a": "uD", "A": "ud"}
+# the down letter of an arch u w closer, by the mark that w opens with
 _CLOSER_OF = {"a": "d", "A": "D"}
-# the down letter of a peak gives back its mark
-_PLAIN_MARK_OF = {peak[1]: mark for mark, peak in _PLAIN_PEAK_OF.items()}
-_COLORED_MARK_OF = {peak[1]: mark for mark, peak in _COLORED_PEAK_OF.items()}
-# the closing letter of an arch encodes the mark of its inner word
-_MARK_OF_CLOSER = {c: mark for mark, c in _CLOSER_OF.items()}
 
 
-def _varphi_fwd(q: str, trace: Trace = None, colored: bool = False) -> str:
-    if q.strip(PSI_IMAGE.alphabet if colored else BICOLORED_MOTZKIN.alphabet):
-        raise _malformed("varphi")
-    peak_of = _COLORED_PEAK_OF if colored else _PLAIN_PEAK_OF
-    note = _recorder(trace)
-    match = match_table(q)
-    out: list[str] = []
-    # a range (lo, hi, first) stands for the word first + q[lo+1:hi]: the
-    # inner word of an arch is the arch with its u replaced by a mark
-    work: list = [(0, len(q), q[:1])]
-    while work:
-        item = work.pop()
-        if item.__class__ is str:
-            out.append(item)
-            continue
-        lo, hi, first = item
-        # the cases strip the last letter or arch; go on with the prefix
-        while hi - lo > 1:
-            last = q[hi - 1]
-            if last in peak_of:
-                note("C1")
-                work.append(peak_of[last])
-                hi -= 1
-            elif last == "b":
-                note("C2")
-                out.append("u")
-                work.append("d")
-                hi -= 1
-            else:
-                # trailing down step: split off the arch it closes
-                note("C3")
-                opener = match[hi - 1]
-                work += ["d", (opener, hi - 1, _MARK_OF_CLOSER[last]), "u"]
-                hi = opener
-        if first not in peak_of:
+def _in_definition_order(labels: list) -> list:
+    """varphi's labels, noted in its right-to-left reading, in the order of
+    its definition: C3 opens an arch's range and base closes one, and each
+    range gives its own labels, then its arches' ranges from left to right."""
+    top: tuple[list, list] = ([], [])  # a range's own labels, its arches' ranges
+    enclosing = []
+    for label in labels:
+        top[0].append(label)
+        if label == "C3":
+            arch: tuple[list, list] = ([], [])
+            top[1].append(arch)
+            enclosing.append(top)
+            top = arch
+        elif label == "base" and enclosing:
+            top = enclosing.pop()
+    ordered, todo = [], [top]
+    while todo:
+        own, arches = todo.pop()
+        ordered += own
+        todo += arches  # read right to left, so the leftmost arch pops first
+    return ordered
+
+
+def _varphi_passes(peak_of: dict[str, str]) -> tuple[StringMap, StringMap]:
+    """varphi and its inverse, one pass each, for the marks of peak_of: a
+    mark of the source word is the peak peak_of[mark] of the image.
+
+    Plain varphi has the one mark a, the peak ud.  Colored varphi has a for
+    uD and A for ud; psi runs it on the Schroder word, where phi_peak reads
+    H for uD, so no colored Dyck word is built.  The image of an arch's
+    inner word w opens with a mark, and _CLOSER_OF that mark closes the arch.
+
+    Each trace is in the order of the recursive definitions.  The inverse
+    maps the last peak or arch of a range (the word, or an arch's inside)
+    first, and an arch's inside before the rest of its range: that is the
+    word read right to left, so the inverse notes C2 or C3 at each arch's
+    closer and C1 or base at each mark, left to right, and hands the labels
+    back reversed.  varphi notes as it reads, right to left, but its
+    definition maps a range's own letters before its arches' inner words,
+    so only with a trace are its labels put in that order
+    (_in_definition_order).
+    """
+    mark_of_closer = {_CLOSER_OF[mark]: mark for mark in peak_of}
+    # str.translate deleting these leaves the letters of no peak and no arch
+    image_letters_deleted = dict.fromkeys(map(ord, "ud" + "".join(peak_of.values())))
+
+    def varphi(p: str, trace: Trace = None) -> str:
+        """One right-to-left pass.  A range starts at index 0 or at a u,
+        whose arch's closer names the range's first mark.  Each b of a range
+        wraps the range's image so far in an arch: it writes d, and the
+        range's start writes one u for it, after the u of the range's own
+        arch and before the peak of its first mark."""
+        if p[:1] not in peak_of:
             raise DomainViolation("varphi needs a path opening with the marked letter")
-        note("base")
-        out.append(peak_of[first])
-    return "".join(out)
-
-
-def _varphi_inv(p: str, trace: Trace = None, colored: bool = False) -> str:
-    if p.strip(COLORED_DYCK.alphabet if colored else DYCK.alphabet):
-        raise _malformed("varphi_inv")
-    if not p:
-        raise DomainViolation("varphi_inv needs a nonempty path")
-    mark_of = _COLORED_MARK_OF if colored else _PLAIN_MARK_OF
-    note = _recorder(trace)
-    match = match_table(p)
-    # the image of a factor of length 2k has length k, so a range
-    # (lo, hi, at) writes its image to out[at : at + (hi - lo) // 2]
-    out = [""] * (len(p) // 2)
-    work: list = [(0, len(p), 0)]
-    while work:
-        item = work.pop()
-        if len(item) == 2:
-            # the inner word w of an arch is in place: u w[1:] _CLOSER_OF[w[0]]
-            at, end = item
-            out[end] = _CLOSER_OF[out[at]]
-            out[at] = "u"
-            continue
-        lo, hi, at = item
-        while hi - lo > 2:
-            if p[hi - 2] == "u":
-                # trailing peak
-                note("C1")
-                out[at + (hi - lo) // 2 - 1] = mark_of[p[hi - 1]]
-                hi -= 2
-            elif match[lo] == hi - 1:
+        labels: list[str] = []
+        note = labels.append
+        out: list[str] = []  # the image, last piece first
+        ranges: list[tuple[str, int]] = []  # the enclosing ranges' (first mark, u's)
+        first, ups = p[0], 0
+        for c in p[:0:-1]:
+            if c == "b":
                 note("C2")
-                out[at + (hi - lo) // 2 - 1] = "b"
-                lo, hi = lo + 1, hi - 1
-            else:
-                # prefix, then the last arch u inner d: the inner word is
-                # mapped first, then the prefix
+                out.append("d")
+                ups += 1
+            elif c == "u":
+                if not ranges:
+                    raise DomainViolation("u has no matching down step")
+                note("base")
+                out += (peak_of[first], "u" * ups)
+                first, ups = ranges.pop()
+            elif c in peak_of:
+                note("C1")
+                out.append(peak_of[c])
+            elif c in mark_of_closer:
                 note("C3")
-                split = match[hi - 1]
-                w_at = at + (split - lo) // 2
-                work += [(lo, split, at), (w_at, w_at + (hi - split) // 2 - 1)]
-                lo, hi, at = split + 1, hi - 1, w_at
+                out.append("d")
+                ranges.append((first, ups))
+                first, ups = mark_of_closer[c], 1
+            else:
+                raise _malformed("varphi")
+        if ranges:
+            raise DomainViolation("down step has no matching u")
         note("base")
-        out[at] = mark_of[p[lo + 1]]
-    return "".join(out)
+        out += (peak_of[first], "u" * ups)
+        if trace is not None:
+            trace += _in_definition_order(labels)
+        return "".join(reversed(out))
+
+    def varphi_inv(blocks: str, trace: Trace = None) -> str:
+        """One left-to-right pass.  With the peaks marked and the word as
+        blocks B1...Bk on the axis, the image is f(B1) g(B2)...g(Bk): a peak
+        gives its mark, f(u w d) = image(w) b and g(u w d) = u image(w)[1:]
+        closer, where the closer is _CLOSER_OF the mark image(w)[0].  So a
+        later arch writes u and holds its closer open until the first mark
+        of its range is read."""
+        if not blocks:
+            raise DomainViolation("varphi_inv needs a nonempty path")
+        if blocks.translate(image_letters_deleted):
+            raise _malformed("varphi_inv")
+        for mark, peak in peak_of.items():
+            blocks = blocks.replace(peak, mark)
+        labels: list[str] = []
+        note = labels.append
+        out: list[str] = []
+        closers: list[str] = []  # per open arch: b, or a later arch's closer
+        later = -1  # the later arch whose range's first mark is unread, -1 the word's
+        start = True  # the next letter opens its range's first block
+        try:
+            for c in blocks:
+                if c == "u":
+                    if start:
+                        closers.append("b")
+                    else:
+                        out.append("u")
+                        later = len(closers)
+                        closers.append("")
+                        start = True
+                elif c == "d":
+                    closer = closers.pop()
+                    note("C2" if closer == "b" else "C3")
+                    out.append(closer)
+                elif start:
+                    note("base")
+                    if later < 0:
+                        out.append(c)
+                    else:
+                        closers[later] = _CLOSER_OF[c]
+                    start = False
+                else:
+                    note("C1")
+                    out.append(c)
+        except IndexError:
+            raise _malformed("varphi_inv") from None
+        if closers:
+            raise _malformed("varphi_inv")
+        if trace is not None:
+            trace += reversed(labels)
+        return "".join(out)
+
+    return varphi, varphi_inv
+
+
+_varphi_fwd, _varphi_inv = _varphi_passes({"a": "ud"})
 
 
 # ---------------------------------------------------------------------------
 # psi and the composite varphi_theta
 # ---------------------------------------------------------------------------
 
-
-# the marked peaks of the colored Dyck word as factors of the Schroder word
-# (phi_peak reads H for uD): psi's second pass in each direction reads or
-# writes them there, with no colored Dyck word in between
-_SCHRODER_PEAK_OF = {mark: _phi_fwd(peak) for mark, peak in _COLORED_PEAK_OF.items()}
-
-
-def _psi_mark(blocks: str, trace: Trace = None) -> str:
-    """psi's second pass: colored varphi's inverse, read off sigma's
-    Schroder word in one left-to-right pass.
-
-    With that word as blocks B1...Bk on the axis, the image is
-    f(B1) g(B2)...g(Bk): a peak gives its mark, f(u w d) = image(w) b and
-    g(u w d) = u image(w)[1:] closer, where the closer is _CLOSER_OF the
-    mark image(w)[0] of w's first peak.  So a later arch writes u and holds
-    its closer open until the first peak of its range is read.
-    """
-    for mark, peak in _SCHRODER_PEAK_OF.items():
-        blocks = blocks.replace(peak, mark)
-    note = _recorder(trace)
-    out: list[str] = []
-    closers: list[str] = []  # per open arch: b, or a later arch's closer
-    later = -1  # the later arch whose range's first mark is unread, -1 the word's
-    start = True  # the next letter opens its range's first block
-    for c in blocks:
-        if c == "u":
-            if start:
-                note("C2")
-                closers.append("b")
-            else:
-                note("C3")
-                out.append("u")
-                later = len(closers)
-                closers.append("")
-                start = True
-        elif c == "d":
-            out.append(closers.pop())
-        elif start:
-            note("base")
-            if later < 0:
-                out.append(c)
-            else:
-                closers[later] = _CLOSER_OF[c]
-            start = False
-        else:
-            note("C1")
-            out.append(c)
-    return "".join(out)
-
-
-def _psi_unmark(p: str, trace: Trace = None) -> str:
-    """psi's inverse's first pass: colored varphi in one right-to-left pass,
-    written as the Schroder word that sigma's inverse reads.
-
-    A range starts at index 0 or at a u, whose arch's closer names the
-    range's first mark.  Each b of a range wraps the range's image so far in
-    an arch: it writes d, and the range's start writes one u for it, after
-    the u of the range's own arch and before the peak of its first mark.
-    """
-    if p[:1] not in _SCHRODER_PEAK_OF:
-        raise DomainViolation("varphi needs a path opening with the marked letter")
-    note = _recorder(trace)
-    out: list[str] = []  # the Schroder word, last piece first
-    ranges: list[tuple[str, int]] = []  # the enclosing ranges' (first mark, u's)
-    first, ups = p[0], 0
-    for c in p[:0:-1]:
-        if c == "b":
-            note("C2")
-            out.append("d")
-            ups += 1
-        elif c == "u":
-            if not ranges:
-                raise DomainViolation("u has no matching down step")
-            note("base")
-            out += (_SCHRODER_PEAK_OF[first], "u" * ups)
-            first, ups = ranges.pop()
-        elif c in _SCHRODER_PEAK_OF:
-            note("C1")
-            out.append(_SCHRODER_PEAK_OF[c])
-        elif c in _MARK_OF_CLOSER:
-            note("C3")
-            out.append("d")
-            ranges.append((first, ups))
-            first, ups = _MARK_OF_CLOSER[c], 1
-        else:
-            raise _malformed("psi_inv")
-    if ranges:
-        raise DomainViolation("down step has no matching u")
-    note("base")
-    out += (_SCHRODER_PEAK_OF[first], "u" * ups)
-    return "".join(reversed(out))
-
-
+# psi's second pass in each direction is colored varphi on the Schroder
+# word: phi_peak reads H for the peak uD, which the mark a stands for
+_psi_unmark, _psi_mark = _varphi_passes({"a": "H", "A": "ud"})
 _psi_fwd = Composite(_sigma_fwd, _psi_mark)
 _psi_inv = Composite(_psi_unmark, _sigma_inv)
 _varphi_theta_fwd = Composite(_theta_fwd, _varphi_fwd)

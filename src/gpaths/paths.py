@@ -210,9 +210,9 @@ def match_table(steps: str) -> list[int]:
     (for a u, the first later down step one level below its endpoint), and
     -1 for a horizontal step.  The partners inside any balanced factor of
     `steps` are the same as in that factor on its own.  sigma's inverse,
-    varphi's two maps, vartheta's inverse and the first-return split read
-    it; sigma's forward map, theta and psi's second passes match their
-    steps with a stack as they read them.
+    vartheta's inverse and the first-return split read it; sigma's forward
+    map, theta and varphi's passes match their steps with a stack as they
+    read them.
     """
     partner = [-1] * len(steps)
     open_us = []
