@@ -26,7 +26,7 @@ is built.  Every trace, psi's too, is in the order of the recursive
 definitions, a Composite's first part's cases then its second's.  Without
 a trace every string map is pure, a function of its word alone:
 certification relies on that when it answers a Composite's part with the
-result of the same call made for another row (`verification._certify`).
+images of the same call made for another row (`verification._certify`).
 
 On a word with a letter outside its alphabet or an unmatched step, a
 string map raises DomainViolation and no other error, so certification
@@ -98,8 +98,8 @@ class Composite:
 
     A map declared this way shows certification its parts
     (`verification._certify`): a part that another row of the same walk
-    also runs is called through a memo of the current word's calls, so it
-    is not run twice on one word.
+    also runs is called through a memo of the chunk's calls, so it is not
+    run twice on one word.
     """
 
     first: StringMap

@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-n-override",
             type=int,
             default=None,
-            help="raise the enumeration size guard",
+            help="move the enumeration and counting size guards",
         )
 
     p = sub.add_parser("enumerate", help="stream all paths of one x-length")

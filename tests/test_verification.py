@@ -7,9 +7,10 @@ import pytest
 
 from gpaths import bijections as bij
 from gpaths import verification
-from gpaths.enumeration import count_paths
+from gpaths.enumeration import count_paths, iter_step_strings
 from gpaths.paths import GMOTZKIN_UVU
 from gpaths.verification import CERTIFICATIONS, check_bijections
+from gpaths.weights import packed_weight
 
 
 def _corrupt_last_letter(s, trace=None):
@@ -40,6 +41,12 @@ def _rho_reading_vu_for_uv(q, trace=None):
     return bij._rho_fwd(q.replace("uv", "vu"), trace)
 
 
+def _psi_unmark_with_H_as_ud(s, trace=None):
+    # still a Schroder word, and psi's sigma inverse runs on it: the shared
+    # walk must not answer that call with sigma's own call on sigma's images
+    return bij._psi_unmark(s, trace).replace("H", "ud", 1)
+
+
 def _theta_writing_H_for_a(q, trace=None):
     # H is no letter of theta's codomain, so its inverse refuses the image
     # with a DomainViolation, which certification reports
@@ -50,6 +57,14 @@ ROUND = "rho round trip is the identity up to n=3"
 IMAGE = "rho maps onto its codomain up to n=3"
 
 
+# certification maps a chunk of words per call and checks word by word only
+# in a chunk that fails: every chunk size gives the same results
+CHUNKS = pytest.mark.parametrize(
+    "chunk", [1, 3, verification._CHUNK], ids=lambda c: f"chunk{c}"
+)
+
+
+@CHUNKS
 @pytest.mark.parametrize(
     "name, field, broken, failures",
     [
@@ -92,6 +107,16 @@ IMAGE = "rho maps onto its codomain up to n=3"
             },
         ),
         (
+            "psi",
+            "inverse_steps",
+            bij.Composite(_psi_unmark_with_H_as_ud, bij._sigma_inv),
+            {
+                "psi round trip is the identity up to n=3": (
+                    "round trip fails at 'h' -> 'a' -> 'uv'"
+                ),
+            },
+        ),
+        (
             "sigma",
             "forward_steps",
             _sigma_with_first_ud_turned,
@@ -122,10 +147,11 @@ IMAGE = "rho maps onto its codomain up to n=3"
     ],
 )
 def test_certification_catches_a_broken_registered_map(
-    monkeypatch, name, field, broken, failures
+    monkeypatch, chunk, name, field, broken, failures
 ):
     # certification calls the row's string maps; a GPathError one of them
     # raises is a counterexample, not a crash
+    monkeypatch.setattr(verification, "_CHUNK", chunk)
     spec = dataclasses.replace(bij.BIJECTIONS[name], **{field: broken})
     monkeypatch.setitem(bij.BIJECTIONS, name, spec)
     results = check_bijections(n_max=3, theta_n_max=3)
@@ -144,9 +170,11 @@ def _theta_inv_with_colors_swapped(s, trace=None):
     return bij._theta_inv(s.translate(_SWAP_AB), trace)
 
 
-def test_certification_catches_a_weight_only_fault(monkeypatch):
+@CHUNKS
+def test_certification_catches_a_weight_only_fault(monkeypatch, chunk):
     # swapping the two colors is a bijection of bicolored Motzkin paths, so
     # the round trip and onto checks pass; only the weights tell
+    monkeypatch.setattr(verification, "_CHUNK", chunk)
     spec = dataclasses.replace(
         bij.BIJECTIONS["theta"],
         forward_steps=_theta_with_colors_swapped,
@@ -159,6 +187,37 @@ def test_certification_catches_a_weight_only_fault(monkeypatch):
         "theta preserves the step weights up to n=3": (
             "weight not preserved at 'uv' -> 'a': (0, 1, 0) != (1, 0, 0)"
         ),
+    }
+
+
+@CHUNKS
+def test_a_fault_in_the_middle_of_a_chunk_names_its_word(monkeypatch, chunk):
+    # sigma sends one word of the largest size, the middle one of its single
+    # default chunk, to the image of the next word of the same weight: only
+    # that word's round trip fails
+    words = list(iter_step_strings(GMOTZKIN_UVU, 4))
+    assert 3 < len(words) < verification._CHUNK
+    monkeypatch.setattr(verification, "_CHUNK", chunk)
+    word = words[len(words) // 2]
+    neighbor = next(
+        q for q in words[len(words) // 2 + 1:]
+        if packed_weight(q, "gmotzkin_ab_bsq", "gmotzkin")
+        == packed_weight(word, "gmotzkin_ab_bsq", "gmotzkin")
+    )
+    image = bij._sigma_fwd(neighbor)
+
+    def sigma_fwd(q, trace=None):
+        return bij._sigma_fwd(neighbor if q == word else q, trace)
+
+    spec = dataclasses.replace(bij.BIJECTIONS["sigma"], forward_steps=sigma_fwd)
+    monkeypatch.setitem(bij.BIJECTIONS, "sigma", spec)
+    results = check_bijections(n_max=4, theta_n_max=4)
+    assert len(results) == 32
+    assert {r.name: r.detail for r in results if not r.ok} == {
+        "sigma round trip is the identity up to n=4": (
+            f"round trip fails at {word!r} -> {image!r} -> {neighbor!r}"
+        ),
+        "sigma maps onto its codomain up to n=4": "forward map not injective at n=4",
     }
 
 
