@@ -581,28 +581,18 @@ def prop21(n: int, variant: str = "first") -> Polynomial:
         raise ValueError("variant must be 'first' or 'second'")
     terms: dict[tuple[int, int, int], int] = {}
     for k in range(n + 1):
+        # (-1)^el gbinom(k+el-1, el) per k; the second variant reads it at el = m
+        signed = [(-1) ** el * gbinom(k + el - 1, el) for el in range(n - k + 1)]
         cat = catalan_number(k)
         for j in range(k + 1):
-            kj = comb(k, j)
+            kj = comb(k, j) * cat
             for el in range(n - k - j + 1):
                 if variant == "first":
-                    coeff = (
-                        (-1) ** el
-                        * kj
-                        * gbinom(k + el - 1, el)
-                        * comb(n + k - j - el, 2 * k)
-                        * cat
-                    )
+                    coeff = signed[el] * kj * comb(n + k - j - el, 2 * k)
                     exps = (n - k - j - el, k + el - j, j)
                 else:
                     m = n - k - j - el
-                    coeff = (
-                        (-1) ** m
-                        * kj
-                        * comb(2 * k + el, el)
-                        * gbinom(k + m - 1, m)
-                        * cat
-                    )
+                    coeff = signed[m] * kj * comb(2 * k + el, el)
                     exps = (el, n - 2 * j - el, j)
                 if coeff:
                     terms[exps] = terms.get(exps, 0) + coeff

@@ -92,6 +92,11 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product through the smaller order.  Each sum starts at the
+        operands' valuations va, vb (first nonzero indices): [x^n] is the zero
+        a_0 b_0 for n < va + vb, else the sum of a_k b_(n-k) over k = va..n-vb.
+        Each coefficient keeps its type if each operand's coefficients share
+        one (int, Fraction or Polynomial)."""
         kind = self._coerce(other)
         if kind is NotImplemented:
             return NotImplemented
@@ -99,10 +104,12 @@ class TruncatedSeries:
             return TruncatedSeries([c * other for c in self.coeffs], self.order)
         order = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = []
-        for n in range(order + 1):
-            total = a[0] * b[n]
-            for k in range(1, n + 1):
+        va, vb = (next((k for k in range(order + 1) if c[k]), order + 1) for c in (a, b))
+        low = min(va + vb, order + 1)
+        out = [a[0] * b[0]] * low if low else []
+        for n in range(low, order + 1):
+            total = a[va] * b[n - va]
+            for k in range(va + 1, n - vb + 1):
                 total = total + a[k] * b[n - k]
             out.append(total)
         return TruncatedSeries(out, order)
@@ -110,16 +117,18 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Binary powering that neither multiplies by the series 1 nor
+        squares self past the highest set bit of n."""
         if n < 0:
             raise ValueError("negative series power; use recip")
-        result = TruncatedSeries([1], self.order)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return TruncatedSeries([1], self.order) if result is None else result
 
     def xmul(self, k: int = 1) -> "TruncatedSeries":
         """Multiply by x^k; the truncation order grows with the shift."""
@@ -220,8 +229,9 @@ _ATOMS = {
 
 def parse_series_expr(expr: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """The product of the `*`-separated atoms, each raised to the power
-    given by the ASCII digits after an optional `^`."""
-    result = TruncatedSeries([1], order)
+    given by the ASCII digits after an optional `^`; the first atom starts
+    the product."""
+    result = None
     for token in expr.split("*"):
         token = token.strip()
         name, caret, power = token.partition("^")
@@ -238,7 +248,7 @@ def parse_series_expr(expr: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
                     "followed by ASCII digits only"
                 )
             factor = factor ** int(power)
-        result = result * factor
+        result = factor if result is None else result * factor
     return result
 
 
@@ -299,23 +309,28 @@ def _as_int(value) -> int:
 
 
 def guvu_series_at(a, b, c, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """G(a,b,c;x) through (1/(1-ax)) C(x (b+cx) / ((1-ax)^2 (1+bx))).
+    """G(a,b,c;x) through (1/(1-ax)) C(x (b+cx) / ((1-ax)^2 (1+bx))), with
+    Fraction coefficients.
 
     Solves F = 1 + t F^2 for the Catalan composite coefficientwise: t has
     positive valuation, so F_n = sum_{k>=1} t_k [x^(n-k)] F^2, and
     [x^m] F^2 needs only F_0 .. F_m.  Each [x^m] F^2 is computed once.
+    Integer weights stay ints until the result: (1-ax)^2 (1+bx) and 1-ax
+    have constant term 1, so t, F and G are integral.  Only a weight that is
+    not an int becomes a Fraction.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = (w if isinstance(w, int) else Fraction(w) for w in (a, b, c))
     one_minus_ax = TruncatedSeries([1, -a], order)
     one_plus_bx = TruncatedSeries([1, b], order)
     numer = TruncatedSeries([0, b, c], order)
     t = numer * (one_minus_ax**2 * one_plus_bx).recip()
-    f = [Fraction(1)]
+    f = [1]
     f_squared = []
     for n in range(1, order + 1):
         f_squared.append(square_coeff(f, n - 1))
         f.append(sum(t.coeffs[k] * f_squared[n - k] for k in range(1, n + 1)))
-    return one_minus_ax.recip() * TruncatedSeries(f, order)
+    g = one_minus_ax.recip() * TruncatedSeries(f, order)
+    return TruncatedSeries(map(Fraction, g.coeffs), order)
 
 
 def square_coeff(f, m: int):

@@ -218,43 +218,38 @@ def stat_riordan(stat: str, n: int, i: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _u_formula(n: int, i: int) -> int:
-    total = 0
-    for j in range(n - i + 1):
-        inner = 0
-        for m in range(n - i - j + 1):
-            inner += comb(n + m + i - j + 2, n - i - j - m) * ballot_coeff(
-                m, 2 * i + 3
+# The three double sums read one inner sum,
+#
+#   inner(t, i, shift) = sum_m C(t+m+i+shift, t-i-m) [x^m] C(x)^(2i+shift+1)
+#
+# over m = 0..t-i.  H(n, i) is inner(n, i, 1); U(n, i) is the alternating sum
+# of inner(n-j, i, 2) over j = 0..n-i; points at level i+1 over x-length n+1
+# are the alternating sum of inner(n-j, i, 3) plus the same sum at n-2.
+# Each (i, shift) keeps its inner sums in a list indexed by t - i, so a table
+# computes each inner sum once rather than once per (n, j).
+_INNER: dict[tuple[int, int], list[int]] = {}
+
+
+def _inner(t: int, i: int, shift: int) -> int:
+    column = _INNER.setdefault((i, shift), [])
+    k = 2 * i + shift + 1
+    for s in range(i + len(column), t + 1):
+        column.append(
+            sum(
+                comb(s + m + i + shift, s - i - m) * ballot_coeff(m, k)
+                for m in range(s - i + 1)
             )
-        total += (-1) ** j * inner
-    return total
+        )
+    return column[t - i]
 
 
-def _h_formula(n: int, i: int) -> int:
-    total = 0
-    for m in range(n - i + 1):
-        total += comb(n + m + i + 1, n - i - m) * ballot_coeff(m, 2 * i + 2)
-    return total
-
-
-def _p_formula_shifted(n: int, i: int) -> int:
-    # the double sums give points at level i+1 over paths of x-length n+1
-    total = 0
-    for j in range(n - i + 1):
-        inner = 0
-        for m in range(n - i - j + 1):
-            inner += comb(n + m + i - j + 3, n - i - j - m) * ballot_coeff(
-                m, 2 * i + 4
-            )
-        total += (-1) ** j * inner
-    for j in range(n - i - 1):
-        inner = 0
-        for m in range(n - i - j - 1):
-            inner += comb(n + m + i - j + 1, n - i - j - m - 2) * ballot_coeff(
-                m, 2 * i + 4
-            )
-        total += (-1) ** j * inner
-    return total
+def _alternating(n: int, i: int, shift: int) -> int:
+    """The sum of (-1)^j inner(n-j, i, shift) over j = 0..n-i."""
+    if n < i:
+        return 0
+    _inner(n, i, shift)  # fills the column through t = n
+    terms = _INNER[i, shift][n - i :: -1]
+    return sum(terms[::2]) - sum(terms[1::2])
 
 
 def stat_formula(stat: str, n: int, i: int) -> int:
@@ -266,18 +261,14 @@ def stat_formula(stat: str, n: int, i: int) -> int:
     if n < 0 or i < 0 or i > n:
         return 0
     if stat == "U":
-        return _u_formula(n, i)
+        return _alternating(n, i, 2)
     if stat == "H":
-        return _h_formula(n, i)
+        return _inner(n, i, 1)
     if i == 0:
         if n == 0:
             return 1
-        return (
-            _schroder_number(n)
-            + _u_formula(n - 1, 0)
-            + _h_formula(n - 1, 0)
-        )
-    return _p_formula_shifted(n - 1, i - 1)
+        return _schroder_number(n) + _alternating(n - 1, 0, 2) + _inner(n - 1, 0, 1)
+    return _alternating(n - 1, i - 1, 3) + _alternating(n - 3, i - 1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from gpaths.series import (
     parse_series_expr,
     square_coeff,
 )
+from gpaths.weights import Polynomial
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 SCHRODER = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098, 1037718]
@@ -77,6 +78,70 @@ def test_recip_is_a_right_inverse(f):
 @given(short_series, short_series, short_series)
 def test_multiplication_is_associative(f, g, h):
     assert (f * g) * h == f * (g * h)
+
+
+def _coefficient(kind, n: int, m: int):
+    """A coefficient of type kind from two small ints; zero when both are."""
+    if kind is Polynomial:
+        return Polynomial({(0, 0, 0): n, (1, 0, 1): m})
+    if kind is Fraction:
+        return Fraction(n, abs(m) + 1)
+    return n + 10 * m
+
+
+@st.composite
+def _operand(draw, kind):
+    """A series of order 0..8 whose coefficients all have type kind: with
+    0..3 leading zeros, or only a constant term, or zero."""
+    order = draw(st.integers(0, 8))
+    pair = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+    coeffs = [_coefficient(kind, *p) for p in draw(st.lists(pair, min_size=order + 1, max_size=order + 1))]
+    zero = _coefficient(kind, 0, 0)
+    shape = draw(st.sampled_from(["leading zeros", "constant", "zero"]))
+    if shape == "zero":
+        coeffs = [zero] * (order + 1)
+    elif shape == "constant":
+        coeffs[1:] = [zero] * order
+    else:
+        zeros = draw(st.integers(0, 3))
+        coeffs[:zeros] = [zero] * zeros
+    return TruncatedSeries(coeffs, order)
+
+
+def _convolution(f, g) -> list:
+    """[x^n] f g as the plain sum of f_k g_(n-k) over k = 0..n, through the
+    smaller order."""
+    a, b = f.coeffs, g.coeffs
+    return [
+        sum((a[k] * b[n - k] for k in range(1, n + 1)), a[0] * b[n])
+        for n in range(min(f.order, g.order) + 1)
+    ]
+
+
+@given(
+    st.sampled_from([int, Fraction, Polynomial]).flatmap(
+        lambda kind: st.tuples(_operand(kind), _operand(kind))
+    )
+)
+def test_product_is_the_plain_convolution(operands):
+    # the product starts each sum at the operands' valuations; it must give
+    # the full convolution's coefficients, each of the same type, whichever
+    # operand has the larger valuation
+    for f, g in (operands, operands[::-1]):
+        want = _convolution(f, g)
+        got = f * g
+        assert got.order == min(f.order, g.order)
+        assert [(type(c), c) for c in got.coeffs] == [(type(c), c) for c in want]
+
+
+@pytest.mark.parametrize("coeffs", [[2, -1, 3, 0, 1], [0, 0, 1, -2, 5]], ids=["val0", "val2"])
+def test_power_is_the_repeated_product(coeffs):
+    f = TruncatedSeries(coeffs, 12)
+    want = TruncatedSeries([1], 12)
+    for n in range(10):
+        got = f**n
+        assert (got.order, got.coeffs) == (want.order, want.coeffs), n
+        want = TruncatedSeries(_convolution(want, f), 12)
 
 
 def test_catalan_series():
@@ -205,3 +270,12 @@ def test_guvu_series_at_matches_the_recurrence_past_the_default_order():
     assert f.order == 30
     assert list(f.coeffs) == [p.eval_at(-3, 4, 16) for p in guvu_coeffs(30)]
     assert all(type(c) is Fraction for c in f.coeffs)
+
+
+def test_guvu_series_at_integer_weights_equal_fraction_weights():
+    # integer weights run the solve on ints; the result must not tell
+    for weights in ((-3, 4, 16), (2, 0, 5), (0, -1, 3), (1, 1, 0)):
+        ints = guvu_series_at(*weights, order=30)
+        fractions = guvu_series_at(*map(Fraction, weights), order=30)
+        assert ints.order == fractions.order == 30
+        assert [(type(c), c) for c in ints.coeffs] == [(type(c), c) for c in fractions.coeffs]

@@ -112,6 +112,18 @@ def test_riordan_entries_do_not_depend_on_request_order():
     assert large_first[len(STAT_IDS)] == GOLDEN["U"][5][2]
 
 
+def test_formula_entries_do_not_depend_on_request_order():
+    # each column of inner sums grows on demand; a later, smaller request
+    # must read its own entry, and a larger one must extend the column
+    requests = [(s, n, i) for n, i in ((30, 3), (30, 0), (12, 11), (5, 2)) for s in FORMULA_STATS]
+    stats._INNER.clear()
+    large_first = [stat_formula(*r) for r in requests]
+    stats._INNER.clear()
+    small_first = [stat_formula(*r) for r in reversed(requests)][::-1]
+    assert large_first == small_first
+    assert large_first == [stat_riordan(*r) for r in requests]
+
+
 @pytest.mark.parametrize(
     "stat, n_max, orders",
     [("U", 60, {"U": 61}), ("P", 40, {"U": 40, "H": 40, "P": 40})],
