@@ -4,24 +4,26 @@ Each family's word rules (its letter order, which is the order of
 `family.alphabet`, prefixes of one or two letters, avoided factors of one
 to three letters, D only after u, no horizontal step on the axis) are
 compiled once into a step automaton.  Its keys are (x-length left, level,
-state), and one generator, `_keys_from_top`, streams every key reachable from the
-start with its moves in alphabet order, height by height from the top
-(height 2 * x-length left + level, which every move lowers), so each key
-comes after every key that moves to it.  It holds the one geometric
-pruning rule; the walk, its completions, the counting DP and the
-membership test `_weigher` all read their keys and moves from it
-(Stanley, EC1 4.7: the transfer-matrix method).  The membership test also
-weighs: it numbers the keys, walks a word along int-indexed rows and sums
-its steps' packed weights, so one walk says whether a word is a path and
-what it weighs.
+state), and one builder, `_key_graph`, numbers every key reachable from
+the start height by height from the top (height 2 * x-length left +
+level, which every move lowers), so every move goes to a higher number.
+It holds the one geometric pruning rule and the one acceptance rule, and
+gives each key one row, {letter: (next number, packed weight)} in
+alphabet order, each move weighed once by `weights.step_exponents`
+(Stanley, EC1 4.7: the transfer-matrix method).  The walk, its
+completions, the membership test `_weigher` and the counting DP each read
+these rows, once per family, size and weighting, and know nothing of
+peaks, of which weightings apply or of how a triple is packed.  The
+membership test walks a word along the rows and sums its steps' packed
+weights, so one walk says whether a word is a path and what it weighs.
 
-Generation is a depth-first walk over that stream that checks only
+Generation is a depth-first walk over the rows that checks only
 geometry, so output order is reproducible byte for byte.  Most of a walk's
 nodes sit in the last few steps, where the same key recurs for thousands
 of prefixes.  So the walk proper (`_prefix_blocks`) stops at keys with at
 most COMPLETION_SPLIT units of x-length left and yields a prefix block:
 the word so far, its key and the key's list of completions, filled once
-per call from the stream read backwards, children before parents.
+per call by going through the numbers backwards, children before parents.
 `iter_step_strings` flattens the blocks into word + tail, so the words
 come out in the plain walk's order; the brute level statistics
 (`stats._brute_counts`) count each block's prefix once per tail and each
@@ -31,19 +33,17 @@ walk takes about 0.02 s against 0.18 s for the plain walk, holding about
 8,000 completion strings; a split of 3 is faster on long Schroder paths
 but holds about 33,000, which raised the benchmark's exhaustive peak RSS
 from 21.4 to 23.4 MB (+10 %), where a split of 2 gives 21.8 MB (+2 %).
-Asked for a weighting, the same walk also sums each word's packed weight
-on its stack and fills each key's tails' packed weights with its tails, so
-criterion 3 (`verification._certify`) weighs a domain word with one
-addition; without one, no weight table is built and every weight stays 0.
-Weighted counting (and so plain counting) is one pass over the same
-stream: the prefixes are merged by key, so its cost grows with the number
-of keys, not of paths.  The walk, the weigher and the counting DP take
-each move's packed weight from one table, `weights.step_exponents`, built
-once per family and weighting, so peaks, which weightings apply and how a
-triple is packed are not known here.  Generation stops at x-length 12,
-or 9 for the unrestricted gmotzkin family (whose free v steps inflate
-growth), and counting at 24, where it takes under 0.1 s on every family of
-`paths` (2-vCPU Xeon, CPython 3.11.7).  GPATHS_MAX_N in the environment
+The walk sums each word's packed weight on its stack.  Asked for a
+weighting, it also fills each key's tails' packed weights with its tails,
+so criterion 3 (`verification._certify`) weighs a domain word with one
+addition; without one, it reads the rows under the family's default
+weighting and fills no tail weights.  Weighted counting (and so plain
+counting) is one forward pass over the numbers: the prefixes are merged
+by key, so its cost grows with the number of keys, not of paths.
+Generation stops at x-length 12, or 9 for the unrestricted gmotzkin
+family (whose free v steps inflate growth), and counting at 24, where it
+takes under 0.1 s on every family of `paths` (2-vCPU Xeon, CPython
+3.11.7).  GPATHS_MAX_N in the environment
 (ASCII digits only), or an explicit override argument, moves both caps;
 the public entry points raise SizeLimitExceeded past them.
 
@@ -114,7 +114,7 @@ def _check_size(
 
 
 # ---------------------------------------------------------------------------
-# the step automaton, its key stream, the generation walk and the counting DP
+# the step automaton, its key graph, the generation walk and the counting DP
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -164,77 +164,68 @@ def _automaton(family: PathFamily) -> tuple[dict, tuple[str, ...]]:
     return table, prefixes or ("",)
 
 
-def _accepts(key: Key, openings: tuple[str, ...]) -> bool:
-    """Whether the words that reach key are paths: x-length 0 on the axis,
-    and a word of fewer than two letters, which is its state, starts with
-    one of the family's openings (_automaton)."""
-    rem, level, state = key
-    return rem == 0 and level == 0 and (len(state) == 2 or state.startswith(openings))
+def _key_graph(
+    family: PathFamily, n: int, weighting: str
+) -> tuple[list[Key], list[dict[str, tuple[int, int]]], list[bool]]:
+    """The keys (x-length left, level, state) reachable from (n, 0, ""),
+    numbered, with their moves: (keys, rows, accepting).
 
+    rows[i] is key i's {letter: (number of the next key, packed weight)} in
+    alphabet order, and accepting[i] whether the words that reach key i are
+    paths: x-length 0 on the axis, and a word of fewer than two letters,
+    which is its state, starts with one of the family's openings
+    (_automaton).  A move keeps to the geometry: x-length left and level
+    stay nonnegative, and without v (bounded) the level cannot exceed the
+    x-length left.  A move's letter and the one before it, whose
+    step_exponents weigh it, are its next key's state, so every move to a
+    key shares one (number, weight) pair, set when the key is numbered.
 
-def _keys_from_top(
-    family: PathFamily, n: int
-) -> Iterator[tuple[Key, list[tuple[str, Key]]]]:
-    """Each key (x-length left, level, state) reachable from (n, 0, ""),
-    once, with its moves as (letter, next key) in alphabet order.
-
-    A move keeps to the geometry: x-length left and level stay nonnegative,
-    and without v (bounded) the level cannot exceed the x-length left.  The
-    walk, the completions and the counting DP all prune with this one rule.
     Every move lowers the height 2 * x-length left + level (u and v by 1, d
     and D by 3, a horizontal step by 2 per unit of x-length), so the keys
-    come height by height from the top, each after every key that moves to
-    it.  Each height's bucket is dropped once it is yielded.
+    are numbered height by height from the top, each after every key that
+    moves to it: every move goes to a higher number.  Until a key's height
+    comes, its height's bucket holds the rows that move to it.
     """
-    table, _ = _automaton(family)
+    table, openings = _automaton(family)
+    weights_after = step_exponents(family, weighting)
     bounded = "v" not in family.alphabet
-    # height -> the keys moved to at that height, in first-reached order
-    pending: dict[int, dict] = {2 * n: {(n, 0, ""): None}}
+    keys: list[Key] = []
+    rows: list[dict[str, tuple[int, int]]] = []
+    accepting: list[bool] = []
+    # height -> {key: the rows that move to it}, in first-reached order
+    pending: dict[int, dict[Key, list[dict]]] = {2 * n: {(n, 0, ""): []}}
     while pending:
-        for key in pending.pop(max(pending)):
+        for key, sources in pending.pop(max(pending)).items():
+            i = len(keys)
             rem, level, state = key
-            moves = []
+            if sources:
+                move = i, weights_after[state[:-1]][state[-1]]
+                for row in sources:
+                    row[state[-1]] = move
+            row = {}
             for letter, dx, dy, nxt in table[state, level == 0]:
                 rem2 = rem - dx
                 lvl2 = level + dy
                 if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
                     continue
-                target = (rem2, lvl2, nxt)
-                pending.setdefault(2 * rem2 + lvl2, {})[target] = None
-                moves.append((letter, target))
-            yield key, moves
+                row[letter] = None  # this move's place in alphabet order
+                pending.setdefault(2 * rem2 + lvl2, {}).setdefault(
+                    (rem2, lvl2, nxt), []
+                ).append(row)
+            keys.append(key)
+            rows.append(row)
+            accepting.append(
+                rem == level == 0 and (len(state) == 2 or state.startswith(openings))
+            )
+    return keys, rows, accepting
 
 
 def _weigher(family: PathFamily, n: int, weighting: str) -> Callable[[str], int | None]:
     """The packed exponent triple of a word under weighting if the word is a
     path of the family with x-length n, else None, without enumerating the
-    paths.
-
-    One pass over _keys_from_top numbers each key the first time a move
-    reaches it and drops the key once it comes, as no later key moves to it.
-    A key's row is its {letter: (number of the next key, packed triple)}:
-    a move's letter and the one before it, whose step_exponents weigh it,
-    are its next key's state, so each key has one pair.  The word walks the
-    rows from the start, adding its steps' weights, and must end on an
-    accepting key.
-    """
-    weights_after = step_exponents(family, weighting)
-    openings = _automaton(family)[1]
-    number = {(n, 0, ""): (0, 0)}
-    rows: list = [None]
-    accepting = set()
-    for key, moves in _keys_from_top(family, n):
-        i = number.pop(key)[0]
-        step = weights_after[key[2][-1:]]
-        row = rows[i] = {}
-        for letter, nxt in moves:
-            move = number.get(nxt)
-            if move is None:
-                move = number[nxt] = len(rows), step[letter]
-                rows.append(None)
-            row[letter] = move
-        if _accepts(key, openings):
-            accepting.add(i)
+    paths: the word walks _key_graph's rows from the start, adding its
+    steps' weights, and must end on an accepting key."""
+    _, rows, accepting = _key_graph(family, n, weighting)
 
     def weigh(word: str) -> int | None:
         i = packed = 0
@@ -244,7 +235,7 @@ def _weigher(family: PathFamily, n: int, weighting: str) -> Callable[[str], int 
                 packed += w
         except KeyError:
             return None
-        return packed if i in accepting else None
+        return packed if accepting[i] else None
 
     return weigh
 
@@ -256,53 +247,49 @@ def _prefix_blocks(
     tail_weights), in DFS order: every word + tail, tail in tails, is a
     word of the family.
 
-    graph is the key stream of _keys_from_top.  Read backwards it lists
-    every key after the keys it moves to, so one pass fills the tails of the
-    keys with at most COMPLETION_SPLIT x-length left: move by move in
+    It reads _key_graph under weighting, or under the family's default
+    weighting if there is none.  Going through the numbers backwards gives
+    every key after the keys it moves to, so one pass fills the tails of
+    the keys with at most COMPLETION_SPLIT x-length left: move by move in
     alphabet order, the move's letter followed by each tail of the key it
     moves to.  The walk proper is an explicit-stack DFS over the keys above
     the split; a key at or below it ends a block, word is the prefix that
-    reached it and tails its completions, one list per key.  Under a
-    weighting, weight is the word's packed weight, summed on the stack, and
-    tail_weights the packed weights of the tails after the key's last
+    reached it and tails its completions, one list per key.  weight is the
+    word's packed weight, summed on the stack.  Under a weighting,
+    tail_weights are the packed weights of the tails after the key's last
     letter, filled with them, so word + tails[i] weighs weight +
-    tail_weights[i]; without one, weight is 0 and tail_weights None.  It
-    does not check the size cap: its callers do.
+    tail_weights[i]; without one, tail_weights is None.  It does not check
+    the size cap: its callers do.
     """
-    # each key's moves last to first, the order the walk pushes them in, so
-    # they are popped in alphabet order
-    graph = {key: moves[::-1] for key, moves in _keys_from_top(family, n)}
-    openings = _automaton(family)[1]
-    after = None if weighting is None else step_exponents(family, weighting)
-    tails: dict[Key, list[str]] = {}
-    tail_weights: dict[Key, list[int]] = {}
+    keys, rows, accepting = _key_graph(
+        family, n, weighting or DEFAULT_WEIGHTING[family.base]
+    )
+    # tails[i] is None for a key above the split
+    tails: list[list[str] | None] = [None] * len(keys)
+    tail_weights: list[list[int] | None] = [None] * len(keys)
     shared: dict[int, int] = {}
-    for key in reversed(graph):
-        if key[0] <= COMPLETION_SPLIT:
-            accepted = _accepts(key, openings)
-            out = [""] if accepted else []
-            for letter, nxt in reversed(graph[key]):
-                out.extend([letter + tail for tail in tails[nxt]])
-            tails[key] = out
-            if after is not None:
-                step = after[key[2][-1:]]
-                sums = [0] if accepted else []
-                for letter, nxt in reversed(graph[key]):
-                    w = step[letter]
-                    sums.extend([w + s for s in tail_weights[nxt]])
+    for i in range(len(keys) - 1, -1, -1):
+        if keys[i][0] <= COMPLETION_SPLIT:
+            row = rows[i]
+            out = [""] if accepting[i] else []
+            for letter, (j, _) in row.items():
+                out.extend([letter + tail for tail in tails[j]])
+            tails[i] = out
+            if weighting is not None:
+                sums = [0] if accepting[i] else []
+                for j, w in row.values():
+                    sums.extend([w + s for s in tail_weights[j]])
                 # the tails take few distinct weights: one int object each
-                tail_weights[key] = [shared.setdefault(s, s) for s in sums]
-    stack = [((n, 0, ""), "", 0)]
+                tail_weights[i] = [shared.setdefault(s, s) for s in sums]
+    stack = [(0, "", 0)]
     while stack:
-        key, word, weight = stack.pop()
-        if key[0] <= COMPLETION_SPLIT:
-            yield word, key, tails[key], weight, tail_weights.get(key)
+        i, word, weight = stack.pop()
+        if tails[i] is not None:
+            yield word, keys[i], tails[i], weight, tail_weights[i]
             continue
-        step = None if after is None else after[key[2][-1:]]
-        for letter, nxt in graph[key]:
-            stack.append(
-                (nxt, word + letter, weight if step is None else weight + step[letter])
-            )
+        # last move first, so the moves are popped in alphabet order
+        for letter, (j, w) in reversed(rows[i].items()):
+            stack.append((j, word + letter, weight + w))
 
 
 def iter_step_strings(
@@ -338,27 +325,30 @@ def weighted_count(
 ) -> Polynomial:
     """Sum of monomial weights over every path of x-length n.
 
-    A transfer-matrix DP over the key stream of _keys_from_top: every
-    prefix that reaches the same (x-length left, level, state) key extends
-    the same way, so each key holds the packed exponent triples of its
-    prefixes with their multiplicities.  The stream gives each key after
-    every key that moves to it, so its sums are complete when it comes; it
-    pops them, keeps them if it accepts, and pushes them along its moves.
+    A transfer-matrix DP over _key_graph: every prefix that reaches the
+    same (x-length left, level, state) key extends the same way, so each
+    key holds the packed exponent triples of its prefixes with their
+    multiplicities.  Every move goes to a higher number, so a key's sums
+    are complete when the forward pass over the numbers comes to it; it
+    drops them, keeps them if it accepts, and pushes them along its moves.
     """
-    after = step_exponents(family, weighting)
     _check_size(family, n, max_n_override, counting=True)
-    openings = _automaton(family)[1]
-    sums_at: dict[Key, dict[int, int]] = {(n, 0, ""): {0: 1}}
+    rows, accepting = _key_graph(family, n, weighting)[1:]
+    sums_at: list[dict[int, int] | None] = [None] * len(rows)
+    sums_at[0] = {0: 1}
     acc: dict[int, int] = {}
-    for key, moves in _keys_from_top(family, n):
-        sums = sums_at.pop(key)
-        if _accepts(key, openings):
+    for i, row in enumerate(rows):
+        # each row and its sums are dropped once read
+        rows[i] = None
+        sums = sums_at[i]
+        sums_at[i] = None
+        if accepting[i]:
             for packed, k in sums.items():
                 acc[packed] = acc.get(packed, 0) + k
-        step = after[key[2][-1:]]
-        for letter, nxt in moves:
-            w = step[letter]
-            target = sums_at.setdefault(nxt, {})
+        for j, w in row.values():
+            target = sums_at[j]
+            if target is None:
+                target = sums_at[j] = {}
             for packed, k in sums.items():
                 packed += w
                 target[packed] = target.get(packed, 0) + k

@@ -29,14 +29,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .enumeration import _check_size, _prefix_blocks, ballot_coeff
+from .enumeration import _check_size, _prefix_blocks, ballot_coeff, catalan_number
 from .errors import DomainViolation
 from .paths import GMOTZKIN_UVU, STEP_GEOMETRY, PathFamily
 from .series import (
     DEFAULT_ORDER,
     RiordanArray,
     TruncatedSeries,
-    big_schroder_series,
     parse_series_expr,
 )
 
@@ -183,7 +182,8 @@ def _p_r_axis_series(n: int) -> TruncatedSeries:
 
 
 def _schroder_number(n: int) -> int:
-    return big_schroder_series(n).coeff(n)
+    """The large Schroder number S_n = sum_k C(n+k, 2k) Cat(k)."""
+    return sum(comb(n + k, 2 * k) * catalan_number(k) for k in range(n + 1))
 
 
 def stat_riordan(stat: str, n: int, i: int) -> int:

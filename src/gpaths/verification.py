@@ -24,7 +24,7 @@ its domain word (f is injective), every image is accepted by B_n's step
 automaton and filter (f maps into B_n), and as many words are mapped as
 B_n has paths (f is onto): its transfer-matrix count, or with a filter the
 words its enumeration keeps; the count and the enumeration read one key
-stream with one pruning rule.  One walk of each image over the automaton
+graph with one pruning rule.  One walk of each image over the automaton
 both accepts it and weighs it, and the weight must equal its domain
 word's, which the domain's walk gives as a block's weight plus a tail's;
 both are packed ints, unpacked only to word a fault.  No set of paths is
@@ -148,7 +148,7 @@ PHI_EXAMPLE_OUT = "uduHuduuHdddH"
 # counts that large come from the transfer-matrix DP, not from enumeration.
 _CAP = MAX_N_COUNT
 # least domain words per chunk of criterion 3 (_chunks): 256 ran no faster, and
-# each 128 words more add 0.05 MB to check_bijections()' heap peak of 0.95 MB
+# each 128 words more add 0.05 MB to check_bijections()' heap peak of 0.90 MB
 _CHUNK = 128
 
 
@@ -516,7 +516,7 @@ def _certify(rows: Mapping[str, range]) -> dict[str, list[CheckResult]]:
     a GPathError from a map is one.
 
     A size passes the third check when every round trip is the identity,
-    every image is accepted by the codomain's key stream and cod_filter,
+    every image is accepted by the codomain's key graph and cod_filter,
     and the words mapped are as many as the codomain's: count_paths, or
     the filtered enumeration where there is a cod_filter.  The domain words
     come from the walk's weighted prefix blocks, so a word's packed weight

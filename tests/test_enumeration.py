@@ -20,7 +20,7 @@ from gpaths.enumeration import (
     _decode,
     _gfull_values,
     _guvu_values,
-    _keys_from_top,
+    _key_graph,
     _prefix_blocks,
     _weigher,
     ballot_closed_form,
@@ -312,14 +312,16 @@ def _reference_graph(family: PathFamily, n: int) -> dict:
 @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=PathFamily.describe)
 def test_key_stream_gives_each_reachable_key_once_after_its_parents(family):
     for n in range(-1, 7):
-        stream = list(_keys_from_top(family, n))
-        keys = [key for key, _ in stream]
-        assert len(keys) == len(set(keys))
-        assert dict(stream) == _reference_graph(family, n)
-        position = {key: i for i, key in enumerate(keys)}
-        for key, moves in stream:
-            for _, nxt in moves:
-                assert position[key] < position[nxt]
+        keys, rows, accepting = _key_graph(family, n, DEFAULT_WEIGHTING[family.base])
+        assert len(keys) == len(set(keys)) == len(rows) == len(accepting)
+        graph = {
+            key: [(letter, keys[j]) for letter, (j, _) in row.items()]
+            for key, row in zip(keys, rows)
+        }
+        assert graph == _reference_graph(family, n)
+        for i, row in enumerate(rows):
+            for j, _ in row.values():
+                assert i < j, (n, keys[i], keys[j])
 
 
 def test_uvu_stream_digest_is_frozen():
@@ -403,9 +405,14 @@ def test_walk_weights_equal_the_per_word_weights(case):
     for n in lengths:
         plain = list(_prefix_blocks(family, n))
         weighed = list(_prefix_blocks(family, n, weighting))
-        # one walk: the same blocks, and no weights without a weighting
+        # one walk: the same blocks; without a weighting, no tail weights
+        # and each word weighed under the family's default weighting
         assert [b[:3] for b in weighed] == [b[:3] for b in plain]
-        assert all(b[3:] == (0, None) for b in plain)
+        default = DEFAULT_WEIGHTING[family.base]
+        for word, _, _, weight, tail_weights in plain:
+            assert tail_weights is None
+            want = weight_exponents(word, default, family.base)
+            assert weight == pack_exponents(want), (word, default)
         for word, _, tails, weight, tail_weights in weighed:
             assert len(tail_weights) == len(tails)
             for tail, tail_weight in zip(tails, tail_weights):
