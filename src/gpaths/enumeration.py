@@ -50,11 +50,20 @@ the public entry points raise SizeLimitExceeded past them.
 The counting side is exact integer/polynomial arithmetic throughout:
 recurrence coefficients for the two generating-function equations, the
 classical closed forms, the double/triple sums, and the ballot numbers
-[x^m] C(x)^k extracted from the Catalan series.  Each recurrence body is
-written once, generic in its multipliers, and runs on ints at one point,
-a = 2^W, b = 1, c = 2^(W (n_max + 1)), whose base-2^W digits are the
-coefficients (Kronecker substitution), so its products are big-int
-products and not Polynomial term loops.
+[x^m] C(x)^k extracted from the Catalan series.  Both generating-function
+equations are quadratic, B G^2 - A G + C = 0 with B = x (b + cx), so
+F = A - 2BG squares to the discriminant Delta = A^2 - 4BC
+= 1 + sum delta_k x^k, of degree 4 or 2.  F is D-finite (Stanley, EC2
+6.4): 2 Delta F' = Delta' F, which at [x^(n-1)] reads
+2n f_n = sum_(1<=k<=deg Delta) (3k - 2n) delta_k f_(n-k), and [x^(n+1)]
+of F = A - 2BG gives b g_n + c g_(n-1) = (A_(n+1) - f_(n+1)) / 2.  So
+each g_n costs deg Delta products instead of the n/2 of [x^n] G^2.  G has
+integer coefficients by its equation and so has F = A - 2BG; at an integer
+point the three divisions, by 2n, by 2 and by b, are therefore exact, and
+each is a checked divmod (_exact).  The one body, `_quadratic_values`,
+runs on ints at one point, a = 2^W, b = 1, c = 2^(W (n_max + 1)), whose
+base-2^W digits are the coefficients (Kronecker substitution), so no
+Polynomial is multiplied.
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ from typing import Callable, Iterator
 
 from .errors import SizeLimitExceeded
 from .paths import STEP_GEOMETRY, Path, PathFamily
-from .series import TruncatedSeries, catalan_series, square_coeff
+from .series import TruncatedSeries, catalan_series
 from .weights import B, DEFAULT_WEIGHTING, Polynomial, step_exponents
 
 MAX_N_DEFAULT = 12
@@ -359,33 +368,31 @@ def weighted_count(
 # recurrences for the two generating-function equations
 # ---------------------------------------------------------------------------
 
-def _guvu_values(n_max: int, a_minus_b, b, ab, c) -> list:
-    """g_0 .. g_n_max of G = 1 + bx + (a-b+abx) x G + (b+cx) x G^2,
-    coefficientwise, in the ring of the four multipliers; g_0 is the int 1."""
-    g = [1]
-    g_squared = []  # [x^m] G^2, each computed once
-    for n in range(1, n_max + 1):
-        g_squared.append(square_coeff(g, n - 1))
-        total = a_minus_b * g[n - 1] + b * g_squared[n - 1]
-        if n == 1:
-            total = total + b
-        if n >= 2:
-            total = total + ab * g[n - 2] + c * g_squared[n - 2]
-        g.append(total)
-    return g
+def _exact(numerator: int, divisor: int, name: str) -> int:
+    """numerator / divisor, exact whenever the point is of the vouched form;
+    a remainder raises ArithmeticError, not a wrong g_n."""
+    quotient, remainder = divmod(numerator, divisor)
+    if remainder:
+        raise ArithmeticError(f"the division by {name} leaves a remainder")
+    return quotient
 
 
-def _gfull_values(n_max: int, a, b, c) -> list:
-    """g_0 .. g_n_max of G = 1 + a x G + b x G^2 + c x^2 G^2,
-    coefficientwise, in the ring of the three multipliers; g_0 is the int 1."""
-    g = [1]
-    g_squared = []  # [x^m] G^2, each computed once
-    for n in range(1, n_max + 1):
-        g_squared.append(square_coeff(g, n - 1))
-        total = a * g[n - 1] + b * g_squared[n - 1]
+def _quadratic_values(n_max: int, delta: tuple, a_tail: tuple, b, c) -> list:
+    """g_0 .. g_n_max of the root G = 1 + O(x) of B G^2 - A G + C = 0,
+    B = x (b + cx), through F = A - 2BG (module docstring), where delta is
+    delta_1 .. of Delta = A^2 - 4BC and a_tail is A_1 .. of A."""
+    f = [1]
+    g = []
+    for n in range(1, n_max + 2):
+        total = 0
+        for k, d in enumerate(delta[:n], 1):
+            total += (3 * k - 2 * n) * d * f[n - k]
+        f.append(_exact(total, 2 * n, "2n"))
+        a_n = a_tail[n - 1] if n <= len(a_tail) else 0
+        half = _exact(a_n - f[n], 2, "2")
         if n >= 2:
-            total = total + c * g_squared[n - 2]
-        g.append(total)
+            half -= c * g[n - 2]
+        g.append(_exact(half, b, "b"))
     return g
 
 
@@ -428,6 +435,10 @@ def _at_one_point(
     """g_0 .. g_n_max as Polynomials from values(a, b, c), a recurrence's
     g_0 .. g_n_max on ints (Kronecker substitution; Harvey, JSC 44, 2009).
 
+    values may divide: each dividend of _quadratic_values is its divisor
+    (2n, 2 or b) times an integer polynomial in a, b, c, so every division
+    is exact at an integer point with b != 0 (module docstring).
+
     The caller vouches that g_n is homogeneous of degree n when a and b
     weigh 1 and c weighs 2, and that no coefficient of g_n exceeds
     g_n(1, 1, 1) in absolute value.  So values(1, 1, 1) sizes the digit
@@ -449,8 +460,13 @@ def guvu_coeffs(n_max: int) -> list[Polynomial]:
     """Weighted counts of uvu-avoiding paths, from
     G = 1 + bx + (a-b+abx) x G + (b+cx) x G^2, coefficientwise.
 
-    The recurrence runs once on ints at a = X, b = 1, c = X^s and its values
-    are decoded (_at_one_point).  Each term of step n has degree n when a
+    That is B G^2 - A G + C = 0 with B = x (b + cx), A = 1 - (a-b)x - abx^2
+    and C = 1 + bx, so Delta = A^2 - 4BC has delta_1 .. delta_4 = -2a - 2b,
+    a^2 - 4ab - 3b^2 - 4c, 2a^2 b - 2ab^2 - 4bc, a^2 b^2, and F = sqrt(Delta)
+    satisfies 2 Delta F' = Delta' F, so 2n f_n = sum_(k<=4) (3k - 2n)
+    delta_k f_(n-k) (module docstring).  This recurrence runs once on ints at
+    a = X, b = 1, c = X^s and its values are decoded (_at_one_point).  Read
+    at [x^n], the equation gives g_n as a sum of terms of degree n when a
     and b weigh 1 and c weighs 2, so g_n is homogeneous of degree n.  The
     width bound is g_n(1, 1, 1), the large Schroder number: g_1 = a + b,
     and for n >= 2, [x^(n-1)] G^2 = 2 g_(n-1) + sum_(1<=k<=n-2) g_k
@@ -458,22 +474,31 @@ def guvu_coeffs(n_max: int) -> list[Polynomial]:
     + ab g_(n-2) + c [x^(n-2)] G^2, a sum of products of polynomials with
     nonnegative coefficients, whose coefficients are at most their sum.
     """
-    return _at_one_point(
-        n_max, lambda a, b, c: _guvu_values(n_max, a - b, b, a * b, c)
-    )
+    return _at_one_point(n_max, lambda a, b, c: _quadratic_values(
+        n_max,
+        (-2 * a - 2 * b, a * a - 4 * a * b - 3 * b * b - 4 * c,
+         2 * a * a * b - 2 * a * b * b - 4 * b * c, a * a * b * b),
+        (b - a, -a * b), b, c,
+    ))
 
 
 def gfull_coeffs(n_max: int) -> list[Polynomial]:
     """Weighted counts of unrestricted paths, from
     G = 1 + a x G + b x G^2 + c x^2 G^2, coefficientwise.
 
-    The recurrence runs once on ints at a = X, b = 1, c = X^s and its values
-    are decoded (_at_one_point).  Each term of step n has degree n when a
-    and b weigh 1 and c weighs 2, so g_n is homogeneous of degree n; its
-    multipliers a, b, c have coefficient 1, so every coefficient of g_n is
+    That is B G^2 - A G + C = 0 with B = x (b + cx), A = 1 - ax and C = 1,
+    so Delta = A^2 - 4BC has delta_1, delta_2 = -2a - 4b, a^2 - 4c, and
+    F = sqrt(Delta) satisfies 2 Delta F' = Delta' F, so 2n f_n =
+    sum_(k<=2) (3k - 2n) delta_k f_(n-k) (module docstring).  This recurrence runs once on
+    ints at a = X, b = 1, c = X^s and its values are decoded
+    (_at_one_point).  Read at [x^n], the equation gives g_n as a sum of
+    terms of degree n when a and b weigh 1 and c weighs 2, so g_n is
+    homogeneous of degree n; the equation's multipliers a, b, c have coefficient 1, so every coefficient of g_n is
     nonnegative and at most g_n(1, 1, 1), the width bound.
     """
-    return _at_one_point(n_max, lambda a, b, c: _gfull_values(n_max, a, b, c))
+    return _at_one_point(n_max, lambda a, b, c: _quadratic_values(
+        n_max, (-2 * a - 4 * b, a * a - 4 * c), (-a,), b, c
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,9 @@ from gpaths.enumeration import (
     _automaton,
     _at_one_point,
     _decode,
-    _gfull_values,
-    _guvu_values,
     _key_graph,
     _prefix_blocks,
+    _quadratic_values,
     _weigher,
     ballot_closed_form,
     ballot_coeff,
@@ -38,6 +37,7 @@ from gpaths.enumeration import (
     weighted_count,
 )
 from gpaths.errors import FamilyMismatch, GPathError, SizeLimitExceeded
+from gpaths.series import guvu_series_at, square_coeff
 from gpaths.paths import (
     ALPHABETS,
     BASE_FAMILIES,
@@ -155,8 +155,39 @@ def test_gfull_recurrence_matches_enumeration():
     assert [p.eval_at(1, 1, 1) for p in g[:7]] == GFULL_COUNTS
 
 
+def _guvu_values(n_max: int, a_minus_b, b, ab, c) -> list:
+    """g_0 .. g_n_max of G = 1 + bx + (a-b+abx) x G + (b+cx) x G^2,
+    coefficientwise, in the ring of the four multipliers; g_0 is the int 1."""
+    g = [1]
+    g_squared = []  # [x^m] G^2, each computed once
+    for n in range(1, n_max + 1):
+        g_squared.append(square_coeff(g, n - 1))
+        total = a_minus_b * g[n - 1] + b * g_squared[n - 1]
+        if n == 1:
+            total = total + b
+        if n >= 2:
+            total = total + ab * g[n - 2] + c * g_squared[n - 2]
+        g.append(total)
+    return g
+
+
+def _gfull_values(n_max: int, a, b, c) -> list:
+    """g_0 .. g_n_max of G = 1 + a x G + b x G^2 + c x^2 G^2,
+    coefficientwise, in the ring of the three multipliers; g_0 is the int 1."""
+    g = [1]
+    g_squared = []  # [x^m] G^2, each computed once
+    for n in range(1, n_max + 1):
+        g_squared.append(square_coeff(g, n - 1))
+        total = a * g[n - 1] + b * g_squared[n - 1]
+        if n >= 2:
+            total = total + c * g_squared[n - 2]
+        g.append(total)
+    return g
+
+
 def test_recurrences_equal_their_bodies_over_the_polynomial_ring():
-    # the same recurrence bodies, run on Polynomials instead of at one point
+    # the convolution bodies the discriminant recurrence replaced, run on
+    # Polynomials instead of at one point: they multiply and never divide
     a, b, c = Polynomial.var("a"), Polynomial.var("b"), Polynomial.var("c")
     for n_max in range(21):
         for got, want in (
@@ -168,6 +199,48 @@ def test_recurrences_equal_their_bodies_over_the_polynomial_ring():
             assert [str(p) for p in got] == [str(p) for p in want]
     assert guvu_coeffs(-1) == [1]
     assert gfull_coeffs(-1) == [1]
+
+
+def _catalan(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
+
+
+def _large_schroder(n: int) -> int:
+    return sum(math.comb(n + k, 2 * k) * _catalan(k) for k in range(n + 1))
+
+
+def _motzkin(n: int) -> int:
+    return sum(math.comb(n, 2 * k) * _catalan(k) for k in range(n // 2 + 1))
+
+
+def _at(p, a: int, b: int, c: int) -> int:
+    return sum(k * a**ea * b**eb * c**ec for (ea, eb, ec), k in p.terms.items())
+
+
+def test_recurrences_at_points_equal_classical_closed_forms():
+    # closed forms from math.comb alone, far past the enumeration caps
+    n_max = 60
+    guvu, gfull = guvu_coeffs(n_max), gfull_coeffs(n_max)
+    for point, number in (((1, 1, 1), _large_schroder), ((0, 1, 1), _catalan)):
+        want = [number(n) for n in range(n_max + 1)]
+        assert [_at(p, *point) for p in guvu] == want
+        assert list(guvu_series_at(*point, n_max).coeffs) == want
+    for point, number in (
+        ((0, 1, 0), _catalan), ((1, 1, 0), _large_schroder), ((1, 0, 1), _motzkin)
+    ):
+        assert [_at(p, *point) for p in gfull] == [number(n) for n in range(n_max + 1)]
+
+
+def test_recurrence_refuses_an_inexact_division():
+    # Delta = 1 + x: 2 f_1 = delta_1 = 1 is odd
+    with pytest.raises(ArithmeticError, match="by 2n"):
+        _quadratic_values(1, (1,), (0,), 1, 0)
+    # f_1 = 1, so A_1 - f_1 = -1 is odd
+    with pytest.raises(ArithmeticError, match="by 2 "):
+        _quadratic_values(1, (2,), (0,), 1, 0)
+    # f_1 = -2, so b g_0 = 1 with b = 2
+    with pytest.raises(ArithmeticError, match="by b"):
+        _quadratic_values(1, (-4,), (0,), 2, 0)
 
 
 def test_decoder_refuses_a_value_not_of_the_decoded_form():
