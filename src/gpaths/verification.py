@@ -7,6 +7,14 @@ count of the codomain, statistic tables against their frozen reference
 rows.  The frozen sequences and tables below are the reference data;
 nothing in here derives them from the code under test.
 
+Criteria 1, 2 and 4-7 are lists of claims.  `_claim(name, cases)` reads
+cases (at, got, want): where the case stands (a size n, or an entry
+(n, i)) and the values two routes give there, tuples where a claim joins
+several equalities.  The cases are generated lazily and read in order, so
+a passing check computes each once and a failing one stops at its first
+difference, which it keeps as its detail "at ...: got ..., want ...".
+Criterion 3's worked examples are claims too, one case per example.
+
 Criterion 3 is table-driven: `CERTIFICATIONS` gives each map of
 `bijections.BIJECTIONS` its sizes, the x-lengths a size stands for in the
 domain and codomain, optional prefixes that narrow a side's walk and
@@ -38,8 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, zip_longest
 from types import MappingProxyType
 
 from . import bijections as bij
@@ -164,6 +171,15 @@ class CheckResult:
         return f"{status} {self.name}{suffix}"
 
 
+def _claim(name: str, cases: Iterable[tuple[object, object, object]]) -> CheckResult:
+    """The check that got == want in every case (at, got, want), read in
+    order and only up to the first that differs, which is its detail."""
+    for at, got, want in cases:
+        if got != want:
+            return CheckResult(name, False, f"at {at}: got {got}, want {want}")
+    return CheckResult(name, True)
+
+
 def _enumerated_weight(family: PathFamily, n: int, weighting: str) -> Polynomial:
     """The weight polynomial summed path by path over the generated paths,
     independently of the transfer-matrix DP behind weighted_count."""
@@ -180,19 +196,17 @@ def _enumerated_weight(family: PathFamily, n: int, weighting: str) -> Polynomial
 
 
 def check_stat_tables(n_max: int = 6) -> list[CheckResult]:
-    results = []
-    for stat, golden in GOLDEN_TABLES.items():
-        want = tuple(row for row in golden[: n_max + 1])
-        for method in methods_for(stat):
-            got = stat_table(stat, method, n_max).rows
-            results.append(
-                CheckResult(
-                    f"stat table {stat} via {method} matches reference rows 0..{n_max}",
-                    got == want,
-                    f"got {got}",
-                )
-            )
-    return results
+    # zip_longest: a table short of a row differs from its reference there
+    return [
+        _claim(
+            f"stat table {stat} via {method} matches reference rows 0..{n_max}",
+            ((n, *rows) for n, rows in enumerate(zip_longest(
+                stat_table(stat, method, n_max).rows, golden[: n_max + 1]
+            ))),
+        )
+        for stat, golden in GOLDEN_TABLES.items()
+        for method in methods_for(stat)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -201,74 +215,53 @@ def check_stat_tables(n_max: int = 6) -> list[CheckResult]:
 
 
 def check_weighted_counts(n_max: int = 10) -> list[CheckResult]:
-    results = []
     g = guvu_coeffs(n_max)
-
+    sizes = range(n_max + 1)
+    sym_max = min(n_max, 8)
     # "brute" in these three names is historical: the counts come from the
     # transfer-matrix DP; the names stay for byte-identical verify output
-    for label, family, x_per_n, seq in (
-        ("Dyck counts match the Catalan numbers", DYCK, 2, CATALAN),
-        ("Motzkin counts match the Motzkin numbers", MOTZKIN, 1, MOTZKIN_NUMBERS),
-        ("Schroder counts match the Schroder numbers", SCHRODER, 2, SCHRODER_NUMBERS),
-    ):
-        got = [count_paths(family, x_per_n * n, _CAP) for n in range(n_max + 1)]
-        results.append(
-            CheckResult(
-                f"brute {label} up to n={n_max}",
-                got == list(seq[: n_max + 1]),
-                f"got {got}",
-            )
+    results = [
+        _claim(
+            f"brute {label} up to n={n_max}",
+            ((n, count_paths(family, x_per_n * n, _CAP), seq[n]) for n in sizes),
         )
-
-    for triple, seq, label in (
-        ((0, 1, 1), CATALAN, "(0,1,1) gives the Catalan numbers"),
-        ((1, 0, 1), MOTZKIN_NUMBERS, "(1,0,1) gives the Motzkin numbers"),
-        ((1, 1, 1), SCHRODER_NUMBERS, "(1,1,1) gives the Schroder numbers"),
-        ((1, 0, 2), SEQ_A025235, "(1,0,2) gives the A025235 sequence"),
-        ((-3, 4, 16), SEQ_A059231, "(-3,4,16) gives the A059231 sequence"),
-    ):
-        got = [g[n].eval_at(*triple) for n in range(n_max + 1)]
-        results.append(
-            CheckResult(
-                f"recurrence at {label}",
-                got == [Fraction(x) for x in seq[: n_max + 1]],
-                f"got {got}",
-            )
+        for label, family, x_per_n, seq in (
+            ("Dyck counts match the Catalan numbers", DYCK, 2, CATALAN),
+            ("Motzkin counts match the Motzkin numbers", MOTZKIN, 1, MOTZKIN_NUMBERS),
+            ("Schroder counts match the Schroder numbers", SCHRODER, 2, SCHRODER_NUMBERS),
         )
-
+    ] + [
+        _claim(
+            f"recurrence at {label}",
+            ((n, g[n].eval_at(*point), seq[n]) for n in sizes),
+        )
+        for point, seq, label in (
+            ((0, 1, 1), CATALAN, "(0,1,1) gives the Catalan numbers"),
+            ((1, 0, 1), MOTZKIN_NUMBERS, "(1,0,1) gives the Motzkin numbers"),
+            ((1, 1, 1), SCHRODER_NUMBERS, "(1,1,1) gives the Schroder numbers"),
+            ((1, 0, 2), SEQ_A025235, "(1,0,2) gives the A025235 sequence"),
+            ((-3, 4, 16), SEQ_A059231, "(-3,4,16) gives the A059231 sequence"),
+        )
+    ]
     # path-by-path enumeration of the weighted family itself, symbolically (small n)
-    sym_max = min(n_max, 8)
-    sym_ok = all(
-        _enumerated_weight(GMOTZKIN_UVU, n, "gmotzkin_abc") == g[n]
-        for n in range(sym_max + 1)
-    )
-    results.append(
-        CheckResult(
-            f"recurrence equals the enumerated weight polynomial up to n={sym_max}",
-            sym_ok,
+    results.append(_claim(
+        f"recurrence equals the enumerated weight polynomial up to n={sym_max}",
+        ((n, _enumerated_weight(GMOTZKIN_UVU, n, "gmotzkin_abc"), g[n])
+         for n in range(sym_max + 1)),
+    ))
+    results += [
+        _claim(
+            f"{variant} explicit triple sum equals the recurrence up to n={n_max}",
+            ((n, prop21(n, variant), g[n]) for n in sizes),
         )
-    )
-
-    for variant in ("first", "second"):
-        ok = all(prop21(n, variant) == g[n] for n in range(n_max + 1))
-        results.append(
-            CheckResult(
-                f"{variant} explicit triple sum equals the recurrence up to n={n_max}",
-                ok,
-            )
-        )
-
-    for triple in ((1, 0, 2), (-3, 4, 16)):
-        series = guvu_series_at(*triple, order=n_max)
-        ok = all(
-            series.coeff(n) == g[n].eval_at(*triple) for n in range(n_max + 1)
-        )
-        results.append(
-            CheckResult(
-                f"composite-series route agrees at weights {triple}",
-                ok,
-            )
-        )
+        for variant in ("first", "second")
+    ]
+    for point in ((1, 0, 2), (-3, 4, 16)):
+        series = guvu_series_at(*point, order=n_max)
+        results.append(_claim(
+            f"composite-series route agrees at weights {point}",
+            ((n, series.coeff(n), g[n].eval_at(*point)) for n in sizes),
+        ))
     return results
 
 
@@ -581,12 +574,14 @@ def check_bijections(n_max: int = 8, theta_n_max: int = 10) -> list[CheckResult]
     results = []
     for name, cert in CERTIFICATIONS.items():
         results += certified[name]
-        for check, cases in cert.examples:
-            ok = True
-            for m, given, want in cases:
-                spec = bij.BIJECTIONS[m]
-                ok = ok and spec.forward(parse(given, spec.domain)).steps == want
-            results.append(CheckResult(check, ok))
+        results += [
+            _claim(check, (
+                (given, bij.BIJECTIONS[m].forward(
+                    parse(given, bij.BIJECTIONS[m].domain)).steps, want)
+                for m, given, want in cases
+            ))
+            for check, cases in cert.examples
+        ]
     return results
 
 
@@ -594,100 +589,58 @@ def check_bijections(n_max: int = 8, theta_n_max: int = 10) -> list[CheckResult]
 # criterion 4: polynomial identities
 # ---------------------------------------------------------------------------
 
+# each closed form with the family it counts, x-length per size and weighting
+_ANCHORS = (
+    ("dyck_ab", DYCK, 2, "dyck_peak_ab"),
+    ("motzkin_ab", MOTZKIN, 1, "motzkin_ab"),
+    ("schroder_ab", SCHRODER, 2, "schroder_ab"),
+    ("little_schroder_ab", SCHRODER.restricted(), 2, "schroder_ab"),
+)
+_TAU = GMOTZKIN.avoiding("uvu", "uu", "uh"), GMOTZKIN.avoiding("uvu", "uu", "hu")
+
 
 def check_identities(n_max: int = 8) -> list[CheckResult]:
-    results = []
-
-    anchors_ok = all(
-        closed_form("dyck_ab", n) == _enumerated_weight(DYCK, 2 * n, "dyck_peak_ab")
-        and closed_form("motzkin_ab", n) == _enumerated_weight(MOTZKIN, n, "motzkin_ab")
-        and closed_form("schroder_ab", n)
-        == _enumerated_weight(SCHRODER, 2 * n, "schroder_ab")
-        and closed_form("little_schroder_ab", n)
-        == _enumerated_weight(SCHRODER.restricted(), 2 * n, "schroder_ab")
-        for n in range(n_max + 1)
-    )
-    results.append(
-        CheckResult(
+    sizes, positive = range(n_max + 1), range(1, n_max + 1)
+    return [
+        _claim(
             f"closed forms equal the enumerated weight polynomials up to n={n_max}",
-            anchors_ok,
-        )
-    )
-
-    ok12 = all(
-        closed_form("schroder_ab", n)
-        == closed_form("dyck_ab", n).subs(A + B, B, ZERO)
-        for n in range(n_max + 1)
-    ) and all(
-        closed_form("schroder_ab", n)
-        == (A + B) * closed_form("motzkin_ab", n - 1).subs(
-            A + 2 * B, (A + B) * B, ZERO
-        )
-        for n in range(1, n_max + 1)
-    )
-    results.append(
-        CheckResult(
+            ((n, tuple(closed_form(form, n) for form, *_ in _ANCHORS),
+              tuple(_enumerated_weight(f, x * n, w) for _, f, x, w in _ANCHORS))
+             for n in sizes),
+        ),
+        _claim(
             f"S_n(a,b) = C_n(a+b,b) = (a+b) M_(n-1)(a+2b,(a+b)b) up to n={n_max}",
-            ok12,
-        )
-    )
-
-    ok23 = all(
-        B * closed_form("schroder_ab", n)
-        == (A + B) * closed_form("little_schroder_ab", n)
-        for n in range(1, n_max + 1)
-    )
-    results.append(
-        CheckResult(f"b S_n(a,b) = (a+b) s_n(a,b) up to n={n_max}", ok23)
-    )
-
-    little_counts_ok = all(
-        closed_form("little_schroder_ab", n).eval_at(1, 1)
-        == count_paths(SCHRODER.restricted(), 2 * n, _CAP)
-        == LITTLE_SCHRODER_NUMBERS[n]
-        for n in range(n_max + 1)
-    )
-    results.append(
-        CheckResult(
+            chain(
+                ((n, closed_form("schroder_ab", n),
+                  closed_form("dyck_ab", n).subs(A + B, B, ZERO)) for n in sizes),
+                ((n, closed_form("schroder_ab", n), (A + B) * closed_form(
+                    "motzkin_ab", n - 1).subs(A + 2 * B, (A + B) * B, ZERO))
+                 for n in positive),
+            ),
+        ),
+        _claim(
+            f"b S_n(a,b) = (a+b) s_n(a,b) up to n={n_max}",
+            ((n, B * closed_form("schroder_ab", n),
+              (A + B) * closed_form("little_schroder_ab", n)) for n in positive),
+        ),
+        _claim(
             f"s_n(1,1) equals the axis-horizontal-free Schroder count up to n={n_max}",
-            little_counts_ok,
-        )
-    )
-
-    ok_tau = True
-    for n in range(n_max + 1):
-        want = (A + B) ** n
-        got1 = weighted_count(
-            GMOTZKIN.avoiding("uvu", "uu", "uh"), n, "gmotzkin_ab_bsq", _CAP
-        )
-        got2 = weighted_count(
-            GMOTZKIN.avoiding("uvu", "uu", "hu"), n, "gmotzkin_ab_bsq", _CAP
-        )
-        if got1 != want or got2 != want:
-            ok_tau = False
-    results.append(
-        CheckResult(
+            ((n, (closed_form("little_schroder_ab", n).eval_at(1, 1),
+                  count_paths(SCHRODER.restricted(), 2 * n, _CAP)),
+              (LITTLE_SCHRODER_NUMBERS[n],) * 2) for n in sizes),
+        ),
+        _claim(
             f"both tau-restricted weighted counts equal (a+b)^n up to n={n_max}",
-            ok_tau,
-        )
-    )
-
-    ok34 = all(
-        A * closed_form("motzkin_ab", n).subs(A + B, A * B, ZERO)
-        == closed_form("dyck_ab", n + 1)
-        for n in range(n_max + 1)
-    ) and all(
-        weighted_count(bij.VARPHI_DOMAIN, n + 1, "bicolored_motzkin_ab", _CAP)
-        == closed_form("dyck_ab", n + 1)
-        for n in range(n_max + 1)
-    )
-    results.append(
-        CheckResult(
+            ((n, tuple(weighted_count(f, n, "gmotzkin_ab_bsq", _CAP) for f in _TAU),
+              ((A + B) ** n,) * 2) for n in sizes),
+        ),
+        _claim(
             f"a M_n(a+b,ab) = C_(n+1)(a,b), also as the marked-prefix count, up to n={n_max}",
-            ok34,
-        )
-    )
-    return results
+            ((n, (A * closed_form("motzkin_ab", n).subs(A + B, A * B, ZERO),
+                  weighted_count(bij.VARPHI_DOMAIN, n + 1, "bicolored_motzkin_ab", _CAP)),
+              (closed_form("dyck_ab", n + 1),) * 2) for n in sizes),
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -695,64 +648,42 @@ def check_identities(n_max: int = 8) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _entries(n_max: int) -> Iterator[tuple[int, int]]:
+    """The (n, i) of a statistic table's rows 0..n_max."""
+    return ((n, i) for n in range(n_max + 1) for i in range(n + 1))
+
+
 def check_stat_identities(n_max: int = 6) -> list[CheckResult]:
-    results = []
-    ok_d = all(
-        stat_brute("D", n, i) == stat_brute("U", n, i)
-        for n in range(n_max + 1)
-        for i in range(n + 1)
-    )
-    results.append(
-        CheckResult(f"d-step counts equal u-step counts up to n={n_max}", ok_d)
-    )
-
-    ok_v = all(
-        stat_brute("V", n, i) == stat_brute("U", n, i) - stat_brute("U", n - 1, i)
-        for n in range(n_max + 1)
-        for i in range(n + 1)
-    )
-    results.append(
-        CheckResult(
+    return [
+        _claim(
+            f"d-step counts equal u-step counts up to n={n_max}",
+            (((n, i), stat_brute("D", n, i), stat_brute("U", n, i))
+             for n, i in _entries(n_max)),
+        ),
+        _claim(
             f"v-step counts are the difference of consecutive u-step rows up to n={n_max}",
-            ok_v,
-        )
-    )
-
-    ok_cons = all(
-        stat_brute("U", n, i)
-        == stat_brute("V", n, i) + stat_brute("D", n - 1, i)
-        for n in range(n_max + 1)
-        for i in range(n + 1)
-    )
-    results.append(
-        CheckResult(
+            (((n, i), stat_brute("V", n, i),
+              stat_brute("U", n, i) - stat_brute("U", n - 1, i))
+             for n, i in _entries(n_max)),
+        ),
+        _claim(
             f"every u-step is closed by a v or a d: U = V + D-shift up to n={n_max}",
-            ok_cons,
-        )
-    )
-
-    ok_h0 = all(
-        stat_brute("H", n, 0)
-        == SCHRODER_NUMBERS[n + 1] - SCHRODER_NUMBERS[n]
-        for n in range(n_max + 1)
-    )
-    results.append(
-        CheckResult(
-            f"axis h-step counts are Schroder differences up to n={n_max}", ok_h0
-        )
-    )
-
-    ok_p0 = all(
-        stat_brute("P", n + 1, 0)
-        == SCHRODER_NUMBERS[n + 1] + stat_brute("U", n, 0) + stat_brute("H", n, 0)
-        for n in range(n_max)
-    )
-    results.append(
-        CheckResult(
-            f"axis point counts decompose over returns up to n={n_max}", ok_p0
-        )
-    )
-    return results
+            (((n, i), stat_brute("U", n, i),
+              stat_brute("V", n, i) + stat_brute("D", n - 1, i))
+             for n, i in _entries(n_max)),
+        ),
+        _claim(
+            f"axis h-step counts are Schroder differences up to n={n_max}",
+            ((n, stat_brute("H", n, 0), SCHRODER_NUMBERS[n + 1] - SCHRODER_NUMBERS[n])
+             for n in range(n_max + 1)),
+        ),
+        _claim(
+            f"axis point counts decompose over returns up to n={n_max}",
+            ((n, stat_brute("P", n + 1, 0),
+              SCHRODER_NUMBERS[n + 1] + stat_brute("U", n, 0) + stat_brute("H", n, 0))
+             for n in range(n_max)),
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -761,25 +692,14 @@ def check_stat_identities(n_max: int = 6) -> list[CheckResult]:
 
 
 def check_restricted_stats(n_max: int = 6) -> list[CheckResult]:
-    results = []
-    for stat in ("u_r", "v_r", "d_r", "h_r", "p_r"):
-        ok = True
-        detail = ""
-        for n in range(n_max + 1):
-            for i in range(n + 1):
-                b = stat_brute(stat, n, i)
-                r = stat_riordan(stat, n, i)
-                if b != r:
-                    ok = False
-                    detail = detail or f"{stat}({n},{i}): brute {b}, riordan {r}"
-        results.append(
-            CheckResult(
-                f"restricted {stat} brute equals Riordan up to n={n_max}",
-                ok,
-                detail,
-            )
+    return [
+        _claim(
+            f"restricted {stat} brute equals Riordan up to n={n_max}",
+            (((n, i), stat_brute(stat, n, i), stat_riordan(stat, n, i))
+             for n, i in _entries(n_max)),
         )
-    return results
+        for stat in ("u_r", "v_r", "d_r", "h_r", "p_r")
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -788,30 +708,17 @@ def check_restricted_stats(n_max: int = 6) -> list[CheckResult]:
 
 
 def check_ballot(m_max: int = 12, k_max: int = 15) -> list[CheckResult]:
-    results = []
-    ok = all(
-        ballot_coeff(m, k) == ballot_closed_form(m, k)
-        for m in range(m_max + 1)
-        for k in range(k_max + 1)
-    )
-    results.append(
-        CheckResult(
+    return [
+        _claim(
             f"series and closed-form ballot numbers agree for m<={m_max}, k<={k_max}",
-            ok,
-        )
-    )
-    ok_table = all(
-        stat_formula("U", n, i) == GOLDEN_U[n][i]
-        for n in range(7)
-        for i in range(n + 1)
-    )
-    results.append(
-        CheckResult(
+            (((m, k), ballot_coeff(m, k), ballot_closed_form(m, k))
+             for m in range(m_max + 1) for k in range(k_max + 1)),
+        ),
+        _claim(
             "the alternating ballot sum reproduces the u-step reference table",
-            ok_table,
-        )
-    )
-    return results
+            (((n, i), stat_formula("U", n, i), GOLDEN_U[n][i]) for n, i in _entries(6)),
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------

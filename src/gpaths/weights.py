@@ -3,8 +3,9 @@
 A Polynomial maps exponent triples (ea, eb, ec) to nonzero integer
 coefficients.  Every weighted count the package returns is one: exact, no
 floats anywhere (the two recurrences of `enumeration` compute theirs on
-ints at one point and decode them into Polynomials).  Evaluation
-substitutes Fractions and returns a Fraction.
+ints at one point and decode them into Polynomials).  Evaluation keeps
+int arguments as ints and makes the others Fractions, so an integer point
+gives an int.
 
 A weighting assigns each step a monomial weight; the weight of a path is
 the product over its steps, so it is always a single monomial, and a
@@ -166,9 +167,11 @@ class Polynomial:
         """The value at a = b = c = 1."""
         return sum(self._terms.values())
 
-    def eval_at(self, a, b, c=0) -> Fraction:
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        total = Fraction(0)
+    def eval_at(self, a, b, c=0) -> int | Fraction:
+        """The exact value at (a, b, c); an argument that is not an int
+        becomes a Fraction, so int arguments give an int."""
+        a, b, c = (w if isinstance(w, int) else Fraction(w) for w in (a, b, c))
+        total = 0
         for (ea, eb, ec), coeff in self._terms.items():
             total += coeff * a**ea * b**eb * c**ec
         return total

@@ -1,7 +1,9 @@
-"""Criterion 3 certifies the registered maps and catches a broken one."""
+"""Every criterion catches a broken route and names its first counterexample;
+criterion 3 certifies the registered maps and catches a broken one."""
 
 import dataclasses
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
@@ -9,8 +11,20 @@ from gpaths import bijections as bij
 from gpaths import verification
 from gpaths.enumeration import count_paths, iter_step_strings
 from gpaths.paths import GMOTZKIN_UVU
-from gpaths.verification import CERTIFICATIONS, check_bijections
-from gpaths.weights import packed_weight
+from gpaths.stats import stat_brute, stat_riordan, stat_table
+from gpaths.verification import (
+    CATALAN,
+    CERTIFICATIONS,
+    check_ballot,
+    check_bijections,
+    check_identities,
+    check_restricted_stats,
+    check_stat_identities,
+    check_stat_tables,
+    check_weighted_counts,
+    run_suite,
+)
+from gpaths.weights import B, packed_weight
 
 
 def _corrupt_last_letter(s, trace=None):
@@ -286,4 +300,136 @@ def test_sizes_below_the_smallest_are_one_value_error(n_max, theta_n_max):
 def test_smallest_sizes_are_certified():
     results = check_bijections(1, 0)
     assert len(results) == 32
+    assert all(r.ok for r in results)
+
+
+def _failures(results):
+    return {r.name: r.detail for r in results if not r.ok}
+
+
+def test_a_claim_stops_at_its_first_difference():
+    read = []
+
+    def cases():
+        for n in range(5):
+            read.append(n)
+            yield n, n * n, n
+
+    assert verification._claim("squares are fixed", cases()) == verification.CheckResult(
+        "squares are fixed", False, "at 2: got 4, want 2"
+    )
+    assert read == [0, 1, 2]
+    assert verification._claim("nothing to check", iter(())).ok
+
+
+def test_criterion_1_names_the_first_differing_row(monkeypatch):
+    h = verification.GOLDEN_TABLES["H"]
+    monkeypatch.setitem(
+        verification.GOLDEN_TABLES, "H", h[:3] + ((68, 48, 13, 1),) + h[4:]
+    )
+    detail = "at 3: got (68, 48, 12, 1), want (68, 48, 13, 1)"
+    assert _failures(check_stat_tables()) == {
+        f"stat table H via {method} matches reference rows 0..6": detail
+        for method in ("brute", "riordan", "formula")
+    }
+
+
+def test_criterion_1_fails_a_table_short_of_its_last_row(monkeypatch):
+    def short_p_riordan(stat, method, n_max):
+        table = stat_table(stat, method, n_max)
+        if (stat, method) == ("P", "riordan"):
+            table = dataclasses.replace(table, rows=table.rows[:-1])
+        return table
+
+    monkeypatch.setattr(verification, "stat_table", short_p_riordan)
+    assert _failures(check_stat_tables(4)) == {
+        "stat table P via riordan matches reference rows 0..4": (
+            "at 4: got None, want (279, 230, 86, 15, 1)"
+        ),
+    }
+
+
+def test_criterion_2_names_the_first_differing_size(monkeypatch):
+    monkeypatch.setattr(verification, "CATALAN", CATALAN[:5] + (41,) + CATALAN[6:])
+    assert _failures(check_weighted_counts()) == {
+        "brute Dyck counts match the Catalan numbers up to n=10": "at 5: got 42, want 41",
+        "recurrence at (0,1,1) gives the Catalan numbers": "at 5: got 42, want 41",
+    }
+
+
+def test_criterion_4_names_the_first_differing_size(monkeypatch):
+    closed_form = verification.closed_form
+
+    def c3_plus_b(name, n):
+        return closed_form(name, n) + (B if (name, n) == ("dyck_ab", 3) else 0)
+
+    monkeypatch.setattr(verification, "closed_form", c3_plus_b)
+    c3 = "Polynomial(a^3 + 3*a^2*b + a*b^2)"
+    broken = "Polynomial(a^3 + 3*a^2*b + a*b^2 + b)"
+    assert _failures(check_identities(2)) == {
+        "a M_n(a+b,ab) = C_(n+1)(a,b), also as the marked-prefix count, up to n=2": (
+            f"at 2: got ({c3}, {c3}), want ({broken}, {broken})"
+        ),
+    }
+
+
+def test_criterion_5_names_the_first_differing_entry(monkeypatch):
+    def v31_plus_one(stat, n, i):
+        return stat_brute(stat, n, i) + ((stat, n, i) == ("V", 3, 1))
+
+    monkeypatch.setattr(verification, "stat_brute", v31_plus_one)
+    assert _failures(check_stat_identities(4)) == {
+        "v-step counts are the difference of consecutive u-step rows up to n=4": (
+            "at (3, 1): got 53, want 52"
+        ),
+        "every u-step is closed by a v or a d: U = V + D-shift up to n=4": (
+            "at (3, 1): got 61, want 62"
+        ),
+    }
+
+
+def test_criterion_6_names_the_first_differing_entry(monkeypatch):
+    def h_r42_plus_one(stat, n, i):
+        return stat_riordan(stat, n, i) + ((stat, n, i) == ("h_r", 4, 2))
+
+    monkeypatch.setattr(verification, "stat_riordan", h_r42_plus_one)
+    assert _failures(check_restricted_stats()) == {
+        "restricted h_r brute equals Riordan up to n=6": "at (4, 2): got 127, want 128",
+    }
+
+
+def test_criterion_7_names_the_first_differing_entry(monkeypatch):
+    ballot_closed_form = verification.ballot_closed_form
+
+    def b23_minus_one(m, k):
+        return ballot_closed_form(m, k) - ((m, k) == (2, 3))
+
+    monkeypatch.setattr(verification, "ballot_closed_form", b23_minus_one)
+    assert _failures(check_ballot()) == {
+        "series and closed-form ballot numbers agree for m<=12, k<=15": (
+            "at (2, 3): got 9, want 8"
+        ),
+    }
+
+
+def test_a_failed_worked_example_names_its_input(monkeypatch):
+    rho = dataclasses.replace(
+        CERTIFICATIONS["rho"],
+        examples=(("rho reproduces the worked examples", (
+            ("rho", "hh", "aa"), ("rho", "uv", "b"), ("rho", "uhd", "bba"),
+        )),),
+    )
+    monkeypatch.setattr(
+        verification, "CERTIFICATIONS", MappingProxyType({**CERTIFICATIONS, "rho": rho})
+    )
+    assert _failures(check_bijections(1, 0)) == {
+        "rho reproduces the worked examples": "at uhd: got bab, want bba",
+    }
+
+
+@pytest.mark.parametrize("suite, checks", [("counts", 15), ("stats", 23), ("identities", 6)])
+def test_the_smallest_sizes_pass(suite, checks):
+    # empty ranges such as range(1, 1), and rows n - 1 = -1
+    results = run_suite(suite, 0)
+    assert len(results) == checks
     assert all(r.ok for r in results)

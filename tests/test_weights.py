@@ -173,6 +173,7 @@ _ref_small = st.dictionaries(
     max_size=2,
 )
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+_small_ints = st.integers(-3, 3)
 
 
 @given(_ref_polys, _ref_polys, st.integers(0, 3))
@@ -198,6 +199,14 @@ def test_packed_polynomial_matches_the_tuple_keyed_reference(p, q, n):
 @given(_ref_polys, _fractions, _fractions, _fractions)
 def test_packed_eval_matches_the_reference(p, a, b, c):
     assert Polynomial(p).eval_at(a, b, c) == _ref_eval(p, a, b, c)
+
+
+@given(_ref_polys, _small_ints, _small_ints, _small_ints)
+def test_eval_at_an_integer_point_is_the_int_of_the_fraction_point(p, a, b, c):
+    value = Polynomial(p).eval_at(a, b, c)
+    assert type(value) is int
+    assert value == Polynomial(p).eval_at(Fraction(a), Fraction(b), Fraction(c))
+    assert value == _ref_eval(p, a, b, c)
 
 
 @given(_ref_polys, _ref_small, _ref_small, _ref_small)
