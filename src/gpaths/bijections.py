@@ -720,19 +720,3 @@ psi, psi_inv = BIJECTIONS["psi"].forward, BIJECTIONS["psi"].inverse
 varphi_theta, varphi_theta_inv = (
     BIJECTIONS["varphi_theta"].forward, BIJECTIONS["varphi_theta"].inverse
 )
-
-
-def apply_bijection(
-    name: str, direction: str, path: Path, trace: Trace = None
-) -> Path:
-    try:
-        spec = BIJECTIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown bijection {name!r}; choose from " + ", ".join(BIJECTIONS)
-        ) from None
-    if direction == "fwd":
-        return spec.forward(path, trace)
-    if direction == "inv":
-        return spec.inverse(path, trace)
-    raise ValueError("direction must be 'fwd' or 'inv'")

@@ -16,7 +16,7 @@ from .bijections import BIJECTIONS
 from .enumeration import count_paths, iter_step_strings, weighted_count
 from .errors import GPathError
 from .paths import BASE_FAMILIES, PathFamily, parse
-from .series import RiordanArray, named_series, parse_series_expr
+from .series import _NAMED, RiordanArray, named_series, parse_series_expr
 from .stats import STAT_IDS, methods_for, stat_table
 from .verification import SUITES, run_suite
 from .weights import DEFAULT_WEIGHTING
@@ -125,6 +125,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    _check_nonnegative("--order", args.order)
     series = named_series(args.name, args.order)
     for n in range(args.order + 1):
         print(f"{n}\t" + str(series.coeff(n)))
@@ -146,16 +147,12 @@ def _cmd_riordan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_rows(stat: str, method: str, nmax: int) -> list[list[int]]:
-    return [list(row) for row in stat_table(stat, method, nmax).rows]
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     _check_nonnegative("--nmax", args.nmax)
     methods = (
         list(methods_for(args.stat)) if args.method == "all" else [args.method]
     )
-    tables = {m: _table_rows(args.stat, m, args.nmax) for m in methods}
+    tables = {m: stat_table(args.stat, m, args.nmax).rows for m in methods}
     agree = len({json.dumps(t) for t in tables.values()}) == 1
     if args.format == "json":
         if args.method == "all":
@@ -271,11 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_map)
 
     p = sub.add_parser("series", help="print coefficients of a named series")
-    p.add_argument(
-        "--name",
-        required=True,
-        choices=("C", "S", "s", "one_over_1px", "guvu", "gfull"),
-    )
+    p.add_argument("--name", required=True, choices=tuple(_NAMED))
     p.add_argument("--order", type=int, default=10)
     p.set_defaults(fn=_cmd_series)
 

@@ -74,7 +74,7 @@ from math import comb, factorial
 from typing import Callable, Iterator
 
 from .errors import SizeLimitExceeded
-from .paths import STEP_GEOMETRY, Path, PathFamily
+from .paths import STEP_GEOMETRY, PathFamily
 from .series import TruncatedSeries, catalan_series
 from .weights import B, DEFAULT_WEIGHTING, Polynomial, step_exponents
 
@@ -312,13 +312,6 @@ def iter_step_strings(
             yield word + tail
 
 
-def generate(
-    family: PathFamily, n: int, max_n_override: int | None = None
-) -> Iterator[Path]:
-    for steps in iter_step_strings(family, n, max_n_override):
-        yield Path(family, steps)
-
-
 def count_paths(family: PathFamily, n: int, max_n_override: int | None = None) -> int:
     """The number of paths: the coefficient sum of the weighted count under
     the family's default weighting."""
@@ -445,8 +438,8 @@ def _at_one_point(
     width W, whole bytes with a sign bit, and each of values(2^W, 1,
     2^(W s)), s = n_max + 1, is decoded (_decode).
     """
-    if n_max <= 0:
-        return [Polynomial.const(1)]
+    if n_max < 0:
+        return []
     width = max(values(1, 1, 1)).bit_length() // 8 + 1
     s = n_max + 1
     x = 1 << 8 * width

@@ -185,19 +185,6 @@ def point_levels(path: Path) -> list[int]:
     return levels
 
 
-def step_level(path: Path, index: int) -> int:
-    """Ordinate of the endpoint of the step at `index`."""
-    steps = path.steps
-    if not -len(steps) <= index < len(steps):
-        raise IndexError(f"step index {index} out of range")
-    if index < 0:
-        index += len(steps)
-    level = 0
-    for c in steps[: index + 1]:
-        level += STEP_GEOMETRY[c][1]
-    return level
-
-
 # ---------------------------------------------------------------------------
 # matching (string level, reused by the bijections)
 # ---------------------------------------------------------------------------

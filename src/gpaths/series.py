@@ -192,36 +192,41 @@ def one_over_1px_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return TruncatedSeries([(-1) ** n for n in range(order + 1)], order)
 
 
-def named_series(name: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """C, S, s, one_over_1px with integer coefficients; guvu and gfull are
-    polynomial-valued (coefficients in the weights a, b, c)."""
-    if name == "C":
-        return catalan_series(order)
-    if name == "S":
-        return big_schroder_series(order)
-    if name == "s":
-        return little_schroder_series(order)
-    if name == "one_over_1px":
-        return one_over_1px_series(order)
-    if name in ("guvu", "gfull"):
-        from . import enumeration
+def _guvu_series(order: int) -> TruncatedSeries:
+    from .enumeration import guvu_coeffs
 
-        coeffs = (
-            enumeration.guvu_coeffs(order)
-            if name == "guvu"
-            else enumeration.gfull_coeffs(order)
-        )
-        return TruncatedSeries(coeffs, order)
-    raise ValueError(f"unknown series name {name!r}")
+    return TruncatedSeries(guvu_coeffs(order), order)
 
 
-# closed vocabulary for Riordan d/h expressions: atoms with an optional
-# integer power, joined by '*'
-_ATOMS = {
+def _gfull_series(order: int) -> TruncatedSeries:
+    from .enumeration import gfull_coeffs
+
+    return TruncatedSeries(gfull_coeffs(order), order)
+
+
+# name -> builder, in `gpaths series --name` order; C, S, s and one_over_1px
+# have integer coefficients, guvu and gfull polynomials in the weights a, b, c
+_NAMED = {
     "C": catalan_series,
     "S": big_schroder_series,
     "s": little_schroder_series,
     "one_over_1px": one_over_1px_series,
+    "guvu": _guvu_series,
+    "gfull": _gfull_series,
+}
+
+
+def named_series(name: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """The series `name` of _NAMED, truncated at x^order."""
+    if name not in _NAMED:
+        raise ValueError(f"unknown series name {name!r}")
+    return _NAMED[name](order)
+
+
+# closed vocabulary for Riordan d/h expressions: the named series with integer
+# coefficients and two polynomials, each with an optional power, joined by '*'
+_ATOMS = {
+    **{name: _NAMED[name] for name in ("C", "S", "s", "one_over_1px")},
     "x": lambda order: TruncatedSeries([0, 1], order),
     "one_plus_x2": lambda order: TruncatedSeries([1, 0, 1], order),
 }

@@ -391,11 +391,3 @@ def packed_weight(steps: str, weighting: str, base: str) -> int:
     if weighting == "dyck_peak_ab" and base == "dyck":
         packed += steps.count("ud") * _PEAK
     return packed
-
-
-def weight_exponents(
-    steps: str, weighting: str, base: str
-) -> tuple[int, int, int]:
-    """Exponent triple of the monomial weight of a step string: packed_weight
-    unpacked."""
-    return unpack_exponents(packed_weight(steps, weighting, base))

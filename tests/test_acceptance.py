@@ -3,10 +3,14 @@
 Each test runs one suite, prints a single CRITERION line, and fails with
 the first offending check's detail if anything disagrees.  Two more tests
 keep the package free of assert statements, which `python -O` strips, and
-of imports that no line of their module uses.
+of imports that no line of their module uses; two keep its public names
+honest: `__all__` lists each name `__init__` imports, once, and README's
+library example runs and prints what its comments state.
 """
 
 import ast
+import contextlib
+import io
 from pathlib import Path
 
 import gpaths
@@ -88,3 +92,37 @@ def test_no_unused_import_in_the_package():
             if name not in used
         ]
     assert found == []
+
+
+def test_all_lists_each_import_of_init_once_in_ascii_order():
+    names = gpaths.__all__
+    assert [n for n in names if not hasattr(gpaths, n)] == []
+    assert names == sorted(set(names))
+    tree = ast.parse(Path(gpaths.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(imported - set(names)) == []
+
+
+def test_readme_library_example_prints_what_its_comments_state():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    lines = out.getvalue().splitlines()
+    want = {
+        0: "a^3 + 6*a^2*b + 7*a*b^2 + 2*b^3 + 3*a*c + 3*b*c",
+        1: "22",
+        3: "uHd",
+        4: "5489",
+    }
+    assert len(lines) == 5
+    for i, value in want.items():
+        assert lines[i] == value
+        assert f"# {value}" in code

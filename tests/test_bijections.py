@@ -14,7 +14,6 @@ from gpaths.bijections import (
     GMOTZKIN_UVU_UU_HU,
     VARPHI_DOMAIN,
     VARPHI_THETA_DOMAIN,
-    apply_bijection,
     phi_peak,
     phi_peak_inv,
     psi,
@@ -51,7 +50,7 @@ from gpaths.paths import (
     point_levels,
 )
 from gpaths.verification import _WEIGHTING_OF
-from gpaths.weights import weight_exponents
+from gpaths.weights import packed_weight
 
 # worked examples, checked by hand against the recursive case analysis
 SIGMA_EXAMPLE_IN = "uuuvhudvvhuuuuuvdvvvud"
@@ -212,13 +211,13 @@ def test_sigma_and_psi_preserve_weights():
     for n in range(5):
         for s in iter_step_strings(GMOTZKIN_UVU, n):
             q = parse(s, GMOTZKIN_UVU)
-            w = weight_exponents(s, "gmotzkin_ab_bsq", "gmotzkin")
+            w = packed_weight(s, "gmotzkin_ab_bsq", "gmotzkin")
             assert (
-                weight_exponents(sigma(q).steps, "schroder_ab", "schroder") == w
+                packed_weight(sigma(q).steps, "schroder_ab", "schroder") == w
             )
             if n:
                 assert (
-                    weight_exponents(psi(q).steps, "psi_image_ab", "psi_image")
+                    packed_weight(psi(q).steps, "psi_image_ab", "psi_image")
                     == w
                 )
 
@@ -329,14 +328,10 @@ def test_axis_h_finds_the_first_h_level_with_the_start():
                 assert bij._axis_h(steps, start) == (hits[0] if hits else -1)
 
 
-def test_apply_bijection_dispatch():
+def test_registry_row_dispatch():
     q = parse("uv", GMOTZKIN_UVU)
-    assert apply_bijection("sigma", "fwd", q).steps == "ud"
-    assert apply_bijection("sigma", "inv", parse("ud", SCHRODER)) == q
-    with pytest.raises(ValueError):
-        apply_bijection("tau", "fwd", q)
-    with pytest.raises(ValueError):
-        apply_bijection("sigma", "sideways", q)
+    assert BIJECTIONS["sigma"].forward(q).steps == "ud"
+    assert BIJECTIONS["sigma"].inverse(parse("ud", SCHRODER)) == q
 
 
 # forward and inverse traces of each map on a worked example, recorded from
@@ -866,7 +861,7 @@ def test_random_domain_paths(name, data):
     assert parse(p.steps, spec.codomain) == p
     assert spec.inverse(p, None) == q
     dom, cod = spec.domain.base, spec.codomain.base
-    assert weight_exponents(q.steps, _WEIGHTING_OF[dom], dom) == weight_exponents(
+    assert packed_weight(q.steps, _WEIGHTING_OF[dom], dom) == packed_weight(
         p.steps, _WEIGHTING_OF[cod], cod
     )
     if name == "psi":

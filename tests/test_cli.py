@@ -5,6 +5,7 @@ import json
 import pytest
 
 import gpaths.cli as cli
+from gpaths.stats import StatTable
 from gpaths.verification import SCHRODER_NUMBERS, SUITES, CheckResult
 
 
@@ -122,8 +123,10 @@ def test_table_single_method_json(capsys):
 
 
 def test_table_disagreement_exits_nonzero(capsys, monkeypatch):
-    tables = {"brute": [[1]], "riordan": [[2]], "formula": [[1]]}
-    monkeypatch.setattr(cli, "_table_rows", lambda stat, m, nmax: tables[m])
+    tables = {"brute": ((1,),), "riordan": ((2,),), "formula": ((1,),)}
+    monkeypatch.setattr(
+        cli, "stat_table", lambda stat, m, nmax: StatTable(stat, m, nmax, tables[m])
+    )
     code, out, _ = run(capsys, ["table", "--stat", "U", "--nmax", "0"])
     assert code == 1
     assert out.splitlines()[-1] == "DISAGREE"
@@ -176,6 +179,7 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["count", "--family", "dyck", "--length", "4", "--weights", "1/0,1"],
         ["count", "--nmax", "2", "--weights", "1,1", "--unweighted"],
         ["count", "--length", "2", "--unweighted", "--weighting", "gmotzkin_abc"],
+        ["series", "--name", "C", "--order", "-1"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -206,6 +210,19 @@ def test_verify_suite_choices_are_the_suites():
     verify = command.choices["verify"]
     (suite,) = [a for a in verify._actions if a.dest == "suite"]
     assert suite.choices == ("all", *SUITES)
+
+
+def test_series_name_choices_are_the_named_series_in_order():
+    (command,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    series = command.choices["series"]
+    (name,) = [a for a in series._actions if a.dest == "name"]
+    assert name.choices == ("C", "S", "s", "one_over_1px", "guvu", "gfull")
+
+
+def test_negative_series_order_names_its_flag(capsys):
+    code, out, err = run(capsys, ["series", "--name", "C", "--order", "-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: --order must be nonnegative; got -1\n"
 
 
 @pytest.mark.parametrize("command", ["enumerate", "count"])

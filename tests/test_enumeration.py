@@ -28,7 +28,6 @@ from gpaths.enumeration import (
     closed_form,
     count_paths,
     gbinom,
-    generate,
     gfull_coeffs,
     guvu_coeffs,
     iter_step_strings,
@@ -62,9 +61,9 @@ from gpaths.weights import (
     DEFAULT_WEIGHTING,
     WEIGHTINGS,
     Polynomial,
-    pack_exponents,
+    packed_weight,
+    unpack_exponents,
     weight,
-    weight_exponents,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -122,8 +121,8 @@ def test_counts_match_classical_sequences():
 def test_generated_paths_all_validate():
     for family in (GMOTZKIN_UVU, SCHRODER, COLORED_DYCK, PSI_IMAGE):
         for n in range(5):
-            for path in generate(family, n):
-                assert parse(path.steps, family) == path
+            for steps in iter_step_strings(family, n):
+                assert parse(steps, family) == Path(family, steps)
 
 
 def test_weighted_count_literals():
@@ -197,8 +196,12 @@ def test_recurrences_equal_their_bodies_over_the_polynomial_ring():
             want = [Polynomial() + p for p in want]  # g_0 is the int 1
             assert got == want
             assert [str(p) for p in got] == [str(p) for p in want]
-    assert guvu_coeffs(-1) == [1]
-    assert gfull_coeffs(-1) == [1]
+
+
+def test_recurrences_give_one_term_per_size_and_none_below_zero():
+    # g_0 .. g_n_max: empty for n_max < 0, as prop21 and weighted_count are 0
+    for n in range(-3, 4):
+        assert len(guvu_coeffs(n)) == len(gfull_coeffs(n)) == max(n + 1, 0)
 
 
 def _catalan(k: int) -> int:
@@ -447,8 +450,7 @@ def test_acceptor_accepts_exactly_the_enumerated_words(family):
         paths = set(iter_step_strings(family, n))
         for weighting, weigh in weighers.items():
             for word in paths:
-                want = pack_exponents(weight_exponents(word, weighting, family.base))
-                assert weigh(word) == want
+                assert weigh(word) == packed_weight(word, weighting, family.base)
         longest = min(max(map(len, paths), default=0), _WEIGHER_MAX_LETTERS)
         for length in range(longest + 1):
             for letters in itertools.product(family.alphabet, repeat=length):
@@ -484,14 +486,13 @@ def test_walk_weights_equal_the_per_word_weights(case):
         default = DEFAULT_WEIGHTING[family.base]
         for word, _, _, weight, tail_weights in plain:
             assert tail_weights is None
-            want = weight_exponents(word, default, family.base)
-            assert weight == pack_exponents(want), (word, default)
+            assert weight == packed_weight(word, default, family.base), (word, default)
         for word, _, tails, weight, tail_weights in weighed:
             assert len(tail_weights) == len(tails)
             for tail, tail_weight in zip(tails, tail_weights):
                 steps = word + tail
-                want = weight_exponents(steps, weighting, family.base)
-                assert weight + tail_weight == pack_exponents(want), (steps, weighting)
+                want = packed_weight(steps, weighting, family.base)
+                assert weight + tail_weight == want, (steps, weighting)
 
 
 @pytest.mark.parametrize("family", BIJECTION_FAMILIES, ids=PathFamily.describe)
@@ -502,7 +503,7 @@ def test_transfer_count_equals_the_per_path_weight_sum(family):
         for n in range(8):
             terms = {}
             for steps in iter_step_strings(family, n):
-                key = weight_exponents(steps, weighting, family.base)
+                key = unpack_exponents(packed_weight(steps, weighting, family.base))
                 terms[key] = terms.get(key, 0) + 1
             assert weighted_count(family, n, weighting) == Polynomial(terms)
 

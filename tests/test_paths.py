@@ -27,7 +27,6 @@ from gpaths.paths import (
     match_table,
     parse,
     point_levels,
-    step_level,
     validate_steps,
     x_length,
 )
@@ -62,15 +61,11 @@ def test_x_length_ignores_v_steps():
     assert x_length(parse("", GMOTZKIN)) == 0
 
 
-def test_point_levels_and_step_level():
-    path = parse(EXAMPLE, GMOTZKIN)
-    assert point_levels(path) == [0, 1, 1, 2, 1, 2, 3, 2, 1, 0, 0, 0]
-    # step level is the ordinate of the step's endpoint
-    assert step_level(path, 0) == 1
-    assert step_level(path, 3) == 1
-    assert step_level(path, 8) == 0
-    with pytest.raises(IndexError):
-        step_level(path, 11)
+def test_point_levels_and_step_endpoints():
+    levels = point_levels(parse(EXAMPLE, GMOTZKIN))
+    assert levels == [0, 1, 1, 2, 1, 2, 3, 2, 1, 0, 0, 0]
+    # the endpoint of the step at index i is point i + 1
+    assert [levels[i + 1] for i in (0, 3, 8)] == [1, 1, 0]
 
 
 def test_unknown_symbol():

@@ -31,10 +31,10 @@ from gpaths.weights import (
     WEIGHTINGS,
     ZERO,
     Polynomial,
+    packed_weight,
     step_exponents,
     unpack_exponents,
     weight,
-    weight_exponents,
 )
 
 exponents = st.tuples(
@@ -348,12 +348,10 @@ def test_bsq_equals_abc_with_c_to_b_squared():
 
     for n in range(6):
         for steps in iter_step_strings(GMOTZKIN, n):
-            ea, eb, ec = weight_exponents(steps, "gmotzkin_abc", "gmotzkin")
-            assert weight_exponents(steps, "gmotzkin_ab_bsq", "gmotzkin") == (
-                ea,
-                eb + 2 * ec,
-                0,
-            )
+            abc = packed_weight(steps, "gmotzkin_abc", "gmotzkin")
+            bsq = packed_weight(steps, "gmotzkin_ab_bsq", "gmotzkin")
+            ea, eb, ec = unpack_exponents(abc)
+            assert unpack_exponents(bsq) == (ea, eb + 2 * ec, 0)
 
 
 _WEIGHTED_BASES = [
@@ -381,9 +379,9 @@ def _exponents_letter_by_letter(steps, weighting, base):
 def test_packed_exponents_equal_the_letter_by_letter_sum(weighting, base, data):
     letters = sorted(WEIGHTINGS[weighting][1])
     steps = data.draw(st.text(alphabet=letters, max_size=60))
-    assert weight_exponents(steps, weighting, base) == _exponents_letter_by_letter(
-        steps, weighting, base
-    )
+    assert unpack_exponents(
+        packed_weight(steps, weighting, base)
+    ) == _exponents_letter_by_letter(steps, weighting, base)
 
 
 @pytest.mark.parametrize("weighting, base", _WEIGHTED_BASES)
@@ -391,13 +389,13 @@ def test_packed_exponents_are_exact_on_long_words(weighting, base):
     letters = sorted(WEIGHTINGS[weighting][1])
     rng = random.Random(f"{weighting} {base}")
     steps = "".join(rng.choices(letters, k=10**5))
-    assert weight_exponents(steps, weighting, base) == _exponents_letter_by_letter(
-        steps, weighting, base
-    )
+    assert unpack_exponents(
+        packed_weight(steps, weighting, base)
+    ) == _exponents_letter_by_letter(steps, weighting, base)
     # every exponent at its largest: each letter raising the same one
     for letter in letters:
         ea, eb, ec = WEIGHTINGS[weighting][1][letter]
-        assert weight_exponents(letter * 10**5, weighting, base) == (
+        assert unpack_exponents(packed_weight(letter * 10**5, weighting, base)) == (
             ea * 10**5, eb * 10**5, ec * 10**5
         )
 
@@ -409,9 +407,9 @@ def test_step_table_is_the_weight_of_prev_and_letter_less_that_of_prev(weighting
     assert set(table) == {"", *family.alphabet}
     for prev in ("", *family.alphabet):
         assert set(table[prev]) == set(family.alphabet)
-        head = weight_exponents(prev, weighting, base)
+        head = unpack_exponents(packed_weight(prev, weighting, base))
         for letter in family.alphabet:
-            whole = weight_exponents(prev + letter, weighting, base)
+            whole = unpack_exponents(packed_weight(prev + letter, weighting, base))
             assert unpack_exponents(table[prev][letter]) == tuple(
                 w - h for w, h in zip(whole, head)
             ), (prev, letter)
@@ -422,7 +420,7 @@ def test_a_foreign_letter_has_no_weight(weighting, base):
     letters = WEIGHTINGS[weighting][1]
     foreign = next(x for x in "hvdDuHaAbxyz" if x not in letters)
     with pytest.raises(KeyError):
-        weight_exponents(min(letters) + foreign, weighting, base)
+        packed_weight(min(letters) + foreign, weighting, base)
 
 
 def test_packed_exponents_refuse_a_word_that_could_carry(monkeypatch):
@@ -431,9 +429,9 @@ def test_packed_exponents_refuse_a_word_that_could_carry(monkeypatch):
     rises = [max(e) for _, table in WEIGHTINGS.values() for e in table.values()]
     assert weights._MAX_LETTERS * max(rises) <= 1 << weights._DIGIT
     monkeypatch.setattr(weights, "_MAX_LETTERS", 4)
-    assert weight_exponents("uud", "dyck_peak_ab", "dyck") == (1, 0, 0)
+    assert unpack_exponents(packed_weight("uud", "dyck_peak_ab", "dyck")) == (1, 0, 0)
     with pytest.raises(ValueError, match="a word of 4 letters is past the 3"):
-        weight_exponents("uudd", "dyck_peak_ab", "dyck")
+        packed_weight("uudd", "dyck_peak_ab", "dyck")
 
 
 def test_weight_multiplicative_over_concatenation():
