@@ -58,12 +58,14 @@ F = A - 2BG squares to the discriminant Delta = A^2 - 4BC
 2n f_n = sum_(1<=k<=deg Delta) (3k - 2n) delta_k f_(n-k), and [x^(n+1)]
 of F = A - 2BG gives b g_n + c g_(n-1) = (A_(n+1) - f_(n+1)) / 2.  So
 each g_n costs deg Delta products instead of the n/2 of [x^n] G^2.  G has
-integer coefficients by its equation and so has F = A - 2BG; at an integer
-point the three divisions, by 2n, by 2 and by b, are therefore exact, and
-each is a checked divmod (_exact).  The one body, `_quadratic_values`,
-runs on ints at one point, a = 2^W, b = 1, c = 2^(W (n_max + 1)), whose
-base-2^W digits are the coefficients (Kronecker substitution), so no
-Polynomial is multiplied.
+integer coefficients by its equation and so has F = A - 2BG, so the three
+divisions, by 2n, by 2 and by b, are exact: a checked divmod per
+coefficient and, by b, a check that every term holds b (_exact).  The
+one body, `_quadratic_values`, runs on {packed exponents: coeff} dicts,
+the encoding `weights.pack_exponents` gives the counting DP, so a product
+by delta_k adds keys and no Polynomial is built inside the loop.  A packed
+key cannot carry: delta_k and A_k have degree at most k, so every exponent
+of f_n and g_n is at most n + 2, far below 2^31.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ from typing import Callable, Iterator
 from .errors import SizeLimitExceeded
 from .paths import STEP_GEOMETRY, PathFamily
 from .series import TruncatedSeries, catalan_series
-from .weights import B, DEFAULT_WEIGHTING, Polynomial, step_exponents
+from .weights import A, B, C, DEFAULT_WEIGHTING, Polynomial, step_exponents
+from .weights import pack_exponents, unpack_exponents
 
 MAX_N_DEFAULT = 12
 MAX_N_UNRESTRICTED_GMOTZKIN = 9
@@ -361,92 +364,61 @@ def weighted_count(
 # recurrences for the two generating-function equations
 # ---------------------------------------------------------------------------
 
-def _exact(numerator: int, divisor: int, name: str) -> int:
-    """numerator / divisor, exact whenever the point is of the vouched form;
-    a remainder raises ArithmeticError, not a wrong g_n."""
-    quotient, remainder = divmod(numerator, divisor)
-    if remainder:
-        raise ArithmeticError(f"the division by {name} leaves a remainder")
-    return quotient
+_B_KEY = pack_exponents((0, 1, 0))
+_C_KEY = pack_exponents((0, 0, 1))
 
 
-def _quadratic_values(n_max: int, delta: tuple, a_tail: tuple, b, c) -> list:
+def _add(total: dict[int, int], coeff: int, key: int, terms: dict[int, int]) -> None:
+    """total += coeff m terms on {packed exponents: coeff} dicts, where m is
+    the monomial whose packed exponents are key."""
+    for e, k in terms.items():
+        e += key
+        total[e] = total.get(e, 0) + coeff * k
+
+
+def _exact(terms: dict[int, int], divisor: int, name: str, by_b=False) -> dict:
+    """terms / divisor, and / b too if by_b, zeros dropped: a remainder or,
+    by b, a term with no b raises ArithmeticError, not a wrong g_n."""
+    out = {}
+    for e, k in terms.items():
+        quotient, remainder = divmod(k, divisor)
+        if remainder:
+            raise ArithmeticError(f"the division by {name} leaves a remainder")
+        if quotient and by_b:
+            if not unpack_exponents(e)[1]:
+                raise ArithmeticError("the division by b leaves a remainder")
+            e -= _B_KEY
+        if quotient:
+            out[e] = quotient
+    return out
+
+
+def _packed(p: Polynomial) -> dict[int, int]:
+    return {pack_exponents(e): k for e, k in p.terms.items()}
+
+
+def _quadratic_values(n_max: int, delta: tuple, a_tail: tuple) -> list[Polynomial]:
     """g_0 .. g_n_max of the root G = 1 + O(x) of B G^2 - A G + C = 0,
     B = x (b + cx), through F = A - 2BG (module docstring), where delta is
-    delta_1 .. of Delta = A^2 - 4BC and a_tail is A_1 .. of A."""
-    f = [1]
+    delta_1 .. of Delta = A^2 - 4BC and a_tail is A_1 .. of A.  f_n and
+    g_n are {packed exponents: coeff} dicts until they are returned."""
+    delta = [_packed(d) for d in delta]
+    a_tail = [_packed(t) for t in a_tail]
+    f = [{0: 1}]
     g = []
     for n in range(1, n_max + 2):
-        total = 0
+        total: dict[int, int] = {}
         for k, d in enumerate(delta[:n], 1):
-            total += (3 * k - 2 * n) * d * f[n - k]
+            for ed, kd in d.items():
+                _add(total, (3 * k - 2 * n) * kd, ed, f[n - k])
         f.append(_exact(total, 2 * n, "2n"))
-        a_n = a_tail[n - 1] if n <= len(a_tail) else 0
-        half = _exact(a_n - f[n], 2, "2")
+        # 2b g_(n-1) = A_n - f_n - 2c g_(n-2)
+        twice = dict(a_tail[n - 1]) if n <= len(a_tail) else {}
+        _add(twice, -1, 0, f[n])
         if n >= 2:
-            half -= c * g[n - 2]
-        g.append(_exact(half, b, "b"))
-    return g
-
-
-def _decode(value: int, n: int, width: int, s: int) -> Polynomial:
-    """The polynomial g_n, homogeneous of degree n when a and b weigh 1 and
-    c weighs 2, from its value at a = X, b = 1, c = X^s with X = 2^(8 width).
-
-    Digit ea + s ec of value in base X, read as a signed digit, is the
-    coefficient of a^ea b^(n-ea-2ec) c^ec, provided ea < s and every
-    coefficient lies in [-X/2, X/2).  One bias of X/2 per digit makes every
-    digit nonnegative, and one to_bytes splits the biased value into them.
-    A biased value out of range or a nonzero digit with ea + 2 ec > n means
-    the value is not of that form: ArithmeticError, not a wrong Polynomial.
-    """
-    digits = s * (n // 2) + n % 2 + 1  # up to the digit of c^(n//2)
-    half = 1 << 8 * width - 1
-    biased = value + int.from_bytes(half.to_bytes(width, "little") * digits, "little")
-    if biased < 0 or biased >> 8 * width * digits:
-        raise ArithmeticError(
-            f"g_{n} does not fit {digits} signed {8 * width}-bit digits"
-        )
-    raw = biased.to_bytes(width * digits, "little")
-    terms = {}
-    for i in range(digits):
-        coeff = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
-        if coeff:
-            ec, ea = divmod(i, s)
-            eb = n - ea - 2 * ec
-            if eb < 0:
-                raise ArithmeticError(
-                    f"g_{n} has a term a^{ea} c^{ec} of degree above {n}"
-                )
-            terms[ea, eb, ec] = coeff
-    return Polynomial._from_terms(terms)
-
-
-def _at_one_point(
-    n_max: int, values: Callable[[int, int, int], list[int]]
-) -> list[Polynomial]:
-    """g_0 .. g_n_max as Polynomials from values(a, b, c), a recurrence's
-    g_0 .. g_n_max on ints (Kronecker substitution; Harvey, JSC 44, 2009).
-
-    values may divide: each dividend of _quadratic_values is its divisor
-    (2n, 2 or b) times an integer polynomial in a, b, c, so every division
-    is exact at an integer point with b != 0 (module docstring).
-
-    The caller vouches that g_n is homogeneous of degree n when a and b
-    weigh 1 and c weighs 2, and that no coefficient of g_n exceeds
-    g_n(1, 1, 1) in absolute value.  So values(1, 1, 1) sizes the digit
-    width W, whole bytes with a sign bit, and each of values(2^W, 1,
-    2^(W s)), s = n_max + 1, is decoded (_decode).
-    """
-    if n_max < 0:
-        return []
-    width = max(values(1, 1, 1)).bit_length() // 8 + 1
-    s = n_max + 1
-    x = 1 << 8 * width
-    return [
-        _decode(value, n, width, s)
-        for n, value in enumerate(values(x, 1, x**s))
-    ]
+            _add(twice, -2, _C_KEY, g[n - 2])
+        g.append(_exact(twice, 2, "2", by_b=True))
+    return [Polynomial._from_packed(p) for p in g]
 
 
 def guvu_coeffs(n_max: int) -> list[Polynomial]:
@@ -457,22 +429,15 @@ def guvu_coeffs(n_max: int) -> list[Polynomial]:
     and C = 1 + bx, so Delta = A^2 - 4BC has delta_1 .. delta_4 = -2a - 2b,
     a^2 - 4ab - 3b^2 - 4c, 2a^2 b - 2ab^2 - 4bc, a^2 b^2, and F = sqrt(Delta)
     satisfies 2 Delta F' = Delta' F, so 2n f_n = sum_(k<=4) (3k - 2n)
-    delta_k f_(n-k) (module docstring).  This recurrence runs once on ints at
-    a = X, b = 1, c = X^s and its values are decoded (_at_one_point).  Read
-    at [x^n], the equation gives g_n as a sum of terms of degree n when a
-    and b weigh 1 and c weighs 2, so g_n is homogeneous of degree n.  The
-    width bound is g_n(1, 1, 1), the large Schroder number: g_1 = a + b,
-    and for n >= 2, [x^(n-1)] G^2 = 2 g_(n-1) + sum_(1<=k<=n-2) g_k
-    g_(n-1-k), so g_n = (a + b) g_(n-1) + b sum_(1<=k<=n-2) g_k g_(n-1-k)
-    + ab g_(n-2) + c [x^(n-2)] G^2, a sum of products of polynomials with
-    nonnegative coefficients, whose coefficients are at most their sum.
+    delta_k f_(n-k) (module docstring).
     """
-    return _at_one_point(n_max, lambda a, b, c: _quadratic_values(
+    a, b, c = A, B, C
+    return _quadratic_values(
         n_max,
         (-2 * a - 2 * b, a * a - 4 * a * b - 3 * b * b - 4 * c,
          2 * a * a * b - 2 * a * b * b - 4 * b * c, a * a * b * b),
-        (b - a, -a * b), b, c,
-    ))
+        (b - a, -a * b),
+    )
 
 
 def gfull_coeffs(n_max: int) -> list[Polynomial]:
@@ -482,16 +447,10 @@ def gfull_coeffs(n_max: int) -> list[Polynomial]:
     That is B G^2 - A G + C = 0 with B = x (b + cx), A = 1 - ax and C = 1,
     so Delta = A^2 - 4BC has delta_1, delta_2 = -2a - 4b, a^2 - 4c, and
     F = sqrt(Delta) satisfies 2 Delta F' = Delta' F, so 2n f_n =
-    sum_(k<=2) (3k - 2n) delta_k f_(n-k) (module docstring).  This recurrence runs once on
-    ints at a = X, b = 1, c = X^s and its values are decoded
-    (_at_one_point).  Read at [x^n], the equation gives g_n as a sum of
-    terms of degree n when a and b weigh 1 and c weighs 2, so g_n is
-    homogeneous of degree n; the equation's multipliers a, b, c have coefficient 1, so every coefficient of g_n is
-    nonnegative and at most g_n(1, 1, 1), the width bound.
+    sum_(k<=2) (3k - 2n) delta_k f_(n-k) (module docstring).
     """
-    return _at_one_point(n_max, lambda a, b, c: _quadratic_values(
-        n_max, (-2 * a - 4 * b, a * a - 4 * c), (-a,), b, c
-    ))
+    a, b, c = A, B, C
+    return _quadratic_values(n_max, (-2 * a - 4 * b, a * a - 4 * c), (-a,))
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +490,28 @@ def _schroder_ab(n: int) -> Polynomial:
     return Polynomial(terms)
 
 
-@lru_cache(maxsize=None)
-def _little_schroder_list(n_max: int) -> tuple[Polynomial, ...]:
-    # s = 1 + b x S s, coefficientwise: no division anywhere
-    big = [_schroder_ab(m) for m in range(n_max + 1)]
-    little = [Polynomial.const(1)]
-    for m in range(1, n_max + 1):
-        acc = Polynomial()
-        for k in range(m):
-            acc = acc + big[k] * little[m - 1 - k]
-        little.append(B * acc)
-    return tuple(little)
+# s_0, s_1, ... of s = 1 + b x S s, coefficientwise (no division anywhere),
+# grown on demand
+_little_schroder = [Polynomial.const(1)]
+
+
+def _little_schroder_ab(n: int) -> Polynomial:
+    little = _little_schroder
+    if n >= len(little):
+        big = [_schroder_ab(k) for k in range(n)]
+        for m in range(len(little), n + 1):
+            acc = Polynomial()
+            for k in range(m):
+                acc = acc + big[k] * little[m - 1 - k]
+            little.append(B * acc)
+    return little[n]
 
 
 CLOSED_FORMS = {
     "dyck_ab": _dyck_ab,
     "motzkin_ab": _motzkin_ab,
     "schroder_ab": _schroder_ab,
-    "little_schroder_ab": lambda n: _little_schroder_list(n)[n],
+    "little_schroder_ab": _little_schroder_ab,
 }
 
 

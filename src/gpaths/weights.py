@@ -2,10 +2,8 @@
 
 A Polynomial maps exponent triples (ea, eb, ec) to nonzero integer
 coefficients.  Every weighted count the package returns is one: exact, no
-floats anywhere (the two recurrences of `enumeration` compute theirs on
-ints at one point and decode them into Polynomials).  Evaluation keeps
-int arguments as ints and makes the others Fractions, so an integer point
-gives an int.
+floats anywhere.  Evaluation keeps int arguments as ints and makes the
+others Fractions, so an integer point gives an int.
 
 A weighting assigns each step a monomial weight; the weight of a path is
 the product over its steps, so it is always a single monomial, and a
@@ -16,8 +14,9 @@ This module alone decides whether a weighting applies to a family and
 what each step weighs: `step_exponents` raises the weighting faults and
 gives the walks and the counting DP their per-step table; `weight`
 validates through it.  It alone decides the packed encoding of an exponent
-triple as one int (pack_exponents), used only where step weights are
-summed.
+triple as one int (pack_exponents), the keys of the {packed exponents:
+coeff} dicts that the counting DP and the two recurrences of `enumeration`
+sum and multiply before they become Polynomials (Polynomial._from_packed).
 """
 
 from __future__ import annotations

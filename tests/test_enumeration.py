@@ -16,8 +16,6 @@ from gpaths.enumeration import (
     MAX_N_DEFAULT,
     MAX_N_UNRESTRICTED_GMOTZKIN,
     _automaton,
-    _at_one_point,
-    _decode,
     _key_graph,
     _prefix_blocks,
     _quadratic_values,
@@ -235,32 +233,32 @@ def test_recurrences_at_points_equal_classical_closed_forms():
 
 
 def test_recurrence_refuses_an_inexact_division():
+    one, zero = Polynomial.const(1), Polynomial()
     # Delta = 1 + x: 2 f_1 = delta_1 = 1 is odd
     with pytest.raises(ArithmeticError, match="by 2n"):
-        _quadratic_values(1, (1,), (0,), 1, 0)
+        _quadratic_values(1, (one,), (zero,))
     # f_1 = 1, so A_1 - f_1 = -1 is odd
     with pytest.raises(ArithmeticError, match="by 2 "):
-        _quadratic_values(1, (2,), (0,), 1, 0)
-    # f_1 = -2, so b g_0 = 1 with b = 2
+        _quadratic_values(1, (2 * one,), (zero,))
+    # f_1 = -2, so b g_0 = 1, which has no b
     with pytest.raises(ArithmeticError, match="by b"):
-        _quadratic_values(1, (-4,), (0,), 2, 0)
+        _quadratic_values(1, (-4 * one,), (zero,))
 
 
-def test_decoder_refuses_a_value_not_of_the_decoded_form():
-    a, c = Polynomial.var("a"), Polynomial.var("c")
-    x = 1 << 8
-    # one-byte digits, s = 3: at n = 2, digit 2 holds a^2 and digit 3 holds c
-    assert _decode(5 * x**2 - 2 * x**3, 2, 1, 3) == 5 * a**2 - 2 * c
-    # s = 4: digit 3 would be a^3, of degree above 2
-    with pytest.raises(ArithmeticError, match="degree above 2"):
-        _decode(x**3, 2, 1, 4)
-    # outside the signed range of the four digits of n = 2, s = 3: a top
-    # digit of 128, a value below -128 in every digit, a digit past the last
-    for value in (x**4 // 2, -(x**4), x**5):
-        with pytest.raises(ArithmeticError, match="does not fit"):
-            _decode(value, 2, 1, 3)
-    # the width keeps a sign bit: a largest value of 128 takes two bytes
-    assert _at_one_point(1, lambda at_a, _b, _c: [1, 128 * at_a]) == [1, 128 * a]
+def test_recurrence_needs_no_homogeneity_or_coefficient_bound():
+    # G = 1 + (a - 3b) x G + (b + cx) x G^2: B = x (b + cx), A = 1 - (a - 3b)x
+    # and C = 1, so delta_1, delta_2 = -2a + 2b, a^2 - 6ab + 9b^2 - 4c.  Its
+    # coefficients have mixed signs and outgrow g_n(1, 1, 1) (g_8 has a
+    # coefficient 1680 where g_8(1, 1, 1) = 1), which a decoder sized by
+    # the value at (1, 1, 1) could not read back.
+    a, b, c = Polynomial.var("a"), Polynomial.var("b"), Polynomial.var("c")
+    got = _quadratic_values(
+        20, (-2 * a + 2 * b, a * a - 6 * a * b + 9 * b * b - 4 * c), (3 * b - a,)
+    )
+    want = [Polynomial() + p for p in _gfull_values(20, a - 3 * b, b, c)]
+    assert got == want
+    assert got[8].eval_at(1, 1, 1) == 1
+    assert max(got[8].terms.values()) == 1680
 
 
 # Every family a bijection maps from or to, the restricted ones, and each
