@@ -19,27 +19,30 @@ weights, so one walk says whether a word is a path and what it weighs.
 
 Generation is a depth-first walk over the rows that checks only
 geometry, so output order is reproducible byte for byte.  Most of a walk's
-nodes sit in the last few steps, where the same key recurs for thousands
-of prefixes.  So the walk proper (`_prefix_blocks`) stops at keys with at
-most COMPLETION_SPLIT units of x-length left and yields a prefix block:
-the word so far, its key and the key's list of completions, filled once
-per call by going through the numbers backwards, children before parents.
+nodes sit near its leaves, where the same key recurs for thousands of
+prefixes.  So the walk proper (`_prefix_blocks`) stops at keys with at
+most COMPLETION_SPLIT completions and yields a prefix block: the word so
+far, its key and the key's list of completions.  A key's completions are
+counted by the integer suffix table `_suffix_counts`, one pass through the
+numbers backwards, children before parents; a count never rises along a
+move, so the lists are filled in the same order from the children's.
 `iter_step_strings` flattens the blocks into word + tail, so the words
 come out in the plain walk's order; the brute level statistics
 (`stats._brute_counts`) count each block's prefix once per tail and each
-key's tails once.  The split is 2 from measurement (2-vCPU Xeon, CPython
-3.11.7): on the 206,098 uvu-avoiding G-Motzkin words of x-length 9 the
-walk takes about 0.02 s against 0.18 s for the plain walk, holding about
-8,000 completion strings; a split of 3 is faster on long Schroder paths
-but holds about 33,000, which raised the benchmark's exhaustive peak RSS
-from 21.4 to 23.4 MB (+10 %), where a split of 2 gives 21.8 MB (+2 %).
-The walk sums each word's packed weight on its stack.  Asked for a
-weighting, it also fills each key's tails' packed weights with its tails,
-so criterion 3 (`verification._certify`) weighs a domain word with one
-addition; without one, it reads the rows under the family's default
-weighting and fills no tail weights.  Weighted counting (and so plain
-counting) is one forward pass over the numbers: the prefixes are merged
-by key, so its cost grows with the number of keys, not of paths.
+distinct tail once per level it is read from.  The split is 64 from
+measurement (2-vCPU Xeon, CPython 3.11.7): on the 41,586 Schroder words
+of x-length 16 the walk yields 1,578 blocks in about 0.005 s, where
+stopping at x-length 2 gave 33,028 blocks and took 0.027-0.049 s; a split
+of 128 is about as fast but raised criterion 3's tracemalloc peak from
+0.67 to 0.99 MB.  The walk sums each word's packed weight on its stack.
+Asked for a weighting, it also fills each key's tails' packed weights with
+its tails, so criterion 3 (`verification._certify`) weighs a domain word
+with one addition; without one, it reads the rows under the family's
+default weighting and fills no tail weights.  Weighted counting is one
+forward pass over the numbers: the prefixes are merged by key, so its cost
+grows with the number of keys, not of paths.  Plain counting
+(`count_paths`) reads the start key's entry of the suffix table and sums
+no weights.
 Generation stops at x-length 12, or 9 for the unrestricted gmotzkin
 family (whose free v steps inflate growth), and counting at 24, where it
 takes under 0.1 s on every family of `paths` (2-vCPU Xeon, CPython
@@ -83,10 +86,10 @@ from .weights import pack_exponents, unpack_exponents
 
 MAX_N_DEFAULT = 12
 MAX_N_UNRESTRICTED_GMOTZKIN = 9
-MAX_N_COUNT = 24  # weighted_count's cap (module docstring)
-# _prefix_blocks walks keys with more x-length left than this and reads
-# the rest of each word off a per-call list of completions (module docstring)
-COMPLETION_SPLIT = 2
+MAX_N_COUNT = 24  # the counting cap of weighted_count and count_paths
+# _prefix_blocks walks keys with more completions than this and reads the
+# rest of each word off a per-call list of completions (module docstring)
+COMPLETION_SPLIT = 64
 # a node of a family's key space: (x-length left, level, automaton state)
 Key = tuple[int, int, str]
 
@@ -252,6 +255,21 @@ def _weigher(family: PathFamily, n: int, weighting: str) -> Callable[[str], int 
     return weigh
 
 
+def _suffix_counts(
+    rows: list[dict[str, tuple[int, int]]], accepting: list[bool]
+) -> list[int]:
+    """The number of completions of each key of _key_graph, by number: the
+    words that take it to an accepting key, the empty word included if it
+    accepts.  One pass through the numbers backwards reaches every key after
+    the keys it moves to (Stanley, EC1 4.7), so a key's count is its
+    children's counts summed, plus one if it accepts.
+    """
+    counts = [0] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        counts[i] = accepting[i] + sum(counts[j] for j, _ in rows[i].values())
+    return counts
+
+
 def _prefix_blocks(
     family: PathFamily, n: int, weighting: str | None = None
 ) -> Iterator[tuple[str, Key, list[str], int, list[int] | None]]:
@@ -260,28 +278,29 @@ def _prefix_blocks(
     word of the family.
 
     It reads _key_graph under weighting, or under the family's default
-    weighting if there is none.  Going through the numbers backwards gives
-    every key after the keys it moves to, so one pass fills the tails of
-    the keys with at most COMPLETION_SPLIT x-length left: move by move in
-    alphabet order, the move's letter followed by each tail of the key it
-    moves to.  The walk proper is an explicit-stack DFS over the keys above
-    the split; a key at or below it ends a block, word is the prefix that
-    reached it and tails its completions, one list per key.  weight is the
-    word's packed weight, summed on the stack.  Under a weighting,
-    tail_weights are the packed weights of the tails after the key's last
-    letter, filled with them, so word + tails[i] weighs weight +
-    tail_weights[i]; without one, tail_weights is None.  It does not check
-    the size cap: its callers do.
+    weighting if there is none.  A key's completion count (_suffix_counts)
+    is at least each of its children's, so going through the numbers
+    backwards fills the tails of every key with at most COMPLETION_SPLIT
+    completions from its children's: move by move in alphabet order, the
+    move's letter followed by each tail of the key it moves to.  The walk
+    proper is an explicit-stack DFS over the keys with more; a key with at
+    most the split ends a block, word is the prefix that reached it and
+    tails its completions, one list per key.  weight is the word's packed
+    weight, summed on the stack.  Under a weighting, tail_weights are the
+    packed weights of the tails after the key's last letter, filled with
+    them, so word + tails[i] weighs weight + tail_weights[i]; without one,
+    tail_weights is None.  It does not check the size cap: its callers do.
     """
     keys, rows, accepting = _key_graph(
         family, n, weighting or DEFAULT_WEIGHTING[family.base]
     )
+    counts = _suffix_counts(rows, accepting)
     # tails[i] is None for a key above the split
     tails: list[list[str] | None] = [None] * len(keys)
     tail_weights: list[list[int] | None] = [None] * len(keys)
     shared: dict[int, int] = {}
     for i in range(len(keys) - 1, -1, -1):
-        if keys[i][0] <= COMPLETION_SPLIT:
+        if counts[i] <= COMPLETION_SPLIT:
             row = rows[i]
             out = [""] if accepting[i] else []
             for letter, (j, _) in row.items():
@@ -316,10 +335,11 @@ def iter_step_strings(
 
 
 def count_paths(family: PathFamily, n: int, max_n_override: int | None = None) -> int:
-    """The number of paths: the coefficient sum of the weighted count under
-    the family's default weighting."""
-    weighting = DEFAULT_WEIGHTING[family.base]
-    return weighted_count(family, n, weighting, max_n_override).coefficient_sum()
+    """The number of paths: the start key's completion count
+    (_suffix_counts), an integer DP over _key_graph that sums no weights."""
+    _check_size(family, n, max_n_override, counting=True)
+    _, rows, accepting = _key_graph(family, n, DEFAULT_WEIGHTING[family.base])
+    return _suffix_counts(rows, accepting)[0]
 
 
 def weighted_count(

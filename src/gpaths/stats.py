@@ -92,9 +92,10 @@ def _brute_counts(family: PathFamily, m: int):
 
     Counted per prefix block (word, key, tails) of the walk, not per path:
     the word's pairs and points, the start point included, count once per
-    tail, and the pairs and points of each key's tails (at absolute levels,
-    after the word's end point) count once per key, weighted by the number
-    of blocks that end at it.
+    tail, and the pairs and points of each distinct (tail, level) of the
+    keys' tails (at absolute levels, after the word's end point) count once,
+    weighted by the number of blocks that end at a key of that level with
+    that tail.
     """
     step_counts: dict[tuple[str, int], int] = {}
     point_counts: dict[int, int] = {}
@@ -106,9 +107,13 @@ def _brute_counts(family: PathFamily, m: int):
         point_counts[0] = point_counts.get(0, 0) + k
         _count_letters(step_counts, point_counts, word, 0, k)
         ends.setdefault(key, [tails, 0])[1] += 1
+    # a tail read from the same level counts the same pairs: read it once
+    reads: dict[tuple[str, int], int] = {}
     for (_, level, _), (tails, blocks) in ends.items():
         for tail in tails:
-            _count_letters(step_counts, point_counts, tail, level, blocks)
+            reads[tail, level] = reads.get((tail, level), 0) + blocks
+    for (tail, level), blocks in reads.items():
+        _count_letters(step_counts, point_counts, tail, level, blocks)
     return step_counts, point_counts
 
 

@@ -44,6 +44,7 @@ verify subcommand and the acceptance test module.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 from itertools import chain, compress, zip_longest
@@ -52,6 +53,7 @@ from types import MappingProxyType
 from . import bijections as bij
 from .enumeration import (
     MAX_N_COUNT,
+    Key,
     _check_size,
     _prefix_blocks,
     _weigher,
@@ -181,12 +183,23 @@ def _claim(name: str, cases: Iterable[tuple[object, object, object]]) -> CheckRe
 
 
 def _enumerated_weight(family: PathFamily, n: int, weighting: str) -> Polynomial:
-    """The weight polynomial summed path by path over the generated paths,
-    independently of the transfer-matrix DP behind weighted_count."""
-    terms: dict[int, int] = {}
-    for steps in iter_step_strings(family, n, _CAP):
-        key = packed_weight(steps, weighting, family.base)
-        terms[key] = terms.get(key, 0) + 1
+    """The weight polynomial summed over the generated paths, independently
+    of the transfer-matrix DP behind weighted_count: every weight comes from
+    packed_weight, once per block's word of _prefix_blocks and once per
+    key's tail, which is weighed after the word's last letter so that a
+    peak across the two counts."""
+
+    def weigh(steps: str) -> int:
+        return packed_weight(steps, weighting, family.base)
+
+    _check_size(family, n, _CAP)
+    terms: Counter[int] = Counter()
+    after_key: dict[Key, list[int]] = {}
+    for word, key, tails, _, _ in _prefix_blocks(family, n):
+        if key not in after_key:
+            last = word[-1:]
+            after_key[key] = [weigh(last + tail) - weigh(last) for tail in tails]
+        terms.update(map(weigh(word).__add__, after_key[key]))
     return Polynomial._from_packed(terms)
 
 
@@ -218,8 +231,9 @@ def check_weighted_counts(n_max: int = 10) -> list[CheckResult]:
     g = guvu_coeffs(n_max)
     sizes = range(n_max + 1)
     sym_max = min(n_max, 8)
-    # "brute" in these three names is historical: the counts come from the
-    # transfer-matrix DP; the names stay for byte-identical verify output
+    # "brute" in these three names is historical: the counts are the start
+    # entries of the integer suffix-count table over the key graph
+    # (count_paths); the names stay for byte-identical verify output
     results = [
         _claim(
             f"brute {label} up to n={n_max}",

@@ -19,6 +19,7 @@ from gpaths.enumeration import (
     _key_graph,
     _prefix_blocks,
     _quadratic_values,
+    _suffix_counts,
     _weigher,
     ballot_closed_form,
     ballot_coeff,
@@ -94,14 +95,27 @@ def test_dfs_order_is_frozen():
 
 
 def test_counts_match_classical_sequences():
-    for n, expect in enumerate(CATALAN[:7]):
-        assert count_paths(DYCK, 2 * n, max_n_override=13) == expect
-        assert count_paths(DYCK, 2 * n + 1, max_n_override=13) == 0
-    for n, expect in enumerate(MOTZKIN_NUMBERS[:8]):
-        assert count_paths(MOTZKIN, n) == expect
+    def catalan(k):
+        return math.comb(2 * k, k) // (k + 1)
+
+    def schroder(k):
+        # the large Schroder numbers as sum_j 2^j N(k, j), N the Narayana numbers
+        if k == 0:
+            return 1
+        narayana = (math.comb(k, j) * math.comb(k, j - 1) for j in range(1, k + 1))
+        return sum(2**j * m for j, m in enumerate(narayana, 1)) // k
+
+    # the closed forms up to the counting cap
+    assert MAX_N_COUNT == 24
+    for n in range(MAX_N_COUNT + 1):
+        even = n % 2 == 0
+        assert count_paths(DYCK, n) == (catalan(n // 2) if even else 0)
+        assert count_paths(SCHRODER, n) == (schroder(n // 2) if even else 0)
+        assert count_paths(GMOTZKIN_UVU, n) == schroder(n)
+        assert count_paths(MOTZKIN, n) == sum(
+            math.comb(n, 2 * k) * catalan(k) for k in range(n // 2 + 1)
+        )
     for n, expect in enumerate(SCHRODER_NUMBERS[:6]):
-        assert count_paths(SCHRODER, 2 * n) == expect
-        assert count_paths(GMOTZKIN_UVU, n) == expect
         assert count_paths(COLORED_DYCK, 2 * n) == expect
     # bicolored Motzkin paths are counted by the shifted Catalan numbers
     for n in range(7):
@@ -352,12 +366,55 @@ def _reference_walk(family: PathFamily, n: int) -> list[str]:
     return out
 
 
+# the top x-length to test for each family with at most COMPLETION_SPLIT
+# paths at every x-length up to 7: the first with more
+_PAST_THE_SPLIT = {
+    "colored_dyck": 8,
+    "dyck": 12,
+    "gmotzkin avoid=hu,uh,uu": 8,
+    "gmotzkin avoid=hu,uh,uu no-h-on-axis": 10,
+    "gmotzkin avoid=hu,uh,uu,uvu": 64,
+    "gmotzkin avoid=hu,uu,uvu no-h-on-axis": 8,
+    "gmotzkin avoid=uh,uu no-h-on-axis": 10,
+    "motzkin avoid=h": 12,
+    "schroder": 8,
+    "schroder no-h-on-axis": 10,
+}
+
+
 @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=PathFamily.describe)
 def test_walk_order_equals_the_plain_walk(family):
-    # sizes on both sides of the completion split
-    assert COMPLETION_SPLIT < 7
-    for n in range(-2, 8):
-        assert list(iter_step_strings(family, n)) == _reference_walk(family, n)
+    top = _PAST_THE_SPLIT.get(family.describe(), 7)
+    wants = [_reference_walk(family, n) for n in range(-2, top + 1)]
+    # some size has more paths than the split, so the walk's DFS part runs;
+    # a family with one path per size is one block at every size
+    most = max(map(len, wants))
+    assert most > COMPLETION_SPLIT or most == 1
+    for n, want in zip(range(-2, top + 1), wants):
+        assert list(iter_step_strings(family, n, top)) == want
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=PathFamily.describe)
+def test_blocks_end_at_the_first_key_with_at_most_the_split(family):
+    for n in range(9):
+        keys, rows, accepting = _key_graph(family, n, DEFAULT_WEIGHTING[family.base])
+        counts = _suffix_counts(rows, accepting)
+        for word, key, tails, _, _ in _prefix_blocks(family, n):
+            i = 0
+            for letter in word:
+                assert counts[i] > COMPLETION_SPLIT, (word, letter)
+                i = rows[i][letter][0]
+            assert keys[i] == key
+            assert len(tails) == counts[i] <= COMPLETION_SPLIT
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=PathFamily.describe)
+def test_start_suffix_count_is_the_weighted_count_summed(family):
+    weighting = DEFAULT_WEIGHTING[family.base]
+    for n in range(13):
+        _, rows, accepting = _key_graph(family, n, weighting)
+        want = weighted_count(family, n, weighting).coefficient_sum()
+        assert _suffix_counts(rows, accepting)[0] == want
 
 
 def _reference_graph(family: PathFamily, n: int) -> dict:

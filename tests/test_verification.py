@@ -9,7 +9,7 @@ import pytest
 
 from gpaths import bijections as bij
 from gpaths import verification
-from gpaths.enumeration import count_paths, iter_step_strings
+from gpaths.enumeration import _prefix_blocks, count_paths, iter_step_strings
 from gpaths.paths import GMOTZKIN_UVU
 from gpaths.stats import stat_brute, stat_riordan, stat_table
 from gpaths.verification import (
@@ -24,7 +24,7 @@ from gpaths.verification import (
     check_weighted_counts,
     run_suite,
 )
-from gpaths.weights import B, packed_weight
+from gpaths.weights import B, Polynomial, packed_weight
 
 
 def _corrupt_last_letter(s, trace=None):
@@ -320,6 +320,34 @@ def test_a_claim_stops_at_its_first_difference():
     )
     assert read == [0, 1, 2]
     assert verification._claim("nothing to check", iter(())).ok
+
+
+# each closed form's family, its x-length per size and weighting, and the
+# weighted family criterion 2 enumerates
+_WEIGHED = [(f, x, w) for _, f, x, w in verification._ANCHORS]
+_WEIGHED.append((GMOTZKIN_UVU, 1, "gmotzkin_abc"))
+
+
+@pytest.mark.parametrize(
+    "family, x_per_n, weighting",
+    _WEIGHED,
+    ids=[f"{f.describe()} {w}" for f, _, w in _WEIGHED],
+)
+def test_enumerated_weight_equals_a_per_word_sum(family, x_per_n, weighting):
+    # the sizes of check_identities, n <= 8
+    top = 8 * x_per_n
+    for m in range(0, top + 1, x_per_n):
+        words = iter_step_strings(family, m, top)
+        want = Counter(packed_weight(s, weighting, family.base) for s in words)
+        got = verification._enumerated_weight(family, m, weighting)
+        assert got == Polynomial._from_packed(want), m
+    if weighting == "dyck_peak_ab":
+        # a block's word ends in u and a tail of its key starts with d: the
+        # peak between them is weighed only with the word's last letter
+        assert any(
+            word.endswith("u") and any(tail.startswith("d") for tail in tails)
+            for word, _, tails, _, _ in _prefix_blocks(family, top)
+        )
 
 
 def test_criterion_1_names_the_first_differing_row(monkeypatch):
