@@ -23,12 +23,10 @@ plain horizontal step, and the path must open with a or A.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
 
 from .errors import (
     ConstraintViolation,
     DomainViolation,
-    EmptyPath,
     GeometryViolation,
     UnknownSymbol,
 )
@@ -196,10 +194,9 @@ def match_table(steps: str) -> list[int]:
     Entry i is the index of the step matched with the u or down step at i
     (for a u, the first later down step one level below its endpoint), and
     -1 for a horizontal step.  The partners inside any balanced factor of
-    `steps` are the same as in that factor on its own.  sigma's inverse,
-    vartheta's inverse and the first-return split read it; sigma's forward
-    map, theta and varphi's passes match their steps with a stack as they
-    read them.
+    `steps` are the same as in that factor on its own.  sigma's inverse and
+    vartheta's inverse read it; sigma's forward map, theta and varphi's
+    passes match their steps with a stack as they read them.
     """
     partner = [-1] * len(steps)
     open_us = []
@@ -215,43 +212,3 @@ def match_table(steps: str) -> list[int]:
     if open_us:
         raise DomainViolation(f"u at index {open_us[-1]} has no matching step")
     return partner
-
-
-class FirstReturn(NamedTuple):
-    block: Path
-    inner: Optional[Path]
-    closer: Optional[str]
-    tail: Path
-
-
-def first_return_decompose(path: Path) -> FirstReturn:
-    """Split off the shortest nonempty prefix that ends on the axis.
-
-    When the block is an arch u...closer, `inner` is its interior (a path of
-    the same family) and `closer` the final letter; for a horizontal block
-    both are None.
-    """
-    steps = path.steps
-    if not steps:
-        raise EmptyPath("cannot decompose the empty path")
-    family = path.family
-    if steps[0] != "u":
-        # a horizontal step at level 0 is itself a block
-        return FirstReturn(
-            Path(family, steps[:1]), None, None, Path(family, steps[1:])
-        )
-    last = match_table(steps)[0]
-    return FirstReturn(
-        Path(family, steps[: last + 1]),
-        Path(family, steps[1:last]),
-        steps[last],
-        Path(family, steps[last + 1 :]),
-    )
-
-
-def is_primitive(path: Path) -> bool:
-    """True for u P' d / u P' v / u P' D with P' never touching the axis."""
-    steps = path.steps
-    if not steps:
-        raise EmptyPath("the empty path is neither primitive nor decomposable")
-    return steps[0] == "u" and match_table(steps)[0] == len(steps) - 1

@@ -117,14 +117,14 @@ def _brute_counts(family: PathFamily, m: int):
     return step_counts, point_counts
 
 
-def stat_brute(stat: str, n: int, i: int, max_n_override: int | None = None) -> int:
+def stat_brute(stat: str, n: int, i: int) -> int:
     kind, level_off, size_off, restricted = _check_stat(stat)
     m = n + size_off
     if m < 0 or i < 0:
         return 0
     family = GMOTZKIN_UVU_RESTRICTED if restricted else GMOTZKIN_UVU
     # checked before the cache is read, so a changed GPATHS_MAX_N is seen
-    _check_size(family, m, max_n_override)
+    _check_size(family, m, None)
     step_counts, point_counts = _brute_counts(family, m)
     if kind == "points":
         return point_counts.get(i, 0)

@@ -157,7 +157,7 @@ PHI_EXAMPLE_OUT = "uduHuduuHdddH"
 # counts that large come from the transfer-matrix DP, not from enumeration.
 _CAP = MAX_N_COUNT
 # least domain words per chunk of criterion 3 (_chunks): 256 ran no faster, and
-# each 128 words more add 0.05 MB to check_bijections()' heap peak of 0.90 MB
+# each 128 words more add 0.05 MB to check_bijections()' heap peak of 0.67 MB
 _CHUNK = 128
 
 

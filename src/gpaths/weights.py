@@ -76,10 +76,6 @@ class Polynomial:
         return cls._from_terms({_ZERO: n})
 
     @classmethod
-    def monomial(cls, coeff: int, ea: int, eb: int, ec: int) -> "Polynomial":
-        return cls({(ea, eb, ec): coeff})
-
-    @classmethod
     def var(cls, name: str) -> "Polynomial":
         e = [0, 0, 0]
         e["abc".index(name)] = 1
@@ -162,10 +158,6 @@ class Polynomial:
 
     # -- queries ------------------------------------------------------------
 
-    def coefficient_sum(self) -> int:
-        """The value at a = b = c = 1."""
-        return sum(self._terms.values())
-
     def eval_at(self, a, b, c=0) -> int | Fraction:
         """The exact value at (a, b, c); an argument that is not an int
         becomes a Fraction, so int arguments give an int."""
@@ -220,7 +212,6 @@ class Polynomial:
 A = Polynomial.var("a")
 B = Polynomial.var("b")
 C = Polynomial.var("c")
-ONE = Polynomial.const(1)
 ZERO = Polynomial()
 
 

@@ -1,11 +1,12 @@
 """Acceptance gate: the full cross-checking suites at their contract sizes.
 
 Each test runs one suite, prints a single CRITERION line, and fails with
-the first offending check's detail if anything disagrees.  Two more tests
-keep the package free of assert statements, which `python -O` strips, and
-of imports that no line of their module uses; two keep its public names
-honest: `__all__` lists each name `__init__` imports, once, and README's
-library example runs and prints what its comments state.
+the first offending check's detail if anything disagrees.  Three more
+tests keep the package free of assert statements, which `python -O` strips,
+of imports that no line of their module uses, and of definitions that no
+line of the package reads and `__init__` does not export; two keep its
+public names honest: `__all__` lists each name `__init__` imports, once,
+and README's library example runs and prints what its comments state.
 """
 
 import ast
@@ -92,6 +93,58 @@ def test_no_unused_import_in_the_package():
             if name not in used
         ]
     assert found == []
+
+
+# the definitions no line of the package reads, each kept for a reader
+# outside it
+_READ_OUTSIDE_THE_PACKAGE = {
+    # bench/tracer.py names it among the TruncatedSeries methods it times
+    "series.py TruncatedSeries.xmul",
+    # the tests read a path's lattice-point levels through it
+    "paths.py point_levels",
+}
+
+
+def test_no_unread_definition_in_the_package():
+    """Every module-level function, class and assignment, and every method
+    that is not a dunder, is read somewhere in the package (as a name or as
+    an attribute) or exported by __init__, except exactly those listed above."""
+    modules = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted(Path(gpaths.__file__).parent.glob("*.py"))
+    }
+    read = set(gpaths.__all__)
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [
+                    (f"{name} {t.id}", t.id)
+                    for target in targets
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Name)
+                ]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{name} {node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{name} {node.name}.{f.name}", f.name)
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                ]
+    unread = {
+        where
+        for where, ident in defined
+        if not (ident.startswith("__") and ident.endswith("__")) and ident not in read
+    }
+    assert sorted(unread ^ _READ_OUTSIDE_THE_PACKAGE) == []
 
 
 def test_all_lists_each_import_of_init_once_in_ascii_order():

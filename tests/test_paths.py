@@ -8,7 +8,6 @@ from gpaths.bijections import vartheta_inv
 from gpaths.errors import (
     ConstraintViolation,
     DomainViolation,
-    EmptyPath,
     GeometryViolation,
     UnknownSymbol,
 )
@@ -22,8 +21,6 @@ from gpaths.paths import (
     PSI_IMAGE,
     SCHRODER,
     PathFamily,
-    first_return_decompose,
-    is_primitive,
     match_table,
     parse,
     point_levels,
@@ -210,28 +207,6 @@ def test_match_table_names_the_unmatched_step():
         match_table("hdu")
 
 
-def test_is_primitive():
-    assert is_primitive(parse("uv", GMOTZKIN))
-    assert is_primitive(parse("ud", GMOTZKIN))
-    assert is_primitive(parse("uhv", GMOTZKIN))
-    assert not is_primitive(parse("udud", GMOTZKIN))
-    assert not is_primitive(parse("h", GMOTZKIN))
-    assert not is_primitive(parse("uvh", GMOTZKIN))
-    with pytest.raises(EmptyPath):
-        is_primitive(parse("", GMOTZKIN))
-
-
-def test_first_return_decompose():
-    block, inner, closer, tail = first_return_decompose(parse("udhh", GMOTZKIN))
-    assert (block.steps, inner.steps, closer, tail.steps) == ("ud", "", "d", "hh")
-    block, inner, closer, tail = first_return_decompose(parse("hud", GMOTZKIN))
-    assert (block.steps, inner, closer, tail.steps) == ("h", None, None, "ud")
-    block, inner, closer, tail = first_return_decompose(
-        parse("uhvud", GMOTZKIN)
-    )
-    assert (block.steps, inner.steps, closer) == ("uhv", "h", "v")
-
-
 def test_last_primitive_suffix():
     # vartheta_inv splits its input at the last arch
     assert vartheta_inv(parse("Hud", SCHRODER)).steps == "udH"
@@ -241,44 +216,6 @@ def test_last_primitive_suffix():
             DomainViolation, match="path ends with a horizontal step on the axis"
         ):
             vartheta_inv(parse(steps, SCHRODER))
-
-
-@st.composite
-def gmotzkin_paths(draw):
-    """A G-Motzkin path: random letters, dropping any that would dip below
-    the axis, closed with d steps."""
-    level, steps = 0, []
-    for c in draw(st.text(alphabet="uhvd", max_size=16)):
-        if level + DY[c] >= 0:
-            steps.append(c)
-            level += DY[c]
-    return "".join(steps) + "d" * level
-
-
-@given(gmotzkin_paths())
-def test_first_return_and_primitivity_agree_with_the_scan(steps):
-    path = parse(steps, GMOTZKIN)
-    if not steps:
-        with pytest.raises(EmptyPath, match="neither primitive nor decomposable"):
-            is_primitive(path)
-        with pytest.raises(EmptyPath, match="cannot decompose the empty path"):
-            first_return_decompose(path)
-        return
-    # the first return to the axis, by a plain level scan
-    level = 0
-    for cut, c in enumerate(steps, start=1):
-        level += DY[c]
-        if level == 0:
-            break
-    block, inner, closer, tail = first_return_decompose(path)
-    assert block.steps + tail.steps == steps
-    assert block.steps == steps[:cut]
-    if steps[0] == "u":
-        assert (inner.steps, closer) == (steps[1 : cut - 1], steps[cut - 1])
-        assert inner.family == tail.family == GMOTZKIN
-    else:
-        assert (inner, closer) == (None, None)
-    assert is_primitive(path) == (steps[0] == "u" and cut == len(steps))
 
 
 def test_base_families_cover_every_alphabet():
