@@ -4,13 +4,15 @@ Each test runs one suite, prints a single CRITERION line, and fails with
 the first offending check's detail if anything disagrees.  Three more
 tests keep the package free of assert statements, which `python -O` strips,
 of imports that no line of their module uses, and of definitions that no
-line of the package reads and `__init__` does not export; two keep its
+line of the package reads and `__init__` does not export; three keep its
 public names honest: `__all__` lists each name `__init__` imports, once,
-and README's library example runs and prints what its comments state.
+each method the bench tracer times is defined on its class, and README's
+library example runs and prints what its comments state.
 """
 
 import ast
 import contextlib
+import importlib
 import io
 from pathlib import Path
 
@@ -145,6 +147,25 @@ def test_no_unread_definition_in_the_package():
         if not (ident.startswith("__") and ident.endswith("__")) and ident not in read
     }
     assert sorted(unread ^ _READ_OUTSIDE_THE_PACKAGE) == []
+
+
+def test_each_method_the_bench_tracer_times_is_defined_on_its_class():
+    """bench/tracer.py reads each method it times from its class's own
+    __dict__, so a deleted or inherited one would crash every traced op."""
+    path = Path(__file__).parent.parent / "bench" / "tracer.py"
+    (methods,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["_METHODS"]
+    ]
+    missing = [
+        f"{layer}.{cls_name}.{method}"
+        for (layer, cls_name), names in methods.items()
+        for method in names
+        if method not in vars(getattr(importlib.import_module(f"gpaths.{layer}"), cls_name))
+    ]
+    assert missing == []
 
 
 def test_all_lists_each_import_of_init_once_in_ascii_order():

@@ -199,6 +199,36 @@ def test_match_table_agrees_with_the_scan(steps):
             assert table[idx] == -1
 
 
+@st.composite
+def gmotzkin_paths(draw):
+    """A G-Motzkin path: random letters, dropping any that would dip below
+    the axis, closed with d steps."""
+    level, steps = 0, []
+    for c in draw(st.text(alphabet="uhvd", max_size=16)):
+        if level + DY[c] >= 0:
+            steps.append(c)
+            level += DY[c]
+    return "".join(steps) + "d" * level
+
+
+@given(gmotzkin_paths())
+def test_match_table_closes_each_arch_at_its_first_return(steps):
+    # random text is rarely a path; this strategy reaches long valid ones
+    table = match_table(steps)
+    level, start = 0, 0
+    for idx, c in enumerate(steps):
+        level += DY[c]
+        if level == 0:
+            # a block ends at each return to the axis: an h alone, or an
+            # arch whose opening u is matched by the step that returns
+            if c == "h":
+                assert (idx == start, table[idx]) == (True, -1)
+            else:
+                assert (steps[start], table[start], table[idx]) == ("u", idx, start)
+            start = idx + 1
+    assert start == len(steps)
+
+
 def test_match_table_names_the_unmatched_step():
     assert match_table(EXAMPLE)[0] == 8
     with pytest.raises(DomainViolation, match="u at index 0 has no matching step"):
