@@ -262,6 +262,26 @@ def test_count_reaches_past_the_generation_cap(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, overridable",
+    [
+        (["table", "--stat", "H", "--method", "brute", "--nmax", "6"], False),
+        (["verify", "--suite", "stats"], False),
+        (["count", "--length", "5"], True),
+        (["enumerate", "--length", "5"], True),
+    ],
+)
+def test_a_size_refusal_suggests_an_override_only_where_one_can_be_passed(
+    capsys, monkeypatch, argv, overridable
+):
+    monkeypatch.setenv("GPATHS_MAX_N", "3")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: x-length ") and err.count("\n") == 1
+    assert "raise GPATHS_MAX_N" in err
+    assert ("override" in err) == overridable
+
+
 @pytest.mark.parametrize("method", ["brute", "all"])
 def test_table_past_the_brute_cap_is_a_usage_error(capsys, monkeypatch, method):
     monkeypatch.setenv("GPATHS_MAX_N", "9")

@@ -8,6 +8,8 @@ from functools import lru_cache
 
 import pytest
 
+import gpaths.enumeration as enumeration
+import gpaths.verification as verification
 from gpaths.bijections import BIJECTIONS
 from gpaths.cli import AVOIDABLE
 from gpaths.enumeration import (
@@ -651,6 +653,40 @@ def test_prop21_both_variants_match_recurrence():
         prop21(3, "third")
 
 
+@pytest.mark.parametrize("variant", ["first", "second"])
+@pytest.mark.parametrize(
+    "point, seq",
+    [
+        ((1, 0, 2), verification.SEQ_A025235),
+        ((-3, 4, 16), verification.SEQ_A059231),
+        ((1, 1, 1), verification.SCHRODER_NUMBERS),
+    ],
+)
+def test_prop21_at_points_gives_the_frozen_sequences(variant, point, seq):
+    # frozen reference data, not the recurrence: the sum stands on its own
+    assert [prop21(n, variant).eval_at(*point) for n in range(11)] == list(seq[:11])
+
+
+def _clear_triple_sum_tables():
+    for table in (enumeration._anti, enumeration._kcat, *enumeration._binoms.values()):
+        table.clear()
+
+
+@pytest.mark.parametrize("variant", ["first", "second"])
+def test_prop21_tables_do_not_depend_on_request_order(variant):
+    g = guvu_coeffs(40)
+    _clear_triple_sum_tables()
+    assert prop21(40, variant) == g[40]
+    assert [prop21(n, variant) for n in range(41)] == g
+    _clear_triple_sum_tables()
+    assert prop21(12, variant) == g[12]
+    # grown to exactly the largest n asked, then by one step to 40
+    assert (len(enumeration._anti), len(enumeration._kcat)) == (13, 7)
+    assert prop21(40, variant) == g[40]
+    assert (len(enumeration._anti), len(enumeration._kcat)) == (41, 21)
+    assert [prop21(n, variant) for n in range(41)] == g
+
+
 def test_catalan_number_values():
     assert [catalan_number(k) for k in range(11)] == CATALAN
 
@@ -724,6 +760,6 @@ def test_size_guard():
 def test_size_guard_env_override(monkeypatch):
     monkeypatch.setenv("GPATHS_MAX_N", "5")
     assert size_cap(DYCK) == 5
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(SizeLimitExceeded, match="or pass an explicit override$"):
         count_paths(DYCK, 6)
     assert count_paths(DYCK, 4) == 2

@@ -186,8 +186,10 @@ def test_brute_counts_follow_a_changed_size_cap(monkeypatch):
     assert stat_brute("U", 6, 0) == 14777
     # x-length 7 is past the new cap, even though it was counted above
     monkeypatch.setenv("GPATHS_MAX_N", "5")
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(SizeLimitExceeded) as info:
         stat_brute("U", 6, 0)
+    # stat_brute takes no override, so its refusal suggests none
+    assert str(info.value).endswith("; raise GPATHS_MAX_N")
 
 
 def test_brute_table_past_the_cap_fails_before_enumerating(monkeypatch):
