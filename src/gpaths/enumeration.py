@@ -70,13 +70,8 @@ by delta_k adds keys and no Polynomial is built inside the loop.  A packed
 key cannot carry: delta_k and A_k have degree at most k, so every exponent
 of f_n and g_n is at most n + 2, far below 2^31.
 
-The two explicit triple sums of Proposition 2.1 (`prop21`), a route to
-the uvu-avoiding counts that never reads the recurrence, sum each monomial
-once, over k alone (re-indexed in prop21's docstring): a C-level dot
-product of slices of three tables that do not depend on n, grown in place
-to exactly the largest n asked.  The 82 calls n <= 40 in both variants
-take about 0.07 s, where the plain triple loop took 0.17 s (2-vCPU Xeon,
-CPython 3.11.7).
+The explicit triple sums of Proposition 2.1 sum each monomial over k alone
+(`prop21`).
 """
 
 from __future__ import annotations
@@ -131,15 +126,21 @@ def _check_size(
     counting: bool = False,
     overridable: bool = False,
 ) -> None:
-    """Refuse x-length n past the cap.  Only a caller whose own caller can
-    pass max_n_override (overridable) has its refusal suggest one."""
+    """Refuse x-length n past the cap.  A cap set by an override (the
+    caller's own, or verification's fixed one) gets no advice: size_cap
+    reads GPATHS_MAX_N only without one.  Otherwise the advice names
+    GPATHS_MAX_N, and an override only where the caller's own caller can
+    pass one (overridable)."""
     cap = size_cap(family, max_n_override, counting)
     if n > cap:
         what = "counting" if counting else "exhaustive-enumeration"
-        advice = " or pass an explicit override" if overridable else ""
+        advice = ""
+        if max_n_override is None:
+            advice = "; raise GPATHS_MAX_N"
+            advice += " or pass an explicit override" if overridable else ""
         raise SizeLimitExceeded(
             f"x-length {n} exceeds the {what} cap {cap} for "
-            f"family {family.describe()!r}; raise GPATHS_MAX_N{advice}"
+            f"family {family.describe()!r}{advice}"
         )
 
 
@@ -581,37 +582,6 @@ def gbinom(r: int, m: int) -> int:
     return num // factorial(m)
 
 
-# prop21's tables, shared by every n: _anti[t][k] = (-1)^(t-k) gbinom(t-1,
-# t-k), _kcat[j][k] = comb(k, j) C_k and each variant's binomial [r][k]
-_anti: list[list[int]] = []
-_kcat: list[list[int]] = []
-_binoms: dict[str, list[list[int]]] = {"first": [], "second": []}
-
-
-def _grow(table: list[list[int]], rows: int, width, entry) -> None:
-    """Rows 0 .. rows-1 of table, row i holding width(i) entries, each new
-    entry (i, k) computed once by entry(i, k)."""
-    for i, row in enumerate(table):
-        row.extend([entry(i, k) for k in range(len(row), width(i))])
-    for i in range(len(table), rows):
-        table.append([entry(i, k) for k in range(width(i))])
-
-
-def _grow_triple_sums(n: int) -> None:
-    """Grow prop21's tables to x-length n: k runs up to t = s + j, and
-    r + s + 2j = n, so _kcat[j] needs k <= n - j and a binomial row r needs
-    k <= n - r.  _anti grows last: its length is how far all four have
-    grown, also after a growth cut short."""
-    _grow(_kcat, n // 2 + 1, lambda j: n - j + 1,
-          lambda j, k: comb(k, j) * catalan_number(k))
-    _grow(_binoms["first"], n + 1, lambda r: n - r + 1,
-          lambda r, k: comb(r + 2 * k, 2 * k))
-    _grow(_binoms["second"], n + 1, lambda r: n - r + 1,
-          lambda r, k: comb(2 * k + r, r))
-    _grow(_anti, n + 1, lambda t: t + 1,
-          lambda t, k: (-1) ** (t - k) * gbinom(t - 1, t - k))
-
-
 def prop21(n: int, variant: str = "first") -> Polynomial:
     """The uvu-avoiding weighted count as an explicit triple sum.
 
@@ -623,24 +593,25 @@ def prop21(n: int, variant: str = "first") -> Polynomial:
     2j = n) is summed once, over k alone: in the first el = s + j - k,
     in the second el = r and m = s + j - k.  So k runs from j to t = s + j
     in both, the sign factor is the anti-diagonal (-1)^(t-k) gbinom(t-1,
-    t-k) of one table (_anti), and the binomial is the first's comb(n+k-
-    j-el, 2k) = comb(r+2k, 2k) or the second's comb(2k+el, el) at el = r,
-    each read from the variant's own table (_binoms), so a slip in one
-    variant's binomial fails only that variant's checks.  The tables do not
-    depend on n and grow to the largest n asked (_grow_triple_sums).
+    t-k), and the binomial is the first's comb(n+k-j-el, 2k) = comb(r+2k,
+    2k), which is the second's comb(2k+el, el) at el = r.  After this
+    re-indexing the two variants are term-for-term equal, so one sum serves
+    both; it never reads the recurrence.
     """
     if variant not in ("first", "second"):
         raise ValueError("variant must be 'first' or 'second'")
-    binom = _binoms[variant]
-    if n >= len(_anti):
-        _grow_triple_sums(n)
+    # sign[t][k], kcat[j][k] = comb(k, j) C_k and binom[r][k] = comb(r+2k, 2k)
+    sign = [[(-1) ** (t - k) * gbinom(t - 1, t - k) for k in range(t + 1)]
+            for t in range(n + 1)]
+    cat = [catalan_number(k) for k in range(n + 1)]
+    kcat = [[comb(k, j) * cat[k] for k in range(n - j + 1)] for j in range(n // 2 + 1)]
+    binom = [[comb(r + 2 * k, 2 * k) for k in range(n - r + 1)] for r in range(n + 1)]
     terms: dict[tuple[int, int, int], int] = {}
     for j in range(n // 2 + 1):
-        kcat = _kcat[j]
         for s in range(n - 2 * j + 1):
             r, t = n - 2 * j - s, s + j
             terms[r, s, j] = sum(map(
-                mul, map(mul, _anti[t][j:t + 1], kcat[j:t + 1]), binom[r][j:t + 1]
+                mul, map(mul, sign[t][j:t + 1], kcat[j][j:t + 1]), binom[r][j:t + 1]
             ))
     return Polynomial._from_terms(terms)
 

@@ -263,23 +263,27 @@ def test_count_reaches_past_the_generation_cap(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, overridable",
+    "argv, advice",
     [
-        (["table", "--stat", "H", "--method", "brute", "--nmax", "6"], False),
-        (["verify", "--suite", "stats"], False),
-        (["count", "--length", "5"], True),
-        (["enumerate", "--length", "5"], True),
+        (["table", "--stat", "H", "--method", "brute", "--nmax", "6"],
+         "raise GPATHS_MAX_N"),
+        (["verify", "--suite", "stats"], "raise GPATHS_MAX_N"),
+        (["count", "--length", "5"], "raise GPATHS_MAX_N or pass an explicit override"),
+        (["enumerate", "--length", "5"],
+         "raise GPATHS_MAX_N or pass an explicit override"),
+        (["count", "--length", "5", "--max-n-override", "4"], None),
     ],
 )
 def test_a_size_refusal_suggests_an_override_only_where_one_can_be_passed(
-    capsys, monkeypatch, argv, overridable
+    capsys, monkeypatch, argv, advice
 ):
     monkeypatch.setenv("GPATHS_MAX_N", "3")
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: x-length ") and err.count("\n") == 1
-    assert "raise GPATHS_MAX_N" in err
-    assert ("override" in err) == overridable
+    # under an override the cap is the one just passed: no advice
+    assert err.endswith("\n" if advice is None else f"; {advice}\n")
+    assert (";" in err) == (advice is not None)
 
 
 @pytest.mark.parametrize("method", ["brute", "all"])

@@ -8,7 +8,6 @@ from functools import lru_cache
 
 import pytest
 
-import gpaths.enumeration as enumeration
 import gpaths.verification as verification
 from gpaths.bijections import BIJECTIONS
 from gpaths.cli import AVOIDABLE
@@ -667,26 +666,6 @@ def test_prop21_at_points_gives_the_frozen_sequences(variant, point, seq):
     assert [prop21(n, variant).eval_at(*point) for n in range(11)] == list(seq[:11])
 
 
-def _clear_triple_sum_tables():
-    for table in (enumeration._anti, enumeration._kcat, *enumeration._binoms.values()):
-        table.clear()
-
-
-@pytest.mark.parametrize("variant", ["first", "second"])
-def test_prop21_tables_do_not_depend_on_request_order(variant):
-    g = guvu_coeffs(40)
-    _clear_triple_sum_tables()
-    assert prop21(40, variant) == g[40]
-    assert [prop21(n, variant) for n in range(41)] == g
-    _clear_triple_sum_tables()
-    assert prop21(12, variant) == g[12]
-    # grown to exactly the largest n asked, then by one step to 40
-    assert (len(enumeration._anti), len(enumeration._kcat)) == (13, 7)
-    assert prop21(40, variant) == g[40]
-    assert (len(enumeration._anti), len(enumeration._kcat)) == (41, 21)
-    assert [prop21(n, variant) for n in range(41)] == g
-
-
 def test_catalan_number_values():
     assert [catalan_number(k) for k in range(11)] == CATALAN
 
@@ -763,3 +742,15 @@ def test_size_guard_env_override(monkeypatch):
     with pytest.raises(SizeLimitExceeded, match="or pass an explicit override$"):
         count_paths(DYCK, 6)
     assert count_paths(DYCK, 4) == 2
+
+
+def test_a_refusal_under_an_override_gives_no_advice(monkeypatch):
+    # size_cap returns the override before it reads GPATHS_MAX_N, and
+    # verification passes its fixed cap as one, which no verify user can move
+    monkeypatch.setenv("GPATHS_MAX_N", "9")
+    for n, cap in ((6, 5), (26, verification._CAP)):
+        with pytest.raises(SizeLimitExceeded) as info:
+            count_paths(DYCK, n, max_n_override=cap)
+        assert str(info.value) == (
+            f"x-length {n} exceeds the counting cap {cap} for family 'dyck'"
+        )
