@@ -90,23 +90,49 @@ def _brute_counts(family: PathFamily, m: int):
     """Aggregate (letter, level) step counts and point counts over all
     paths of the family of x-length m.
 
-    Counted per prefix block (word, key, tails) of the walk, not per path:
-    the word's pairs and points, the start point included, count once per
-    tail, and the pairs and points of each distinct (tail, level) of the
-    keys' tails (at absolute levels, after the word's end point) count once,
-    weighted by the number of blocks that end at a key of that level with
-    that tail.
+    Counted per distinct prefix of the walk's prefix blocks (word, key,
+    tails), not per path.  Each block's path count, len(tails), is folded up
+    its word's prefixes, longest first: a prefix adds the (letter, level)
+    pair of its last letter and its end point once, weighted by the paths
+    through it, and hands that weight to its parent.  A block's word is
+    counted as the walk yields it, so only its proper prefixes are held
+    until the fold.  Every path adds the start point.  The pairs and
+    points of each distinct (tail, level) of the keys' tails (at absolute
+    levels, after the word's end point) count once, weighted by the number
+    of blocks that end at a key of that level with that tail.
     """
     step_counts: dict[tuple[str, int], int] = {}
     point_counts: dict[int, int] = {}
     ends: dict[tuple[int, int, str], list] = {}
+    # parents[length][level]: {prefix of that length ending at level: paths}
+    parents: list[dict[int, dict[str, int]]] = []
+
+    def count(prefix: str, level: int, k: int) -> None:
+        c = prefix[-1]
+        pair = (c, level)
+        step_counts[pair] = step_counts.get(pair, 0) + k
+        point_counts[level] = point_counts.get(level, 0) + k
+        while len(parents) < len(prefix):
+            parents.append({})
+        up = parents[len(prefix) - 1].setdefault(level - STEP_GEOMETRY[c][1], {})
+        up[prefix[:-1]] = up.get(prefix[:-1], 0) + k
+
+    paths = 0
     for word, key, tails, _, _ in _prefix_blocks(family, m):
         k = len(tails)
         if not k:
             continue
-        point_counts[0] = point_counts.get(0, 0) + k
-        _count_letters(step_counts, point_counts, word, 0, k)
+        paths += k
         ends.setdefault(key, [tails, 0])[1] += 1
+        if word:
+            count(word, key[1], k)
+    # longest first, so a prefix holds all its paths when it is counted
+    for length in range(len(parents) - 1, 0, -1):
+        for level, prefixes in parents[length].items():
+            for prefix, k in prefixes.items():
+                count(prefix, level, k)
+    if paths:  # every path starts at level 0
+        point_counts[0] = point_counts.get(0, 0) + paths
     # a tail read from the same level counts the same pairs: read it once
     reads: dict[tuple[str, int], int] = {}
     for (_, level, _), (tails, blocks) in ends.items():
@@ -117,12 +143,25 @@ def _brute_counts(family: PathFamily, m: int):
     return step_counts, point_counts
 
 
+def _brute_row(stat: str, n: int) -> tuple[PathFamily, int]:
+    """The family and x-length of the paths that row n of stat's brute
+    table counts over."""
+    _, _, size_off, restricted = _check_stat(stat)
+    return GMOTZKIN_UVU_RESTRICTED if restricted else GMOTZKIN_UVU, n + size_off
+
+
+def _check_brute_rows(n: int) -> None:
+    """Refuse row n of the brute tables past the size cap, statistic by
+    statistic in STAT_IDS order."""
+    for stat in STAT_IDS:
+        _check_size(*_brute_row(stat, n), None)
+
+
 def stat_brute(stat: str, n: int, i: int) -> int:
-    kind, level_off, size_off, restricted = _check_stat(stat)
-    m = n + size_off
+    kind, level_off, _, _ = _check_stat(stat)
+    family, m = _brute_row(stat, n)
     if m < 0 or i < 0:
         return 0
-    family = GMOTZKIN_UVU_RESTRICTED if restricted else GMOTZKIN_UVU
     # checked before the cache is read, so a changed GPATHS_MAX_N is seen
     _check_size(family, m, None)
     step_counts, point_counts = _brute_counts(family, m)

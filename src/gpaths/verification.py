@@ -77,7 +77,8 @@ from .paths import (
     parse,
 )
 from .series import guvu_series_at
-from .stats import methods_for, stat_brute, stat_formula, stat_riordan, stat_table
+from .stats import _check_brute_rows, methods_for, stat_brute, stat_formula
+from .stats import stat_riordan, stat_table
 from .weights import (
     A, B, DEFAULT_WEIGHTING, ZERO, Polynomial, packed_weight, unpack_exponents
 )
@@ -156,6 +157,8 @@ PHI_EXAMPLE_OUT = "uduHuduuHdddH"
 # Dyck/Schroder semilength 10 means x-length 20, past the generation cap;
 # counts that large come from the transfer-matrix DP, not from enumeration.
 _CAP = MAX_N_COUNT
+# the stats suite's default last row: the frozen statistic tables stop there
+_STATS_ROWS = 6
 # least domain words per chunk of criterion 3 (_chunks): 256 ran no faster, and
 # each 128 words more add 0.05 MB to check_bijections()' heap peak of 0.67 MB
 _CHUNK = 128
@@ -752,7 +755,7 @@ def _bijections_suite(n_max: int | None) -> list[CheckResult]:
 
 
 def _stats_suite(n_max: int | None) -> list[CheckResult]:
-    n = 6 if n_max is None else n_max
+    n = _STATS_ROWS if n_max is None else n_max
     return (
         check_stat_tables(n) + check_stat_identities(n) + check_restricted_stats(n)
     )
@@ -795,6 +798,11 @@ def run_suite(name: str, n_max: int | None = None) -> list[CheckResult]:
                 f"--nmax {n_max} is past {limit} of the "
                 f"{suite} suite; the largest supported --nmax is {high}"
             )
+    if "stats" in names:
+        # the one suite sized under GPATHS_MAX_N (the others pass _CAP): its
+        # last rows are its largest, reached in STAT_IDS order, so refuse them
+        # as it would, before any suite runs
+        _check_brute_rows(_STATS_ROWS if n_max is None else n_max)
     results = []
     for suite in names:
         results.extend(SUITES[suite][0](n_max))

@@ -5,6 +5,8 @@ import json
 import pytest
 
 import gpaths.cli as cli
+import gpaths.verification as verification
+from gpaths.errors import SizeLimitExceeded
 from gpaths.stats import StatTable
 from gpaths.verification import SCHRODER_NUMBERS, SUITES, CheckResult
 
@@ -267,7 +269,7 @@ def test_count_reaches_past_the_generation_cap(capsys):
     [
         (["table", "--stat", "H", "--method", "brute", "--nmax", "6"],
          "raise GPATHS_MAX_N"),
-        (["verify", "--suite", "stats"], "raise GPATHS_MAX_N"),
+        (["verify"], "raise GPATHS_MAX_N"),
         (["count", "--length", "5"], "raise GPATHS_MAX_N or pass an explicit override"),
         (["enumerate", "--length", "5"],
          "raise GPATHS_MAX_N or pass an explicit override"),
@@ -284,6 +286,34 @@ def test_a_size_refusal_suggests_an_override_only_where_one_can_be_passed(
     # under an override the cap is the one just passed: no advice
     assert err.endswith("\n" if advice is None else f"; {advice}\n")
     assert (";" in err) == (advice is not None)
+
+
+@pytest.mark.parametrize("cap", ["3", "7"])
+def test_verify_refuses_the_stats_suite_past_the_cap_before_any_suite_runs(
+    capsys, monkeypatch, cap
+):
+    monkeypatch.setenv("GPATHS_MAX_N", cap)
+    # the refusal the stats suite raises when it reaches its rows itself
+    with pytest.raises(SizeLimitExceeded) as info:
+        verification._stats_suite(None)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the bijection suite ran before the refusal")
+
+    monkeypatch.setattr(verification, "check_bijections", fail)
+    for argv in (["verify"], ["verify", "--suite", "stats"]):
+        assert run(capsys, argv) == (2, "", f"error: {info.value}\n")
+
+
+@pytest.mark.parametrize("suite", ["counts", "identities"])
+def test_verify_suites_under_the_fixed_cap_ignore_a_low_size_cap(
+    capsys, monkeypatch, suite
+):
+    # these suites size their enumerations under verification._CAP
+    monkeypatch.setenv("GPATHS_MAX_N", "3")
+    code, out, err = run(capsys, ["verify", "--suite", suite])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("PASS (")
 
 
 @pytest.mark.parametrize("method", ["brute", "all"])

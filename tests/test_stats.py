@@ -5,7 +5,7 @@ import pytest
 from gpaths import stats
 from gpaths.enumeration import iter_step_strings
 from gpaths.errors import DomainViolation, SizeLimitExceeded
-from gpaths.paths import GMOTZKIN_UVU, STEP_GEOMETRY, PathFamily
+from gpaths.paths import GMOTZKIN_UVU, STEP_GEOMETRY
 from gpaths.stats import (
     FORMULA_STATS,
     GMOTZKIN_UVU_RESTRICTED,
@@ -217,9 +217,15 @@ def _recount(family, m):
 
 
 @pytest.mark.parametrize(
-    "family", [GMOTZKIN_UVU, GMOTZKIN_UVU_RESTRICTED], ids=PathFamily.describe
+    "family, m_max",
+    [
+        pytest.param(family, m_max, id=family.describe())
+        for family, m_max in ((GMOTZKIN_UVU, 8), (GMOTZKIN_UVU_RESTRICTED, 9))
+    ],
 )
-def test_brute_counts_equal_a_per_word_recount(family):
-    # sizes on both sides of the walk's completion split
-    for m in range(-1, 9):
+def test_brute_counts_equal_a_per_word_recount(family, m_max):
+    # sizes on both sides of the walk's completion split, up to the largest
+    # the bench's exhaustive workload counts (h_r's last row at n = 7), whose
+    # prefixes are folded through the most layers
+    for m in range(-1, m_max + 1):
         assert stats._brute_counts(family, m) == _recount(family, m)
