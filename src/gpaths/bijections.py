@@ -501,12 +501,10 @@ def _in_definition_order(labels: list) -> list:
     return ordered
 
 
-def _varphi_passes(
-    peak_of: dict[str, str], check_letters: bool = True
-) -> tuple[StringMap, StringMap]:
+def _varphi_passes(peak_of: dict[str, str]) -> tuple[StringMap, StringMap]:
     """varphi and its inverse, one pass each, for the marks of peak_of: a
     mark of the source word is the peak peak_of[mark] of the image.  The
-    inverse refuses a letter of no peak and no arch if check_letters.
+    inverse refuses a letter of no peak and no arch.
 
     Plain varphi has the one mark a, the peak ud.  Colored varphi has a for
     uD and A for ud; psi runs it on the Schroder word, where phi_peak reads
@@ -578,7 +576,7 @@ def _varphi_passes(
         of its range is read."""
         if not blocks:
             raise DomainViolation("varphi_inv needs a nonempty path")
-        if check_letters and blocks.translate(image_letters_deleted):
+        if blocks.translate(image_letters_deleted):
             raise _malformed("varphi_inv")
         for mark, peak in peak_of.items():
             blocks = blocks.replace(peak, mark)
@@ -612,7 +610,7 @@ def _varphi_passes(
                 else:
                     note("C1")
                     out.append(c)
-        except (IndexError, KeyError):  # KeyError: an unchecked foreign mark
+        except IndexError:
             raise _malformed("varphi_inv") from None
         if closers:
             raise _malformed("varphi_inv")
@@ -631,9 +629,8 @@ _varphi_fwd, _varphi_inv = _varphi_passes({"a": "ud"})
 # ---------------------------------------------------------------------------
 
 # psi's second pass in each direction is colored varphi on the Schroder
-# word: phi_peak reads H for the peak uD, which the mark a stands for; the
-# mark pass reads only _sigma_fwd's words, so it checks no letters
-_psi_unmark, _psi_mark = _varphi_passes({"a": "H", "A": "ud"}, check_letters=False)
+# word: phi_peak reads H for the peak uD, which the mark a stands for
+_psi_unmark, _psi_mark = _varphi_passes({"a": "H", "A": "ud"})
 _psi_fwd = Composite(_sigma_fwd, _psi_mark)
 _psi_inv = Composite(_psi_unmark, _sigma_inv)
 _varphi_theta_fwd = Composite(_theta_fwd, _varphi_fwd)

@@ -527,20 +527,16 @@ def _schroder_ab(n: int) -> Polynomial:
     return Polynomial(terms)
 
 
-# s_0, s_1, ... of s = 1 + b x S s, coefficientwise (no division anywhere),
-# grown on demand
-_little_schroder = [Polynomial.const(1)]
-
-
 def _little_schroder_ab(n: int) -> Polynomial:
-    little = _little_schroder
-    if n >= len(little):
-        big = [_schroder_ab(k) for k in range(n)]
-        for m in range(len(little), n + 1):
-            acc = Polynomial()
-            for k in range(m):
-                acc = acc + big[k] * little[m - 1 - k]
-            little.append(B * acc)
+    """s_n of s = 1 + b x S s, coefficientwise (no division anywhere), from
+    s_0 .. s_(n-1) built in this call."""
+    big = [_schroder_ab(k) for k in range(n)]
+    little = [Polynomial.const(1)]
+    for m in range(1, n + 1):
+        acc = Polynomial()
+        for k in range(m):
+            acc = acc + big[k] * little[m - 1 - k]
+        little.append(B * acc)
     return little[n]
 
 

@@ -224,10 +224,11 @@ def named_series(name: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 
 # closed vocabulary for Riordan d/h expressions: the named series with integer
-# coefficients and two polynomials, each with an optional power, joined by '*'
+# coefficients and three polynomials, each with an optional power, joined by '*'
 _ATOMS = {
     **{name: _NAMED[name] for name in ("C", "S", "s", "one_over_1px")},
     "x": lambda order: TruncatedSeries([0, 1], order),
+    "one_minus_x": lambda order: TruncatedSeries([1, -1], order),
     "one_plus_x2": lambda order: TruncatedSeries([1, 0, 1], order),
 }
 

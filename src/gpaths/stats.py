@@ -4,7 +4,9 @@ Ten statistics, each computable by up to three independent routes that the
 acceptance suite plays against each other:
 
   brute    exhaustive enumeration and direct counting,
-  riordan  coefficient extraction from a Riordan array (d(x), h(x)),
+  riordan  coefficient extraction from one Riordan array (d(x), h(x)) per
+           statistic, all with h = x S^2, and for column 0 of P and p_r
+           from one axis series,
   formula  the explicit alternating double sums (U, H, P only).
 
 Table conventions (i is the level index, columns 0..n per row):
@@ -20,7 +22,8 @@ horizontal step on the axis, with u_r/v_r at the same offsets, h_r counting
 h-steps at level i+1 over x-length n+2, and p_r points over x-length n.
 
 A table is filled from its last row, which checks the brute size cap before
-any path is enumerated and builds each Riordan array the table needs once.
+any path is enumerated and builds each array or axis series the table needs
+once.
 """
 
 from __future__ import annotations
@@ -174,87 +177,71 @@ def stat_brute(stat: str, n: int, i: int) -> int:
 # Riordan arrays
 # ---------------------------------------------------------------------------
 
+# d of each statistic's Riordan array; every array has h = x S^2, so column
+# i is d h^i.  [x^n] (1-x) d h^i is U(n, i) - U(n-1, i), so V and v_r are
+# U's and u_r's d times 1-x; D and d_r count what U and u_r count.  P's and
+# p_r's d are the paper's divided by S^2: then d h^i = x d_paper h^(i-1), so
+# P(n, i) = [x^(n-1)] d_paper h^(i-1) is read in place for i >= 1.
 _ARRAY_EXPRS = {
     "U": "S^3*one_over_1px",
+    "V": "one_minus_x*S^3*one_over_1px",
+    "D": "S^3*one_over_1px",
     "H": "S^2",
-    "P": "one_plus_x2*S^4*one_over_1px",
+    "P": "one_plus_x2*S^2*one_over_1px",
     "u_r": "s^2*S*one_over_1px",
+    "v_r": "one_minus_x*s^2*S*one_over_1px",
+    "d_r": "s^2*S*one_over_1px",
     "h_r": "s^2*S^2",
-    "p_r": "one_plus_x2*one_over_1px*s^2*S^2",
+    "p_r": "one_plus_x2*one_over_1px*s^2",
 }
 
 _COLUMN_EXPR = "x*S^2"
 
+# Column 0 of the point statistics, as a sum of product expressions: the
+# start point of every path (S or s), then the axis points after it.  Each
+# of those ends an h-step on the axis or a return, and every return closes
+# exactly one excursion opened by a u-step to level 1.  So they are x times
+# U's and H's axis columns for P, and x times u_r's axis column
+# s^2 S / (1+x) for p_r, whose paths have no h-step on the axis.
+_AXIS_EXPRS = {
+    "P": ("S", "x*S^3*one_over_1px", "x*S^2"),
+    "p_r": ("s", "x*s^2*S*one_over_1px"),
+}
 
-# One array (or series) per key, rebuilt only when a row beyond its order is
-# asked for.  Tables are filled from their last row, so each array a table
-# needs is built at most once, at the order of that row.  Entries are exact
-# coefficients, so they do not depend on the order an array is built at.
-_BUILT: dict[str, RiordanArray | TruncatedSeries] = {}
+
+def _array(d: str, order: int) -> RiordanArray:
+    return RiordanArray(
+        parse_series_expr(d, order), parse_series_expr(_COLUMN_EXPR, order)
+    )
 
 
-def _built(key: str, n: int, build):
-    """build(order) for some order >= n, cached under key."""
+def _axis(terms: tuple[str, ...], order: int) -> TruncatedSeries:
+    return sum(parse_series_expr(term, order) for term in terms)
+
+
+# One array or axis series per expression, rebuilt only when a row beyond
+# its order is asked for.  Tables are filled from their last row, so each
+# one a table needs is built at most once, at the order of that row, and
+# statistics with the same d (D and U) share it.  Entries are exact
+# coefficients, so they do not depend on the order they are built at.
+_BUILT: dict[str | tuple[str, ...], RiordanArray | TruncatedSeries] = {}
+
+
+def _built(key: str | tuple[str, ...], n: int, build):
+    """build(key, order) for some order >= n, cached under key."""
     value = _BUILT.get(key)
     if value is None or value.order < n:
-        value = _BUILT[key] = build(max(DEFAULT_ORDER, n + 1))
+        value = _BUILT[key] = build(key, max(DEFAULT_ORDER, n + 1))
     return value
-
-
-def _riordan_array(stat: str, n: int) -> RiordanArray:
-    return _built(
-        stat,
-        n,
-        lambda order: RiordanArray(
-            parse_series_expr(_ARRAY_EXPRS[stat], order),
-            parse_series_expr(_COLUMN_EXPR, order),
-        ),
-    )
-
-
-def _p_r_axis_series(n: int) -> TruncatedSeries:
-    # Points on the axis over restricted paths: s + x s^2 S / (1+x).  The
-    # second term counts axis returns; it must be x times the u_r axis
-    # column s^2 S / (1+x), since every return closes exactly one excursion
-    # opened by a u-step to level 1.
-    return _built(
-        "p_r axis",
-        n,
-        lambda order: parse_series_expr("s", order)
-        + parse_series_expr("x*s^2*S*one_over_1px", order),
-    )
-
-
-def _schroder_number(n: int) -> int:
-    """The large Schroder number S_n = sum_k C(n+k, 2k) Cat(k)."""
-    return sum(comb(n + k, 2 * k) * catalan_number(k) for k in range(n + 1))
 
 
 def stat_riordan(stat: str, n: int, i: int) -> int:
     _check_stat(stat)
     if n < 0 or i < 0:
         return 0
-    if stat in ("U", "u_r", "H", "h_r"):
-        return _riordan_array(stat, n).entry(n, i)
-    if stat in ("V", "v_r"):
-        base = "U" if stat == "V" else "u_r"
-        return stat_riordan(base, n, i) - stat_riordan(base, n - 1, i)
-    if stat in ("D", "d_r"):
-        return stat_riordan("U" if stat == "D" else "u_r", n, i)
-    if stat == "P":
-        if i == 0:
-            if n == 0:
-                return 1
-            return (
-                _schroder_number(n)
-                + stat_riordan("U", n - 1, 0)
-                + stat_riordan("H", n - 1, 0)
-            )
-        return _riordan_array("P", n - 1).entry(n - 1, i - 1)
-    # p_r
-    if i == 0:
-        return _p_r_axis_series(n).coeff(n)
-    return _riordan_array("p_r", n - 1).entry(n - 1, i - 1)
+    if i == 0 and stat in _AXIS_EXPRS:
+        return _built(_AXIS_EXPRS[stat], n, _axis).coeff(n)
+    return _built(_ARRAY_EXPRS[stat], n, _array).entry(n, i)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +281,11 @@ def _alternating(n: int, i: int, shift: int) -> int:
     _inner(n, i, shift)  # fills the column through t = n
     terms = _INNER[i, shift][n - i :: -1]
     return sum(terms[::2]) - sum(terms[1::2])
+
+
+def _schroder_number(n: int) -> int:
+    """The large Schroder number S_n = sum_k C(n+k, 2k) Cat(k)."""
+    return sum(comb(n + k, 2 * k) * catalan_number(k) for k in range(n + 1))
 
 
 def stat_formula(stat: str, n: int, i: int) -> int:

@@ -1,6 +1,8 @@
 """The command-line front end, driven through main(argv)."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +358,39 @@ def test_unknown_subcommand_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["transmogrify"])
     assert exc.value.code == 2
+
+
+def _readme_examples():
+    """(command, printed lines) of each `$ gpaths ...` line in README's code
+    blocks; its printed lines run to the next `$` line or the block's end."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    examples = []
+    for block in readme.split("```")[1::2]:
+        printed = None
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                printed = []
+                examples.append((line[2:], printed))
+            elif printed is not None:
+                printed.append(line)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_lists_every_cli_example():
+    assert len(README_EXAMPLES) == 11
+
+
+@pytest.mark.parametrize(
+    "command, lines", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES]
+)
+def test_readme_cli_example_prints_its_lines(capsys, command, lines):
+    command, tail, _ = command.partition(" | tail -1")
+    argv = shlex.split(command)
+    assert argv[0] == "gpaths"
+    code, out, err = run(capsys, argv[1:])
+    assert (code, err) == (0, "")
+    printed = out.splitlines()
+    assert (printed[-1:] if tail else printed) == lines

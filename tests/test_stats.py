@@ -2,8 +2,8 @@
 
 import pytest
 
-from gpaths import stats
-from gpaths.enumeration import iter_step_strings
+from gpaths import RiordanArray, parse_series_expr, stats
+from gpaths.enumeration import closed_form, iter_step_strings
 from gpaths.errors import DomainViolation, SizeLimitExceeded
 from gpaths.paths import GMOTZKIN_UVU, STEP_GEOMETRY
 from gpaths.stats import (
@@ -124,11 +124,12 @@ def test_formula_entries_do_not_depend_on_request_order():
     assert large_first == [stat_riordan(*r) for r in requests]
 
 
-@pytest.mark.parametrize(
-    "stat, n_max, orders",
-    [("U", 60, {"U": 61}), ("P", 40, {"U": 40, "H": 40, "P": 40})],
-)
-def test_a_table_builds_each_riordan_array_once(monkeypatch, stat, n_max, orders):
+U_D = "S^3*one_over_1px"
+
+
+@pytest.fixture
+def built_arrays(monkeypatch):
+    """The order of each RiordanArray stats builds, from an empty cache."""
     built = []
     riordan_array = stats.RiordanArray
 
@@ -138,9 +139,65 @@ def test_a_table_builds_each_riordan_array_once(monkeypatch, stat, n_max, orders
 
     monkeypatch.setattr(stats, "RiordanArray", counting)
     stats._BUILT.clear()
+    return built
+
+
+@pytest.mark.parametrize(
+    "stat, n_max, orders",
+    [
+        ("U", 60, {U_D: 61}),
+        (
+            "P",
+            40,
+            {
+                "one_plus_x2*S^2*one_over_1px": 41,
+                ("S", "x*S^3*one_over_1px", "x*S^2"): 41,
+            },
+        ),
+    ],
+)
+def test_a_table_builds_each_riordan_array_once(built_arrays, stat, n_max, orders):
     stat_table(stat, "riordan", n_max)
-    assert {key: array.order for key, array in stats._BUILT.items()} == orders
-    assert sorted(built) == sorted(orders.values())
+    assert {key: value.order for key, value in stats._BUILT.items()} == orders
+    assert built_arrays == [n_max + 1]
+
+
+def test_d_reads_the_array_u_built(built_arrays):
+    stat_table("U", "riordan", 60)
+    stat_table("D", "riordan", 60)
+    assert built_arrays == [61]
+    assert list(stats._BUILT) == [U_D]
+
+
+def test_riordan_pairs_encode_the_level_identities():
+    # past the golden rows: each statistic's one (d, h) against the
+    # identities that tie it to U, u_r, H and the paper's point arrays
+    n_max = 40
+    rows = {stat: stat_table(stat, "riordan", n_max).rows for stat in STAT_IDS}
+
+    def at(stat, n, i):
+        return rows[stat][n][i] if 0 <= i <= n else 0
+
+    h = parse_series_expr("x*S^2", n_max)
+    paper = {
+        "P": RiordanArray(parse_series_expr("one_plus_x2*S^4*one_over_1px", n_max), h),
+        "p_r": RiordanArray(
+            parse_series_expr("one_plus_x2*one_over_1px*s^2*S^2", n_max), h
+        ),
+    }
+    for n in range(n_max + 1):
+        for i in range(n + 1):
+            assert at("V", n, i) == at("U", n, i) - at("U", n - 1, i), (n, i)
+            assert at("v_r", n, i) == at("u_r", n, i) - at("u_r", n - 1, i), (n, i)
+            assert at("D", n, i) == at("U", n, i), (n, i)
+            assert at("d_r", n, i) == at("u_r", n, i), (n, i)
+            for stat, array in paper.items():
+                if i:
+                    assert at(stat, n, i) == array.entry(n - 1, i - 1), (stat, n, i)
+        big = closed_form("schroder_ab", n).eval_at(1, 1)
+        little = closed_form("little_schroder_ab", n).eval_at(1, 1)
+        assert at("P", n, 0) == big + at("U", n - 1, 0) + at("H", n - 1, 0), n
+        assert at("p_r", n, 0) == little + at("u_r", n - 1, 0), n
 
 
 def test_formula_spot_values():
