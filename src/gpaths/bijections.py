@@ -7,13 +7,17 @@ A trace list records them in the order of the recursive definition.
 Nothing is sliced, rescanned or recursed into: paths of any length map in
 linear time.  The underscore forms work on raw step strings.
 
+A map records labels only when it is given a trace: without one it
+stores none and calls nothing (`note` is None).  theta's maps and varphi
+name their cases after the pass, from each letter and what it wrote.
+
 sigma's forward map and theta's two maps are one left-to-right pass each:
 each u pushes its position, and its arch's closer fills in what the u
-writes and notes, once the case is known.  theta reads one letter ahead;
+writes, once the case is known.  theta reads one letter ahead;
 sigma resolves its case u^i core v^i at the outermost v of the run.
 sigma's inverse loops over a work stack of index ranges and reads the
-partner of a range's first letter from `paths.match_table`, as vartheta's
-inverse does.
+partner of a range's first letter from `paths.match_table`.  vartheta's two
+maps each make one scan of levels (`_axis_scan`).
 
 varphi is one pair of one-pass maps (`_varphi_passes`), built once for
 plain varphi and once for colored varphi, the last stage of psi.  psi and
@@ -77,7 +81,6 @@ from .paths import (
     HSTRING,
     PSI_IMAGE,
     SCHRODER,
-    STEP_GEOMETRY,
     Path,
     PathFamily,
     match_table,
@@ -113,19 +116,15 @@ def _malformed(name: str) -> DomainViolation:
     return DomainViolation(f"{name} got a letter outside its alphabet or an unmatched step")
 
 
-def _recorder(trace: Trace) -> Callable[[str], None]:
-    # without a trace the labels go to a throwaway list: cheaper than a no-op call
-    return ([] if trace is None else trace).append
-
-
-def _close_pass(name: str, out: list, labels: list, opens: list, trace: Trace) -> str:
-    """The image of a one-pass map: out[i] and labels[i] are what the letter
-    at i writes and notes, and labels[-1] the word's end."""
+def _close_pass(name: str, out: list, labels: Trace, opens: list, trace: Trace) -> str:
+    """The image of a one-pass map: out[i] is what the letter at i writes,
+    and labels, None without a trace, what each letter notes ("" for none),
+    left to right; the word's end notes base."""
     if opens:
         raise _malformed(name)
-    if trace is not None:
-        labels[-1] = "base"
+    if labels is not None:
         trace += filter(None, labels)
+        trace.append("base")
     return "".join(out)
 
 
@@ -136,7 +135,8 @@ def _close_pass(name: str, out: list, labels: list, opens: list, trace: Trace) -
 
 def _sigma_fwd(q: str, trace: Trace = None) -> str:
     n = len(q)
-    out, labels = [""] * n, [""] * (n + 1)
+    out = [""] * n
+    labels = None if trace is None else [""] * n
     opens: list[int] = []  # the u's of the open arches
     run = 0  # v-closed arches of the run u^run ... v^run the next letter closes
     prim = False  # the inside of that run is one arch, which closes with d
@@ -145,11 +145,13 @@ def _sigma_fwd(q: str, trace: Trace = None) -> str:
         while i < n:
             c = q[i]
             if c == "h":
-                out[i], labels[i] = "H", "C1"
+                out[i] = "H"
+                if labels:
+                    labels[i] = "C1"
                 i += 1
             elif c == "v":
                 o = opens.pop()
-                if not run:
+                if labels and not run:
                     labels[i] = "base"  # the end of the run's core
                 run += 1
                 if not (opens and opens[-1] == o - 1 and q[i + 1] == "v"):
@@ -158,13 +160,16 @@ def _sigma_fwd(q: str, trace: Trace = None) -> str:
                     # and C3 writes what C4 writes for i - 1, then ud
                     j, odd = divmod(run - prim, 2)
                     out[o], out[i] = "u" * odd + "udu" * j + "ud" * prim, "d" * (j + odd)
-                    labels[o] = "C3" if prim else "C4"
+                    if labels:
+                        labels[o] = "C3" if prim else "C4"
                     run, prim = 0, False
                 i += 1
             elif c == "d":
                 # the u is matched by a d: its weight c = b^2 splits in two
                 o = opens.pop()
-                out[o], labels[o], out[i], labels[i] = "uu", "C5", "dd", "base"
+                out[o], out[i] = "uu", "dd"
+                if labels:
+                    labels[o], labels[i] = "C5", "base"
                 prim = bool(opens) and opens[-1] == o - 1 and q[i + 1] == "v"
                 i += 1
             elif c != "u":
@@ -174,7 +179,9 @@ def _sigma_fwd(q: str, trace: Trace = None) -> str:
                 opens.append(i)
                 i += 1
             elif q.startswith("h", i + 2):
-                out[i], labels[i] = "udH", "C2"
+                out[i] = "udH"
+                if labels:
+                    labels[i] = "C2"
                 i += 3
             else:
                 # a bare uv ends its range, and the range's end notes its base
@@ -194,7 +201,7 @@ def _sigma_inv(p: str, trace: Trace = None) -> str:
     if p.translate(_SCHRODER_LETTERS_DELETED):
         # match_table pairs any down letter, and no case reads a closer
         raise _malformed("sigma_inv")
-    note = _recorder(trace)
+    note = None if trace is None else trace.append
     match = match_table(p)
     out: list[str] = []
     work = [("", 0, len(p))]
@@ -203,10 +210,10 @@ def _sigma_inv(p: str, trace: Trace = None) -> str:
         out.append(lead)
         while True:
             if lo == hi:
-                note("base")
+                note and note("base")
                 break
             if p[lo] == "H":
-                note("C1")
+                note and note("C1")
                 out.append("h")
                 lo += 1
                 continue
@@ -216,27 +223,27 @@ def _sigma_inv(p: str, trace: Trace = None) -> str:
             if m == lo + 1:
                 # empty arch ud, then the rest
                 if m + 1 == hi:
-                    note("base")
+                    note and note("base")
                     out.append("uv")
                     break
                 if p[m + 1] == "H":
-                    note("C2")
+                    note and note("C2")
                     out.append("uvh")
                     lo = m + 2
                 else:
-                    note("C3")
+                    note and note("C3")
                     m2 = match[m + 1]
                     out.append("u")
                     work.append(("v", m2 + 1, hi))
                     lo, hi = m + 1, m2 + 1
             elif match[lo + 1] == m - 1:
                 # the arch's inside is itself one arch
-                note("C5")
+                note and note("C5")
                 out.append("u")
                 work.append(("d", m + 1, hi))
                 lo, hi = lo + 2, m - 1
             else:
-                note("C4")
+                note and note("C4")
                 out.append("u")
                 work.append(("v", m + 1, hi))
                 lo, hi = lo + 1, m
@@ -266,56 +273,54 @@ def _phi_inv(p: str, trace: Trace = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _axis_h(p: str, start: int = 0) -> int:
-    """Index of the first axis-level H of p[start:], read from the axis, or -1."""
-    level = 0
-    for idx in range(start, len(p)):
-        c = p[idx]
-        if c == "H" and level == 0:
-            return idx
-        level += STEP_GEOMETRY[c][1]
-    return -1
-
-
-def _vartheta_fwd(p: str, trace: Trace = None) -> str:
-    _recorder(trace)("C1")
-    if p.translate(_SCHRODER_LETTERS_DELETED):
-        raise _malformed("vartheta")
-    if not p.startswith("ud"):
-        raise DomainViolation("vartheta needs a path opening with ud")
-    # one scan finds the first axis-level H after ud and checks that the
-    # rest of the word stays at or above the axis and ends on it
-    level, split = 0, -1
-    for i in range(2, len(p)):
-        c = p[i]
+def _axis_scan(name: str, p: str, start: int) -> tuple[int, int]:
+    """(the first H on the axis, the last u that leaves it) in p[start:],
+    read from the axis, -1 for none, in one scan that refuses a word that
+    goes below the axis or does not end on it."""
+    level, h, u = 0, -1, -1
+    i = start
+    for c in p[start:]:
         if c == "u":
+            if not level:
+                u = i
             level += 1
         elif c == "d":
             level -= 1
             if level < 0:
-                raise _malformed("vartheta")
-        elif split < 0 and not level:
-            split = i
+                raise _malformed(name)
+        elif h < 0 and not level:
+            h = i
+        i += 1
     if level:
+        raise _malformed(name)
+    return h, u
+
+
+def _vartheta_fwd(p: str, trace: Trace = None) -> str:
+    if trace is not None:
+        trace.append("C1")
+    if p.translate(_SCHRODER_LETTERS_DELETED):
         raise _malformed("vartheta")
+    if not p.startswith("ud"):
+        raise DomainViolation("vartheta needs a path opening with ud")
+    split = _axis_scan("vartheta", p, 2)[0]
     if split < 0:
         raise DomainViolation("vartheta needs a horizontal step on the axis")
     return "H" + p[2:split] + "u" + p[split + 1 :] + "d"
 
 
 def _vartheta_inv(p: str, trace: Trace = None) -> str:
-    _recorder(trace)("C1")
+    if trace is not None:
+        trace.append("C1")
     if p.translate(_SCHRODER_LETTERS_DELETED):
-        # match_table pairs any down letter
         raise _malformed("vartheta_inv")
     if not p.startswith("H"):
         raise DomainViolation("vartheta_inv needs a path opening with H")
     if p[-1] != "d":
         raise DomainViolation("path ends with a horizontal step on the axis")
-    # the last arch opens with the partner of the final d; no H after its u
-    # is on the axis, so the scan from index 1 tests only the word before it
-    split = match_table(p)[-1]
-    if _axis_h(p, 1) >= 0:
+    # the last arch opens with the partner of the final d
+    h, split = _axis_scan("vartheta_inv", p, 1)
+    if h >= 0:
         raise DomainViolation("vartheta_inv needs no horizontal axis step after the first")
     return "ud" + p[1:split] + "H" + p[split + 1 : -1]
 
@@ -325,21 +330,24 @@ def _vartheta_inv(p: str, trace: Trace = None) -> str:
 # ---------------------------------------------------------------------------
 
 
+# theta's case at a letter, by the piece it writes (b, a bare uv, has none)
+_THETA_CASES = {"a": "C1", "bb": "C2", "bu": "C3", "ba": "C4", "u": "C5", "d": "base"}
+
+
 def _theta_fwd(q: str, trace: Trace = None) -> str:
     n = len(q)
-    out, labels = [""] * n, [""] * (n + 1)
+    out = [""] * n
     opens: list[int] = []  # the u's of the open uh arches
     i = 0
     try:
         while i < n:
             c = q[i]
             if c == "h":
-                out[i], labels[i] = "a", "C1"
+                out[i] = "a"
                 i += 1
             elif c == "d" or c == "v":
-                o = opens.pop()
-                out[o], labels[o] = ("bu", "C3") if c == "d" else ("u", "C5")
-                out[i], labels[i] = "d", "base"
+                out[opens.pop()] = "bu" if c == "d" else "u"
+                out[i] = "d"
                 i += 1
             elif c != "u":
                 raise _malformed("theta")
@@ -348,13 +356,13 @@ def _theta_fwd(q: str, trace: Trace = None) -> str:
                 opens.append(i)
                 i += 2
             elif q[i + 1] == "d":
-                out[i], labels[i] = "bb", "C2"
+                out[i] = "bb"
                 i += 2
             elif q[i + 1] != "v":
                 raise _malformed("theta")
             elif q.startswith("h", i + 2):
                 # uvu is forbidden and a down step after uv ends the range
-                out[i], labels[i] = "ba", "C4"
+                out[i] = "ba"
                 i += 3
             else:
                 # a bare uv ends its range, and the range's end notes its base
@@ -362,31 +370,37 @@ def _theta_fwd(q: str, trace: Trace = None) -> str:
                 i += 2
     except IndexError:
         raise _malformed("theta") from None
+    labels = None if trace is None else list(map(_THETA_CASES.get, out))
     return _close_pass("theta", out, labels, opens, trace)
 
 
-# theta_inv's cases for b and the letter after it, when that letter is not d
-_THETA_INV_OF_B = {"b": ("ud", "C2"), "a": ("uvh", "C4"), "u": ("uh", "C3")}
+# theta_inv's pieces for b and the letter after it, when that letter is not d
+_THETA_INV_OF_B = {"b": "ud", "a": "uvh", "u": "uh"}
+# theta_inv's case at a letter, by the letter and the piece it writes
+_THETA_INV_CASES = {
+    ("a", "h"): "C1", ("b", "ud"): "C2", ("b", "uh"): "C3", ("b", "uvh"): "C4",
+    ("u", "uh"): "C5", ("d", "d"): "base", ("d", "v"): "base",
+}
 
 
 def _theta_inv(p: str, trace: Trace = None) -> str:
     n = len(p)
-    out, labels = [""] * n, [""] * (n + 1)
+    out = [""] * n
     closers: list[str] = []  # per open arch, the closer of its preimage
     i = 0
     try:
         while i < n:
             c = p[i]
             if c == "a":
-                out[i], labels[i] = "h", "C1"
+                out[i] = "h"
                 i += 1
             elif c == "u":
                 # the image of a v-closed arch; its inside may be empty
-                out[i], labels[i] = "uh", "C5"
+                out[i] = "uh"
                 closers.append("v")
                 i += 1
             elif c == "d":
-                out[i], labels[i] = closers.pop(), "base"
+                out[i] = closers.pop()
                 i += 1
             elif c != "b":
                 raise _malformed("theta_inv")
@@ -395,12 +409,13 @@ def _theta_inv(p: str, trace: Trace = None) -> str:
                 out[i] = "uv"
                 i += 1
             else:
-                out[i], labels[i] = _THETA_INV_OF_B[p[i + 1]]
+                out[i] = _THETA_INV_OF_B[p[i + 1]]
                 if p[i + 1] == "u":
                     closers.append("d")
                 i += 2
     except (IndexError, KeyError):
         raise _malformed("theta_inv") from None
+    labels = None if trace is None else list(map(_THETA_INV_CASES.get, zip(p, out)))
     return _close_pass("theta_inv", out, labels, closers, trace)
 
 
@@ -410,7 +425,7 @@ def _theta_inv(p: str, trace: Trace = None) -> str:
 
 
 def _rho_fwd(q: str, trace: Trace = None) -> str:
-    note = _recorder(trace)
+    note = None if trace is None else trace.append
     out: list[str] = []
     n = len(q)
     h_run = len(q.rstrip("h"))  # q[lo:] is all h exactly when lo >= h_run
@@ -420,7 +435,7 @@ def _rho_fwd(q: str, trace: Trace = None) -> str:
             # hu-avoidance leaves only horizontal steps after a uv at the end
             if lo + 2 != h_run:
                 raise DomainViolation("rho needs blocks u h^i v, u h^j d or h^n")
-            note("C2")
+            note and note("C2")
             out.append("b" + "a" * (n - lo - 2))
             return "".join(out)
         if q[lo] != "u":
@@ -429,15 +444,15 @@ def _rho_fwd(q: str, trace: Trace = None) -> str:
         while i < n and q[i] == "h":
             i += 1
         if q.startswith("v", i):
-            note("C3")
+            note and note("C3")
             out.append("a" * (i - lo - 1) + "b")
         elif q.startswith("d", i):
-            note("C4")
+            note and note("C4")
             out.append("b" + "a" * (i - lo - 1) + "b")
         else:
             raise DomainViolation("rho needs blocks u h^i v, u h^j d or h^n")
         lo = i + 1
-    note("C1")
+    note and note("C1")
     out.append("a" * (n - lo))
     return "".join(out)
 
@@ -445,27 +460,27 @@ def _rho_fwd(q: str, trace: Trace = None) -> str:
 def _rho_inv(s: str, trace: Trace = None) -> str:
     if s.strip(HSTRING.alphabet):
         raise _malformed("rho_inv")
-    note = _recorder(trace)
+    note = None if trace is None else trace.append
     out: list[str] = []
     n = len(s)
     last_b = s.rfind("b")
     lo = 0
     while lo <= last_b:
         if s[lo] == "a":
-            note("C3")
+            note and note("C3")
             i = s.index("b", lo)
             out.append("u" + "h" * (i - lo) + "v")
             lo = i + 1
         elif lo == last_b:
-            note("C2")
+            note and note("C2")
             out.append("uv" + "h" * (n - lo - 1))
             return "".join(out)
         else:
-            note("C4")
+            note and note("C4")
             j = s.index("b", lo + 1)
             out.append("u" + "h" * (j - lo - 1) + "d")
             lo = j + 1
-    note("C1")
+    note and note("C1")
     out.append("h" * (n - lo))
     return "".join(out)
 
@@ -479,8 +494,8 @@ _CLOSER_OF = {"a": "d", "A": "D"}
 
 
 def _in_definition_order(labels: list) -> list:
-    """varphi's labels, noted in its right-to-left reading, in the order of
-    its definition: C3 opens an arch's range and base closes one, and each
+    """varphi's labels, one per letter of its right-to-left reading and base
+    for the word's start, in the order of its definition: C3 opens an arch's range and base closes one, and each
     range gives its own labels, then its arches' ranges from left to right."""
     top: tuple[list, list] = ([], [])  # a range's own labels, its arches' ranges
     enclosing = []
@@ -516,12 +531,15 @@ def _varphi_passes(peak_of: dict[str, str]) -> tuple[StringMap, StringMap]:
     first, and an arch's inside before the rest of its range: that is the
     word read right to left, so the inverse notes C2 or C3 at each arch's
     closer and C1 or base at each mark, left to right, and hands the labels
-    back reversed.  varphi notes as it reads, right to left, but its
-    definition maps a range's own letters before its arches' inner words,
-    so only with a trace are its labels put in that order
-    (_in_definition_order).
+    back reversed.  varphi's case at a letter is the letter's own
+    (case_of), read right to left, but its definition maps a range's own
+    letters before its arches' inner words, so only with a trace are its
+    labels read and put in that order (_in_definition_order).
     """
     mark_of_closer = {_CLOSER_OF[mark]: mark for mark in peak_of}
+    # varphi's case at each letter it reads
+    case_of = dict.fromkeys(peak_of, "C1") | dict.fromkeys(mark_of_closer, "C3")
+    case_of.update(b="C2", u="base")
     # str.translate deleting these leaves the letters of no peak and no arch
     image_letters_deleted = dict.fromkeys(map(ord, "ud" + "".join(peak_of.values())))
 
@@ -533,27 +551,21 @@ def _varphi_passes(peak_of: dict[str, str]) -> tuple[StringMap, StringMap]:
         arch and before the peak of its first mark."""
         if p[:1] not in peak_of:
             raise DomainViolation("varphi needs a path opening with the marked letter")
-        labels: list[str] = []
-        note = labels.append
         out: list[str] = []  # the image, last piece first
         ranges: list[tuple[str, int]] = []  # the enclosing ranges' (first mark, u's)
         first, ups = p[0], 0
         for c in p[:0:-1]:
             if c == "b":
-                note("C2")
                 out.append("d")
                 ups += 1
             elif c == "u":
                 if not ranges:
                     raise DomainViolation("u has no matching down step")
-                note("base")
                 out += (peak_of[first], "u" * ups)
                 first, ups = ranges.pop()
             elif c in peak_of:
-                note("C1")
                 out.append(peak_of[c])
             elif c in mark_of_closer:
-                note("C3")
                 out.append("d")
                 ranges.append((first, ups))
                 first, ups = mark_of_closer[c], 1
@@ -561,10 +573,9 @@ def _varphi_passes(peak_of: dict[str, str]) -> tuple[StringMap, StringMap]:
                 raise _malformed("varphi")
         if ranges:
             raise DomainViolation("down step has no matching u")
-        note("base")
         out += (peak_of[first], "u" * ups)
         if trace is not None:
-            trace += _in_definition_order(labels)
+            trace += _in_definition_order([*map(case_of.get, p[:0:-1]), "base"])
         return "".join(reversed(out))
 
     def varphi_inv(blocks: str, trace: Trace = None) -> str:
@@ -580,8 +591,8 @@ def _varphi_passes(peak_of: dict[str, str]) -> tuple[StringMap, StringMap]:
             raise _malformed("varphi_inv")
         for mark, peak in peak_of.items():
             blocks = blocks.replace(peak, mark)
-        labels: list[str] = []
-        note = labels.append
+        labels: list[str] | None = None if trace is None else []
+        note = None if labels is None else labels.append
         out: list[str] = []
         closers: list[str] = []  # per open arch: b, or a later arch's closer
         later = -1  # the later arch whose range's first mark is unread, -1 the word's
@@ -598,23 +609,23 @@ def _varphi_passes(peak_of: dict[str, str]) -> tuple[StringMap, StringMap]:
                         start = True
                 elif c == "d":
                     closer = closers.pop()
-                    note("C2" if closer == "b" else "C3")
+                    note and note("C2" if closer == "b" else "C3")
                     out.append(closer)
                 elif start:
-                    note("base")
+                    note and note("base")
                     if later < 0:
                         out.append(c)
                     else:
                         closers[later] = _CLOSER_OF[c]
                     start = False
                 else:
-                    note("C1")
+                    note and note("C1")
                     out.append(c)
         except IndexError:
             raise _malformed("varphi_inv") from None
         if closers:
             raise _malformed("varphi_inv")
-        if trace is not None:
+        if labels is not None:
             trace += reversed(labels)
         return "".join(out)
 

@@ -107,20 +107,19 @@ def _cmd_map(args: argparse.Namespace) -> int:
         family, apply = spec.domain, spec.forward
     else:
         family, apply = spec.codomain, spec.inverse
-    trace: list[str] = []
+    trace: list[str] | None = [] if args.trace else None
     image = apply(parse(args.input, family), trace)
     if args.format == "json":
         payload = {
             "input": args.input,
             "output": image.steps,
-            "trace": trace if args.trace else [],
+            "trace": trace or [],
         }
         print(json.dumps(payload))
     else:
         print(image.steps if image.steps else "(empty)")
-        if args.trace:
-            for line in trace:
-                print(f"# {line}")
+        for line in trace or ():
+            print(f"# {line}")
     return 0
 
 

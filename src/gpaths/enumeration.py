@@ -252,12 +252,11 @@ def _key_graph(
     return keys, rows, accepting
 
 
-def _weigher(family: PathFamily, n: int, weighting: str) -> Callable[[str], int | None]:
-    """The packed exponent triple of a word under weighting if the word is a
-    path of the family with x-length n, else None, without enumerating the
-    paths: the word walks _key_graph's rows from the start, adding its
-    steps' weights, and must end on an accepting key."""
-    _, rows, accepting = _key_graph(family, n, weighting)
+def _weigher(rows: list[dict], accepting: list[bool]) -> Callable[[str], int | None]:
+    """The packed exponent triple of a word if the word is a path of the key
+    graph (rows, accepting) of _key_graph, under its weighting, else None,
+    without enumerating the paths: the word walks the rows from the start,
+    adding its steps' weights, and must end on an accepting key."""
 
     def weigh(word: str) -> int | None:
         i = packed = 0
@@ -528,16 +527,18 @@ def _schroder_ab(n: int) -> Polynomial:
 
 
 def _little_schroder_ab(n: int) -> Polynomial:
-    """s_n of s = 1 + b x S s, coefficientwise (no division anywhere), from
-    s_0 .. s_(n-1) built in this call."""
-    big = [_schroder_ab(k) for k in range(n)]
-    little = [Polynomial.const(1)]
-    for m in range(1, n + 1):
-        acc = Polynomial()
-        for k in range(m):
-            acc = acc + big[k] * little[m - 1 - k]
-        little.append(B * acc)
-    return little[n]
+    """s_n = b S_n / (a + b) for n >= 1, since s = S / (1 + a x S) and
+    S = 1 + a x S + b x S^2: by synthetic division, the coefficients of s_n
+    are the alternating partial sums of S_n's, the last equal to S_n's last."""
+    if n == 0:
+        return Polynomial.const(1)
+    big, terms, t = _schroder_ab(n).terms, {}, 0
+    for k in range(n):
+        t = big[n - k, k, 0] - t
+        terms[n - k - 1, k + 1, 0] = t
+    if t != big[0, n, 0]:
+        raise ArithmeticError("the division by a + b leaves a remainder")
+    return Polynomial(terms)
 
 
 CLOSED_FORMS = {

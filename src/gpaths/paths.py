@@ -194,9 +194,9 @@ def match_table(steps: str) -> list[int]:
     Entry i is the index of the step matched with the u or down step at i
     (for a u, the first later down step one level below its endpoint), and
     -1 for a horizontal step.  The partners inside any balanced factor of
-    `steps` are the same as in that factor on its own.  sigma's inverse and
-    vartheta's inverse read it; sigma's forward map, theta and varphi's
-    passes match their steps with a stack as they read them.
+    `steps` are the same as in that factor on its own.  sigma's inverse
+    reads it; sigma's forward map, theta and varphi's passes match their
+    steps with a stack as they read them, and vartheta's with a level.
     """
     partner = [-1] * len(steps)
     open_us = []

@@ -55,7 +55,9 @@ from .enumeration import (
     MAX_N_COUNT,
     Key,
     _check_size,
+    _key_graph,
     _prefix_blocks,
+    _suffix_counts,
     _weigher,
     ballot_closed_form,
     ballot_coeff,
@@ -336,9 +338,9 @@ CERTIFICATIONS: Mapping[str, Certification] = MappingProxyType({
         dom_prefixes=("ud",),
         cod_prefixes=("H",),
         # has an H on the axis
-        dom_filter=lambda p: bij._axis_h(p) >= 0,
+        dom_filter=lambda p: bij._axis_scan("vartheta", p, 0)[0] >= 0,
         # ends with d, and has no H on the axis after the first letter
-        cod_filter=lambda p: p.endswith("d") and bij._axis_h(p, 1) < 0,
+        cod_filter=lambda p: p.endswith("d") and bij._axis_scan("vartheta", p, 1)[0] < 0,
     ),
     "rho": Certification(lambda n, t: range(n + 1), 1, 1, (
         ("rho reproduces the worked examples",
@@ -476,7 +478,11 @@ class _Row:
         packed weights, as a whole (a refused image weighs None) and word by
         word if that fails; failed says whether one failed at this size."""
         forward, inverse, keep = self.forward, self.inverse, self.keep
-        weigh = _weigher(self.cod, self.cod_scale * n, _WEIGHTING_OF[self.cod.base])
+        cod_n = self.cod_scale * n
+        _check_size(self.cod, cod_n, _CAP, counting=True)
+        _, rows, accepting = _key_graph(self.cod, cod_n, _WEIGHTING_OF[self.cod.base])
+        weigh = _weigher(rows, accepting)
+        self.paths = _suffix_counts(rows, accepting)[0]
         self.failed = False
 
         def check(steps: str, want: int) -> None:
@@ -527,7 +533,7 @@ def _certify(rows: Mapping[str, range]) -> dict[str, list[CheckResult]]:
 
     A size passes the third check when every round trip is the identity,
     every image is accepted by the codomain's key graph and cod_filter,
-    and the words mapped are as many as the codomain's: count_paths, or
+    and the words mapped are as many as the codomain's: _Row.paths, or
     the filtered enumeration where there is a cod_filter.  The domain words
     come from the walk's weighted prefix blocks, so a word's packed weight
     is its block's plus its tail's; the codomain's _weigher accepts and
@@ -562,7 +568,7 @@ def _certify(rows: Mapping[str, range]) -> dict[str, list[CheckResult]]:
         for row in active:
             cod_n = row.cod_scale * n
             if row.keep is None:
-                size = count_paths(row.cod, cod_n, _CAP)
+                size = row.paths
             else:
                 size = sum(1 for _ in _step_strings(row.cod, cod_n, row.keep))
             if row.failed or mapped != size:

@@ -49,7 +49,7 @@ from gpaths.paths import (
     parse,
     point_levels,
 )
-from gpaths.verification import _WEIGHTING_OF
+from gpaths.verification import _WEIGHTING_OF, CERTIFICATIONS, _step_strings, _walk_of
 from gpaths.weights import packed_weight
 
 # worked examples, checked by hand against the recursive case analysis
@@ -316,16 +316,22 @@ def test_public_map_applies_its_row_string_map(name, direction):
             assert got == want, steps
 
 
-def test_axis_h_finds_the_first_h_level_with_the_start():
+def test_axis_scan_finds_the_first_axis_h_and_the_last_axis_u():
+    # from a start on the axis the rest is a path; from above it, the rest
+    # ends below its start and is refused
     for n in range(6):
         for steps in iter_step_strings(SCHRODER, 2 * n):
             levels = point_levels(parse(steps, SCHRODER))
             for start in range(len(steps) + 1):
-                hits = [
-                    i for i in range(start, len(steps))
-                    if steps[i] == "H" and levels[i] == levels[start]
-                ]
-                assert bij._axis_h(steps, start) == (hits[0] if hits else -1)
+                if levels[start]:
+                    with pytest.raises(DomainViolation):
+                        bij._axis_scan("vartheta", steps, start)
+                    continue
+                on_axis = [i for i in range(start, len(steps)) if not levels[i]]
+                h = [i for i in on_axis if steps[i] == "H"]
+                u = [i for i in on_axis if steps[i] == "u"]
+                want = (h[0] if h else -1, u[-1] if u else -1)
+                assert bij._axis_scan("vartheta", steps, start) == want
 
 
 def test_registry_row_dispatch():
@@ -589,6 +595,54 @@ def _reference_sigma_fwd(q, trace=None):
     return "".join(out)
 
 
+def _reference_sigma_inv(p, trace=None):
+    note = ([] if trace is None else trace).append
+    match = match_table(p)
+    out: list[str] = []
+    work = [("", 0, len(p))]
+    while work:
+        lead, lo, hi = work.pop()
+        out.append(lead)
+        while True:
+            if lo == hi:
+                note("base")
+                break
+            if p[lo] == "H":
+                note("C1")
+                out.append("h")
+                lo += 1
+                continue
+            m = match[lo]
+            if m == lo + 1:
+                # empty arch ud, then the rest
+                if m + 1 == hi:
+                    note("base")
+                    out.append("uv")
+                    break
+                if p[m + 1] == "H":
+                    note("C2")
+                    out.append("uvh")
+                    lo = m + 2
+                else:
+                    note("C3")
+                    m2 = match[m + 1]
+                    out.append("u")
+                    work.append(("v", m2 + 1, hi))
+                    lo, hi = m + 1, m2 + 1
+            elif match[lo + 1] == m - 1:
+                # the arch's inside is itself one arch
+                note("C5")
+                out.append("u")
+                work.append(("d", m + 1, hi))
+                lo, hi = lo + 2, m - 1
+            else:
+                note("C4")
+                out.append("u")
+                work.append(("v", m + 1, hi))
+                lo, hi = lo + 1, m
+    return "".join(out)
+
+
 def _reference_theta_fwd(q, trace=None):
     note = ([] if trace is None else trace).append
     match = match_table(q)
@@ -787,6 +841,27 @@ def test_one_pass_maps_equal_the_recursive_definitions():
                     back = bij._theta_inv(p, trace)
                     assert (back, trace) == (_reference_theta_inv(p, want), want), p
                     assert back == q
+
+
+def test_sigma_inv_equals_the_recursive_definition():
+    # image and trace on every Schroder word up to x-length 14
+    for n in range(0, 15, 2):
+        for p in iter_step_strings(SCHRODER, n, 14):
+            trace, want = [], []
+            assert (bij._sigma_inv(p, trace), trace) == (_reference_sigma_inv(p, want), want), p
+
+
+@pytest.mark.parametrize("name, direction", MAP_DIRECTIONS)
+def test_a_trace_does_not_change_the_image(name, direction):
+    # every criterion 3 domain word up to size 6, or its image: without a
+    # trace a map records no labels, and that must not change what it writes
+    spec = BIJECTIONS[name]
+    dom, dom_scale, dom_keep = _walk_of(name)
+    for n in CERTIFICATIONS[name].sizes(6, 6):
+        for q in _step_strings(dom, dom_scale * n, dom_keep):
+            word = q if direction == "fwd" else spec.forward_steps(q)
+            string_map = spec.forward_steps if direction == "fwd" else spec.inverse_steps
+            assert string_map(word, []) == string_map(word), word
 
 
 def test_one_pass_varphi_equals_the_recursive_definition():

@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import pytest
 
+import gpaths.enumeration as enumeration
 import gpaths.verification as verification
 from gpaths.bijections import BIJECTIONS
 from gpaths.cli import AVOIDABLE
@@ -502,7 +503,7 @@ def test_acceptor_accepts_exactly_the_enumerated_words(family):
     # weight on the enumerated words, None on every other word
     weightings = _weightings_covering(family)
     for n in range(6):
-        weighers = {w: _weigher(family, n, w) for w in weightings}
+        weighers = {w: _weigher(*_key_graph(family, n, w)[1:]) for w in weightings}
         paths = set(iter_step_strings(family, n))
         for weighting, weigh in weighers.items():
             for word in paths:
@@ -633,7 +634,7 @@ def test_a_word_shorter_than_its_prefix_is_no_path():
     assert list(iter_step_strings(family, 2)) == []
     assert count_paths(family, 2) == 0
     assert list(iter_step_strings(family, 4)) == ["HH"]
-    assert _weigher(family, 2, "schroder_ab")("H") is None
+    assert _weigher(*_key_graph(family, 2, "schroder_ab")[1:])("H") is None
 
 
 def test_dfs_rejects_three_letter_prefixes():
@@ -682,6 +683,34 @@ def test_closed_form_literals():
         closed_form("narayana", 3)
     with pytest.raises(ValueError):
         closed_form("dyck_ab", -1)
+
+
+def _reference_little_schroder_ab(n_max):
+    """s_0 .. s_n_max of s = 1 + b x S s, coefficientwise: the convolution,
+    with no division anywhere."""
+    b = Polynomial.var("b")
+    big = [closed_form("schroder_ab", k) for k in range(n_max)]
+    little = [Polynomial.const(1)]
+    for m in range(1, n_max + 1):
+        acc = Polynomial()
+        for k in range(m):
+            acc = acc + big[k] * little[m - 1 - k]
+        little.append(b * acc)
+    return little
+
+
+def test_little_schroder_division_equals_the_convolution():
+    for n, want in enumerate(_reference_little_schroder_ab(15)):
+        assert closed_form("little_schroder_ab", n) == want, n
+
+
+def test_little_schroder_division_refuses_a_remainder(monkeypatch):
+    # with S_n + a^n in place of S_n, b S_n is no multiple of a + b
+    schroder_ab = enumeration._schroder_ab
+    a = Polynomial.var("a")
+    monkeypatch.setattr(enumeration, "_schroder_ab", lambda n: schroder_ab(n) + a**n)
+    with pytest.raises(ArithmeticError, match="a \\+ b leaves a remainder"):
+        closed_form("little_schroder_ab", 3)
 
 
 def test_closed_forms_match_enumeration():
