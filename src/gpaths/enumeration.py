@@ -3,19 +3,25 @@
 Each family's word rules (its letter order, which is the order of
 `family.alphabet`, prefixes of one or two letters, avoided factors of one
 to three letters, D only after u, no horizontal step on the axis) are
-compiled once into a step automaton.  Its keys are (x-length left, level,
-state), and one builder, `_key_graph`, numbers every key reachable from
-the start height by height from the top (height 2 * x-length left +
-level, which every move lowers), so every move goes to a higher number.
-It holds the one geometric pruning rule and the one acceptance rule, and
-gives each key one row, {letter: (next number, packed weight)} in
-alphabet order, each move weighed once by `weights.step_exponents`
-(Stanley, EC1 4.7: the transfer-matrix method).  The walk, its
-completions, the membership test `_weigher` and the counting DP each read
-these rows, once per family, size and weighting, and know nothing of
-peaks, of which weightings apply or of how a triple is packed.  The
-membership test walks a word along the rows and sums its steps' packed
-weights, so one walk says whether a word is a path and what it weighs.
+compiled once into a step automaton whose states are the last two
+letters, and that automaton is minimised once (`_quotient`, partition
+refinement; Hopcroft 1971): states that accept alike and take each letter
+to equivalent states with the same step weight, under every weighting of
+the family's base, are one class.  So the 21 states of G-Motzkin paths
+are 1 class unrestricted and 3 avoiding uvu, and the classes are the same
+under any weighting.  The keys are (x-length left, level, class), and
+one builder, `_key_graph`, numbers every key reachable from the start
+height by height from the top (height 2 * x-length left + level, which
+every move lowers), so every move goes to a higher number.  It holds the
+one geometric pruning rule and reads the one acceptance rule, and gives
+each key one row, {letter: (next number, packed weight)} in alphabet
+order, each move weighed once by `weights.step_exponents` (Stanley, EC1
+4.7: the transfer-matrix method).  The walk, its completions, the
+membership test `_weigher` and the counting DP each read these rows, once
+per family, size and weighting, and know nothing of classes, of peaks, of
+which weightings apply or of how a triple is packed.  The membership test
+walks a word along the rows and sums its steps' packed weights, so one
+walk says whether a word is a path and what it weighs.
 
 Generation is a depth-first walk over the rows that checks only
 geometry, so output order is reproducible byte for byte.  Most of a walk's
@@ -26,6 +32,8 @@ far, its key and the key's list of completions.  A key's completions are
 counted by the integer suffix table `_suffix_counts`, one pass through the
 numbers backwards, children before parents; a count never rises along a
 move, so the lists are filled in the same order from the children's.
+Keys of one class have the same completions, so merging the states moves
+no block boundary and changes no word or its order.
 `iter_step_strings` flattens the blocks into word + tail, so the words
 come out in the plain walk's order; the brute level statistics
 (`stats._brute_counts`) count each distinct prefix of the blocks' words
@@ -45,9 +53,10 @@ grows with the number of keys, not of paths.  Plain counting
 (`count_paths`) reads the start key's entry of the suffix table and sums
 no weights.
 Generation stops at x-length 12, or 9 for the unrestricted gmotzkin
-family (whose free v steps inflate growth), and counting at 24, where it
-takes under 0.1 s on every family of `paths` (2-vCPU Xeon, CPython
-3.11.7).  GPATHS_MAX_N in the environment
+family (whose free v steps inflate growth), and counting at 24, where a
+weighted count takes under 0.02 s on every family of `paths` and every
+G-Motzkin family the command line names (2-vCPU Xeon, CPython 3.11.7).
+GPATHS_MAX_N in the environment
 (ASCII digits only), or an explicit override argument, moves both caps;
 the public entry points raise SizeLimitExceeded past them.
 
@@ -86,7 +95,7 @@ from typing import Callable, Iterator
 from .errors import SizeLimitExceeded
 from .paths import STEP_GEOMETRY, PathFamily
 from .series import TruncatedSeries, catalan_series
-from .weights import A, B, C, DEFAULT_WEIGHTING, Polynomial, step_exponents
+from .weights import A, B, C, DEFAULT_WEIGHTING, WEIGHTINGS, Polynomial, step_exponents
 from .weights import pack_exponents, unpack_exponents
 
 MAX_N_DEFAULT = 12
@@ -95,7 +104,8 @@ MAX_N_COUNT = 24  # the counting cap of weighted_count and count_paths
 # _prefix_blocks walks keys with more completions than this and reads the
 # rest of each word off a per-call list of completions (module docstring)
 COMPLETION_SPLIT = 64
-# a node of a family's key space: (x-length left, level, automaton state)
+# a node of a family's key space: (x-length left, level, the representative
+# of its automaton state's class)
 Key = tuple[int, int, str]
 
 
@@ -196,59 +206,122 @@ def _automaton(family: PathFamily) -> tuple[dict, tuple[str, ...]]:
     return table, prefixes or ("",)
 
 
+@lru_cache(maxsize=None)
+def _quotient(family: PathFamily) -> tuple[dict, dict[str, bool], dict[str, str]]:
+    """_automaton with its equivalent states merged: (table, accepts, rep).
+
+    rep maps each state to its class's representative, the class's first
+    state in _automaton's order ("" first, then by length), so the start
+    state stays "".  table maps (representative, on_axis) to its moves
+    (letter, dx, dy, next representative), in alphabet order, and
+    accepts[representative] whether a word that ends in it, on the axis at
+    x-length 0, is a path: a word of two letters or more met the family's
+    openings on its way, and a shorter one must start with one.
+
+    Two states are equivalent when they accept alike and, on and off the
+    axis, take each letter to equivalent states with the same packed step
+    weight, read after the state's last letter (step_exponents), under every
+    weighting of WEIGHTINGS for the family's base.  Equivalent states have
+    the same completions, and each completion weighs the same after either
+    under every weighting, so the classes do not depend on the weighting.
+    Partition refinement (Moore's; Hopcroft 1971 does it in n log n, which
+    21 states do not need): from one class, each round splits the states by
+    their signature over the last round's classes, until the number of
+    classes stops changing.
+    """
+    table, openings = _automaton(family)
+    states = list(dict.fromkeys(state for state, _ in table))
+    weights = [
+        step_exponents(family, name)
+        for name, (bases, _) in WEIGHTINGS.items()
+        if family.base in bases
+    ]
+    accepts = {state: len(state) == 2 or state.startswith(openings) for state in states}
+
+    def signature(state: str) -> tuple:
+        last = state[-1:]
+        return accepts[state], tuple(
+            tuple(
+                (letter, dx, dy, rep[nxt], tuple(w[last][letter] for w in weights))
+                for letter, dx, dy, nxt in table[state, on_axis]
+            )
+            for on_axis in (False, True)
+        )
+
+    rep = dict.fromkeys(states, "")
+    while True:
+        firsts: dict[tuple, str] = {}
+        refined = {state: firsts.setdefault(signature(state), state) for state in states}
+        if len(firsts) == len(set(rep.values())):
+            break
+        rep = refined
+    reps = [state for state in states if rep[state] == state]
+    quotient = {
+        (state, on_axis): tuple(
+            (letter, dx, dy, rep[nxt]) for letter, dx, dy, nxt in table[state, on_axis]
+        )
+        for state in reps
+        for on_axis in (False, True)
+    }
+    return quotient, {state: accepts[state] for state in reps}, rep
+
+
 def _key_graph(
     family: PathFamily, n: int, weighting: str
 ) -> tuple[list[Key], list[dict[str, tuple[int, int]]], list[bool]]:
-    """The keys (x-length left, level, state) reachable from (n, 0, ""),
+    """The keys (x-length left, level, class) reachable from (n, 0, ""),
     numbered, with their moves: (keys, rows, accepting).
 
-    rows[i] is key i's {letter: (number of the next key, packed weight)} in
+    A key's class is the representative of its automaton state's class
+    (_quotient), so keys whose states complete alike are one key.  rows[i]
+    is key i's {letter: (number of the next key, packed weight)} in
     alphabet order, and accepting[i] whether the words that reach key i are
-    paths: x-length 0 on the axis, and a word of fewer than two letters,
-    which is its state, starts with one of the family's openings
-    (_automaton).  A move keeps to the geometry: x-length left and level
-    stay nonnegative, and without v (bounded) the level cannot exceed the
-    x-length left.  A move's letter and the one before it, whose
-    step_exponents weigh it, are its next key's state, so every move to a
-    key shares one (number, weight) pair, set when the key is numbered.
+    paths: x-length 0 on the axis, and a class that accepts.  A move keeps
+    to the geometry: x-length left and level stay nonnegative, and without
+    v (bounded) the level cannot exceed the x-length left.  A move weighs
+    its letter after the last letter of its source's representative
+    (step_exponents), which every state of the class agrees with; the
+    moves into one key can weigh differently, so each row keeps its moves'
+    weights until their next keys are numbered.
 
     Every move lowers the height 2 * x-length left + level (u and v by 1, d
     and D by 3, a horizontal step by 2 per unit of x-length), so the keys
     are numbered height by height from the top, each after every key that
     moves to it: every move goes to a higher number.  Until a key's height
-    comes, its height's bucket holds the rows that move to it.
+    comes, its height's bucket holds the (row, letter) pairs that move to
+    it.
     """
-    table, openings = _automaton(family)
+    table, accepts, _ = _quotient(family)
     weights_after = step_exponents(family, weighting)
     bounded = "v" not in family.alphabet
     keys: list[Key] = []
     rows: list[dict[str, tuple[int, int]]] = []
     accepting: list[bool] = []
-    # height -> {key: the rows that move to it}, in first-reached order
-    pending: dict[int, dict[Key, list[dict]]] = {2 * n: {(n, 0, ""): []}}
+    # height -> {key: row, letter, row, letter, ... of the moves to it}, in
+    # first-reached order
+    pending: dict[int, dict[Key, list]] = {2 * n: {(n, 0, ""): []}}
     while pending:
         for key, sources in pending.pop(max(pending)).items():
             i = len(keys)
             rem, level, state = key
-            if sources:
-                move = i, weights_after[state[:-1]][state[-1]]
-                for row in sources:
-                    row[state[-1]] = move
+            moves = iter(sources)
+            for row, letter in zip(moves, moves):
+                row[letter] = i, row[letter]
             row = {}
+            after = weights_after[state[-1:]]
             for letter, dx, dy, nxt in table[state, level == 0]:
                 rem2 = rem - dx
                 lvl2 = level + dy
                 if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
                     continue
-                row[letter] = None  # this move's place in alphabet order
+                # the move's weight, until its next key is numbered
+                row[letter] = after[letter]
                 pending.setdefault(2 * rem2 + lvl2, {}).setdefault(
                     (rem2, lvl2, nxt), []
-                ).append(row)
+                ).extend((row, letter))
             keys.append(key)
             rows.append(row)
-            accepting.append(
-                rem == level == 0 and (len(state) == 2 or state.startswith(openings))
-            )
+            accepting.append(rem == level == 0 and accepts[state])
     return keys, rows, accepting
 
 

@@ -48,6 +48,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 from itertools import chain, compress, zip_longest
+from math import comb
 from types import MappingProxyType
 
 from . import bijections as bij
@@ -61,8 +62,10 @@ from .enumeration import (
     _weigher,
     ballot_closed_form,
     ballot_coeff,
+    catalan_number,
     closed_form,
     count_paths,
+    gbinom,
     guvu_coeffs,
     iter_step_strings,
     prop21,
@@ -232,6 +235,24 @@ def check_stat_tables(n_max: int = 6) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _second_triple_sum(n: int) -> Polynomial:
+    """Proposition 2.1's second explicit triple sum, term by term: over
+    k >= 0, 0 <= j <= k and 0 <= el <= n-k-j, sgn(k, m) comb(k, j) C_k
+    comb(2k+el, el) a^el b^(n-2j-el) c^j at m = n-k-j-el, with sgn(k, m) =
+    (-1)^m gbinom(k+m-1, m).  prop21 re-indexes both sums into one sum per
+    monomial, so this literal sum is the second route its check compares."""
+    terms: dict[tuple[int, int, int], int] = {}
+    for k in range(n + 1):
+        cat = catalan_number(k)
+        for j in range(k + 1):
+            for el in range(n - k - j + 1):
+                m = n - k - j - el
+                sign = (-1) ** m * gbinom(k + m - 1, m)
+                e = (el, n - 2 * j - el, j)
+                terms[e] = terms.get(e, 0) + sign * comb(k, j) * cat * comb(2 * k + el, el)
+    return Polynomial._from_terms(terms)
+
+
 def check_weighted_counts(n_max: int = 10) -> list[CheckResult]:
     g = guvu_coeffs(n_max)
     sizes = range(n_max + 1)
@@ -271,9 +292,9 @@ def check_weighted_counts(n_max: int = 10) -> list[CheckResult]:
     results += [
         _claim(
             f"{variant} explicit triple sum equals the recurrence up to n={n_max}",
-            ((n, prop21(n, variant), g[n]) for n in sizes),
+            ((n, triple_sum(n), g[n]) for n in sizes),
         )
-        for variant in ("first", "second")
+        for variant, triple_sum in (("first", prop21), ("second", _second_triple_sum))
     ]
     for point in ((1, 0, 2), (-3, 4, 16)):
         series = guvu_series_at(*point, order=n_max)

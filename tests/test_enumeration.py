@@ -21,6 +21,7 @@ from gpaths.enumeration import (
     _key_graph,
     _prefix_blocks,
     _quadratic_values,
+    _quotient,
     _suffix_counts,
     _weigher,
     ballot_closed_form,
@@ -444,6 +445,7 @@ def _reference_graph(family: PathFamily, n: int) -> dict:
 
 @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=PathFamily.describe)
 def test_key_stream_gives_each_reachable_key_once_after_its_parents(family):
+    rep = _quotient(family)[2]
     for n in range(-1, 7):
         keys, rows, accepting = _key_graph(family, n, DEFAULT_WEIGHTING[family.base])
         assert len(keys) == len(set(keys)) == len(rows) == len(accepting)
@@ -451,10 +453,88 @@ def test_key_stream_gives_each_reachable_key_once_after_its_parents(family):
             key: [(letter, keys[j]) for letter, (j, _) in row.items()]
             for key, row in zip(keys, rows)
         }
-        assert graph == _reference_graph(family, n)
+        # the reference's keys through the class map: the keys of one class
+        # move alike
+        want: dict = {}
+        for (rem, level, state), moves in _reference_graph(family, n).items():
+            mapped = [(letter, (r, lvl, rep[s])) for letter, (r, lvl, s) in moves]
+            assert want.setdefault((rem, level, rep[state]), mapped) == mapped
+        assert graph == want
         for i, row in enumerate(rows):
             for j, _ in row.values():
                 assert i < j, (n, keys[i], keys[j])
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=PathFamily.describe)
+def test_each_state_completes_as_its_class_representative(family):
+    # independent of the refinement: a plain search over the raw automaton
+    # gives each key's completions, which must be its class key's, and
+    # weigh the same after either key's last letter under every weighting
+    table, _ = _automaton(family)
+    rep = _quotient(family)[2]
+    bounded = "v" not in family.alphabet
+    openings = family.prefixes or ("",)
+    weightings = _weightings_covering(family)
+
+    @lru_cache(maxsize=None)
+    def completions(key):
+        rem, level, state = key
+        # a word of fewer than two letters is its state
+        accepts = len(state) == 2 or state.startswith(openings)
+        out = [""] if rem == level == 0 and accepts else []
+        for letter, dx, dy, nxt in table[state, level == 0]:
+            rem2, lvl2 = rem - dx, level + dy
+            if rem2 < 0 or lvl2 < 0 or (bounded and lvl2 > rem2):
+                continue
+            out += [letter + tail for tail in completions((rem2, lvl2, nxt))]
+        return out
+
+    @lru_cache(maxsize=None)
+    def tail_weights(last, key, weighting):
+        before = packed_weight(last, weighting, family.base)
+        return [
+            packed_weight(last + tail, weighting, family.base) - before
+            for tail in completions(key)
+        ]
+
+    raw = set().union(*(_reference_graph(family, n) for n in range(9)))
+    for rem, level, state in sorted(raw):
+        if rep[state] == state:
+            continue
+        key = (rem, level, rep[state])
+        assert completions((rem, level, state)) == completions(key), (rem, level, state)
+        for weighting in weightings:
+            assert tail_weights(state[-1:], key, weighting) == tail_weights(
+                rep[state][-1:], key, weighting
+            ), (rem, level, state, weighting)
+
+
+# classes of the minimised automaton (of 21, 13 and 7 raw states), and keys
+# at x-length 24 under the default weighting
+_CLASS_AND_KEY_COUNTS = [
+    (GMOTZKIN, 1, 325),
+    (GMOTZKIN_UVU, 3, 901),
+    (GMOTZKIN.avoiding("uh"), 2, 601),
+    (GMOTZKIN.avoiding("hu"), 2, 625),
+    (GMOTZKIN.avoiding("uvu", "uu"), 3, 481),
+    (SCHRODER, 1, 91),
+    (MOTZKIN, 1, 169),
+    (DYCK, 2, 157),
+]
+
+
+@pytest.mark.parametrize(
+    "family, classes, keys",
+    _CLASS_AND_KEY_COUNTS,
+    ids=[family.describe() for family, _, _ in _CLASS_AND_KEY_COUNTS],
+)
+def test_class_and_key_counts_are_pinned(family, classes, keys):
+    _, accepts, rep = _quotient(family)
+    assert len(accepts) == len(set(rep.values())) == classes
+    graphs = [_key_graph(family, 24, w)[0] for w in _weightings_covering(family)]
+    # the classes do not depend on the weighting, so neither do the keys
+    assert all(graph == graphs[0] for graph in graphs)
+    assert len(graphs[0]) == keys
 
 
 def test_uvu_stream_digest_is_frozen():

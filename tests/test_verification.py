@@ -9,7 +9,7 @@ import pytest
 
 from gpaths import bijections as bij
 from gpaths import verification
-from gpaths.enumeration import _prefix_blocks, count_paths, iter_step_strings
+from gpaths.enumeration import _prefix_blocks, count_paths, iter_step_strings, prop21
 from gpaths.paths import GMOTZKIN_UVU
 from gpaths.stats import stat_brute, stat_riordan, stat_table
 from gpaths.verification import (
@@ -382,6 +382,20 @@ def test_criterion_2_names_the_first_differing_size(monkeypatch):
     assert _failures(check_weighted_counts()) == {
         "brute Dyck counts match the Catalan numbers up to n=10": "at 5: got 42, want 41",
         "recurrence at (0,1,1) gives the Catalan numbers": "at 5: got 42, want 41",
+    }
+
+
+def test_second_triple_sum_is_a_route_of_its_own(monkeypatch):
+    # the literal sum gives prop21's polynomials, and a sign flipped in it
+    # fails the second check alone, which prop21 no longer answers
+    for n in range(13):
+        assert verification._second_triple_sum(n) == prop21(n, "second")
+    gbinom = verification.gbinom
+    monkeypatch.setattr(verification, "gbinom", lambda r, m: (-1) ** m * gbinom(r, m))
+    assert _failures(check_weighted_counts()) == {
+        "second explicit triple sum equals the recurrence up to n=10": (
+            "at 2: got a^2 + 3*a*b + 3*b^2 + c, want a^2 + 3*a*b + b^2 + c"
+        ),
     }
 
 
