@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: enumerate, count, map, series, riordan, table, verify.
-Exit codes: 0 success, 1 verification or agreement failure, 2 usage error.
+Exit codes: 0 success, 1 verification or agreement failure, 2 usage error,
+141 (128 + SIGPIPE) when the reader closes stdout before all is written.
 Output is deterministic byte-for-byte for fixed flags.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -83,21 +85,18 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 raise GPathError(f"--unweighted cannot be combined with {flag}")
     weighting = args.weighting or DEFAULT_WEIGHTING[args.family]
     point = _parse_weights(args.weights) if args.weights is not None else None
-    sizes = (
-        [args.length]
-        if args.length is not None
-        else list(range(args.nmax + 1))
-    )
-    for n in sizes:
+    sizes = [args.length] if args.length is not None else range(args.nmax + 1)
+    rows = []
+    # the largest size first: one past the size cap is refused before any
+    # row is printed
+    for n in reversed(sizes):
         if args.unweighted:
             value = count_paths(family, n, args.max_n_override)
         else:
             poly = weighted_count(family, n, weighting, args.max_n_override)
             value = poly.eval_at(*point) if point else poly
-        if args.length is not None:
-            print(str(value))
-        else:
-            print(f"{n}\t" + str(value))
+        rows.append(str(value) if args.length is not None else f"{n}\t" + str(value))
+    print(*reversed(rows), sep="\n")
     return 0
 
 
@@ -304,10 +303,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except (GPathError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: the interpreter's flush at exit must not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

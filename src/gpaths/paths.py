@@ -175,14 +175,6 @@ def x_length(path: Path) -> int:
     return sum(STEP_GEOMETRY[c][0] for c in path.steps)
 
 
-def point_levels(path: Path) -> list[int]:
-    """Ordinates of the len+1 lattice points the path visits."""
-    levels = [0]
-    for c in path.steps:
-        levels.append(levels[-1] + STEP_GEOMETRY[c][1])
-    return levels
-
-
 # ---------------------------------------------------------------------------
 # matching (string level, reused by the bijections)
 # ---------------------------------------------------------------------------

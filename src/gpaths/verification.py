@@ -29,14 +29,14 @@ part by part and a part another row also runs is answered by that row's
 call on the chunk.  At each size
 f: A_n -> B_n is a bijection, since the inverse takes every image back to
 its domain word (f is injective), every image is accepted by B_n's step
-automaton and filter (f maps into B_n), and as many words are mapped as
+automaton and filter (f maps into B_n), and as many images are accepted as
 B_n has paths (f is onto): its transfer-matrix count, or with a filter the
 words its enumeration keeps; the count and the enumeration read one key
 graph with one pruning rule.  One walk of each image over the automaton
 both accepts it and weighs it, and the weight must equal its domain
 word's, which the domain's walk gives as a block's weight plus a tail's;
 both are packed ints, unpacked only to word a fault.  No set of paths is
-held but to word the fault of a failed size.
+held: a failed size is worded from the same walk.
 
 The four suites (counts, bijections, stats, identities) power both the CLI
 verify subcommand and the acceptance test module.
@@ -165,7 +165,7 @@ _CAP = MAX_N_COUNT
 # the stats suite's default last row: the frozen statistic tables stop there
 _STATS_ROWS = 6
 # least domain words per chunk of criterion 3 (_chunks): 256 ran no faster, and
-# each 128 words more add 0.05 MB to check_bijections()' heap peak of 0.67 MB
+# each 128 words more add 0.05 MB to check_bijections()' heap peak of 0.66 MB
 _CHUNK = 128
 
 
@@ -389,13 +389,6 @@ def _narrowed(family: PathFamily, prefixes: tuple[str, ...]) -> PathFamily:
     return replace(family, prefixes=prefixes) if prefixes else family
 
 
-def _step_strings(
-    family: PathFamily, n: int, keep: Callable[[str], bool] | None
-) -> Iterable[str]:
-    strings = iter_step_strings(family, n, _CAP)
-    return strings if keep is None else filter(keep, strings)
-
-
 def _round_trip(
     forward: Callable[[str], str], inverse: Callable[[str], str], steps: str
 ) -> tuple[str | None, str]:
@@ -412,29 +405,6 @@ def _round_trip(
     if back != steps:
         return image, f"round trip fails at {steps!r} -> {image!r} -> {back!r}"
     return image, ""
-
-
-def _image_set_fault(
-    forward: bij.StringMap, domain: Iterable[str], codomain: Iterable[str], n: int
-) -> str:
-    """How the image set of a failed size differs from its codomain set,
-    "" if it does not."""
-    images = set()
-    mapped = 0
-    for steps in domain:
-        try:
-            images.add(forward(steps))
-        except GPathError:
-            continue  # the round trip's counterexample names it
-        mapped += 1
-    if len(images) != mapped:
-        return f"forward map not injective at n={n}"
-    want = frozenset(codomain)
-    if images != want:
-        missing = sorted(want - images)[:3]
-        extra = sorted(images - want)[:3]
-        return f"image set differs at n={n}: missing {missing}, extra {extra}"
-    return ""
 
 
 def _walk_of(name: str) -> tuple[PathFamily, int, Callable[[str], bool] | None]:
@@ -491,29 +461,37 @@ class _Row:
         self.forward, self.inverse = spec.forward_steps, spec.inverse_steps
         self.cod = _narrowed(spec.codomain, cert.cod_prefixes)
         self.cod_scale, self.keep = cert.cod_scale, cert.cod_filter
-        self.failed = False
         self.round_fault = self.weight_fault = self.image_fault = ""
 
     def checker(self, n: int, memo: dict) -> Callable[[list[str], list[int]], None]:
         """The checks of a chunk of domain words of size n against their
         packed weights, as a whole (a refused image weighs None) and word by
-        word if that fails; failed says whether one failed at this size."""
+        word if that fails; accepted counts the images the codomain accepts
+        at this size, and paths its paths."""
         forward, inverse, keep = self.forward, self.inverse, self.keep
         cod_n = self.cod_scale * n
         _check_size(self.cod, cod_n, _CAP, counting=True)
         _, rows, accepting = _key_graph(self.cod, cod_n, _WEIGHTING_OF[self.cod.base])
         weigh = _weigher(rows, accepting)
-        self.paths = _suffix_counts(rows, accepting)[0]
-        self.failed = False
+        if keep is None:
+            self.paths = _suffix_counts(rows, accepting)[0]
+        else:
+            self.paths = sum(map(keep, iter_step_strings(self.cod, cod_n, _CAP)))
+        self.accepted = 0
 
         def check(steps: str, want: int) -> None:
             image, fault = _round_trip(forward, inverse, steps)
-            got = None if image is None else weigh(image)
-            accepted = got is not None and (not keep or keep(image))
-            if fault or not accepted:
-                self.failed = True
-                self.round_fault = self.round_fault or fault
-            if accepted and got != want and not self.weight_fault:
+            self.round_fault = self.round_fault or fault
+            if image is None:
+                return
+            got = weigh(image)
+            if got is None or (keep and not keep(image)):
+                self.image_fault = self.image_fault or (
+                    f"image not in the codomain at {steps!r} -> {image!r}"
+                )
+                return
+            self.accepted += 1
+            if got != want and not self.weight_fault:
                 self.weight_fault = (
                     f"weight not preserved at {steps!r} -> {image!r}: "
                     f"{unpack_exponents(want)} != {unpack_exponents(got)}"
@@ -529,11 +507,27 @@ class _Row:
                 )
             except GPathError:
                 passed = False
-            if not passed:
+            if passed:
+                self.accepted += len(words)
+            else:
                 for steps, want in zip(words, wants):
                     check(steps, want)
 
         return check_chunk
+
+    def close(self, n: int) -> None:
+        """The onto check of size n, once its walk is done: the accepted
+        images must be as many as the codomain's paths, and, since every
+        round trip shows the map is injective, none may fail."""
+        if self.image_fault:
+            return
+        if self.accepted != self.paths:
+            self.image_fault = (
+                f"image count differs at n={n}: "
+                f"{self.accepted} accepted, {self.paths} in the codomain"
+            )
+        elif self.round_fault:
+            self.image_fault = f"not shown at n={n}: a round trip fails"
 
     def results(self, nmax: int) -> list[CheckResult]:
         return [
@@ -552,10 +546,13 @@ def _certify(rows: Mapping[str, range]) -> dict[str, list[CheckResult]]:
     at each row's sizes; each check keeps its own first counterexample, and
     a GPathError from a map is one.
 
-    A size passes the third check when every round trip is the identity,
-    every image is accepted by the codomain's key graph and cod_filter,
-    and the words mapped are as many as the codomain's: _Row.paths, or
-    the filtered enumeration where there is a cod_filter.  The domain words
+    A size passes the third check when every round trip is the identity
+    (so the map is injective), every image is accepted by the codomain's
+    key graph and cod_filter, and the accepted images are as many as the
+    codomain's paths: _Row.paths, or the filtered enumeration where there
+    is a cod_filter.  Its fault is the first image the codomain refuses,
+    else a count that differs, else a round trip that fails there; the
+    walk is the only one, and no set of paths is built.  The domain words
     come from the walk's weighted prefix blocks, so a word's packed weight
     is its block's plus its tail's; the codomain's _weigher accepts and
     weighs each image in one walk, and an accepted image's packed weight
@@ -580,25 +577,12 @@ def _certify(rows: Mapping[str, range]) -> dict[str, list[CheckResult]]:
         _check_size(dom, dom_n, _CAP)
         active = [state[name] for name, sizes in rows.items() if n in sizes]
         checks = [row.checker(n, memo) for row in active]
-        mapped = 0
         for words, wants in _chunks(dom, dom_n, w_dom, dom_keep):
-            mapped += len(words)
             for check in checks:
                 check(words, wants)
             memo.clear()
         for row in active:
-            cod_n = row.cod_scale * n
-            if row.keep is None:
-                size = row.paths
-            else:
-                size = sum(1 for _ in _step_strings(row.cod, cod_n, row.keep))
-            if row.failed or mapped != size:
-                row.image_fault = row.image_fault or _image_set_fault(
-                    row.forward,
-                    _step_strings(dom, dom_n, dom_keep),
-                    _step_strings(row.cod, cod_n, row.keep),
-                    n,
-                )
+            row.close(n)
     return {name: row.results(max(rows[name])) for name, row in state.items()}
 
 

@@ -102,8 +102,6 @@ def test_no_unused_import_in_the_package():
 _READ_OUTSIDE_THE_PACKAGE = {
     # bench/tracer.py names it among the TruncatedSeries methods it times
     "series.py TruncatedSeries.xmul",
-    # the tests read a path's lattice-point levels through it
-    "paths.py point_levels",
 }
 
 

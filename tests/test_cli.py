@@ -1,7 +1,10 @@
 """The command-line front end, driven through main(argv)."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,12 +187,32 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["count", "--nmax", "2", "--weights", "1,1", "--unweighted"],
         ["count", "--length", "2", "--unweighted", "--weighting", "gmotzkin_abc"],
         ["series", "--name", "C", "--order", "-1"],
+        # refused before rows 0..24, which are under the cap, are printed
+        ["count", "--family", "dyck", "--nmax", "26", "--unweighted"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly():
+    # 2.9 MB of paths, far past what a pipe buffers: the writer is still
+    # writing when the reader closes after one line
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    )}
+    argv = ["enumerate", "--avoid", "uvu", "--length", "9"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "gpaths.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"uuuuuuuuuvvvvvvvvv\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_unknown_weighting_lists_the_choices(capsys):

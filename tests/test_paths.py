@@ -23,7 +23,6 @@ from gpaths.paths import (
     PathFamily,
     match_table,
     parse,
-    point_levels,
     validate_steps,
     x_length,
 )
@@ -56,13 +55,6 @@ def test_x_length_ignores_v_steps():
     assert x_length(parse("uuvv", GMOTZKIN)) == 2
     assert x_length(parse("uHd", SCHRODER)) == 4
     assert x_length(parse("", GMOTZKIN)) == 0
-
-
-def test_point_levels_and_step_endpoints():
-    levels = point_levels(parse(EXAMPLE, GMOTZKIN))
-    assert levels == [0, 1, 1, 2, 1, 2, 3, 2, 1, 0, 0, 0]
-    # the endpoint of the step at index i is point i + 1
-    assert [levels[i + 1] for i in (0, 3, 8)] == [1, 1, 0]
 
 
 def test_unknown_symbol():
