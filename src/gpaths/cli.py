@@ -21,7 +21,7 @@ from .paths import BASE_FAMILIES, PathFamily, parse
 from .series import _NAMED, RiordanArray, named_series, parse_series_expr
 from .stats import STAT_IDS, methods_for, stat_table
 from .verification import SUITES, run_suite
-from .weights import DEFAULT_WEIGHTING
+from .weights import DEFAULT_WEIGHTING, step_exponents, unpack_exponents
 
 AVOIDABLE = ("uvu", "uu", "uh", "hu")
 
@@ -44,10 +44,20 @@ def _family_from_args(args: argparse.Namespace) -> PathFamily:
     return family
 
 
-def _parse_weights(text: str) -> tuple[Fraction, Fraction, Fraction]:
+def _parse_weights(text: str, family: PathFamily, weighting: str) -> list[Fraction]:
+    """One rational value per variable of the weighting: a,b, and c where a
+    step of the family weighs c; c is 0 where none does."""
+    uses_c = any(
+        unpack_exponents(packed)[2]
+        for row in step_exponents(family, weighting).values() for packed in row.values()
+    )
+    takes = "a,b,c" if uses_c else "a,b"
     parts = text.split(",")
-    if len(parts) not in (2, 3):
-        raise GPathError("--weights expects 'a,b' or 'a,b,c'")
+    if len(parts) != takes.count(",") + 1:
+        raise GPathError(
+            f"--weights: weighting {weighting} takes {takes}; got {len(parts)} "
+            + ("value" if len(parts) == 1 else "values")
+        )
     vals = []
     for p in parts:
         try:
@@ -56,8 +66,7 @@ def _parse_weights(text: str) -> tuple[Fraction, Fraction, Fraction]:
             raise GPathError(f"--weights: {exc}") from None
         except ZeroDivisionError:
             raise GPathError(f"--weights: zero denominator in {p!r}") from None
-    vals += [Fraction(0)] * (3 - len(vals))
-    return vals[0], vals[1], vals[2]
+    return vals + [Fraction(0)] * (3 - len(vals))
 
 
 def _check_nonnegative(flag: str, value: int | None) -> None:
@@ -84,7 +93,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             if value is not None:
                 raise GPathError(f"--unweighted cannot be combined with {flag}")
     weighting = args.weighting or DEFAULT_WEIGHTING[args.family]
-    point = _parse_weights(args.weights) if args.weights is not None else None
+    point = _parse_weights(args.weights, family, weighting) if args.weights is not None else None
     sizes = [args.length] if args.length is not None else range(args.nmax + 1)
     rows = []
     # the largest size first: one past the size cap is refused before any
@@ -246,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weights",
         default=None,
-        help="evaluate at rational a,b[,c] instead of printing the polynomial",
+        help="evaluate at rational a,b, or a,b,c where the weighting uses c, "
+        "instead of printing the polynomial",
     )
     p.add_argument(
         "--unweighted", action="store_true", help="plain cardinality only"

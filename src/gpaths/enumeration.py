@@ -81,7 +81,10 @@ key cannot carry: delta_k and A_k have degree at most k, so every exponent
 of f_n and g_n is at most n + 2, far below 2^31.
 
 The explicit triple sums of Proposition 2.1 sum each monomial over k alone
-(`prop21`).
+(`prop21`), as one sum: `variant` is validated and selects nothing.  Its
+three tables of binomials hold no entry that depends on n, so they are
+built once and grown in place to the largest n asked so far, and each n's
+polynomial is computed once and cached.
 """
 
 from __future__ import annotations
@@ -666,17 +669,37 @@ def prop21(n: int, variant: str = "first") -> Polynomial:
     in both, the sign factor is the anti-diagonal (-1)^(t-k) gbinom(t-1,
     t-k), and the binomial is the first's comb(n+k-j-el, 2k) = comb(r+2k,
     2k), which is the second's comb(2k+el, el) at el = r.  After this
-    re-indexing the two variants are term-for-term equal, so one sum serves
-    both; it never reads the recurrence.
+    re-indexing the two variants are term-for-term equal, so `variant` is
+    validated and selects nothing: one sum, cached per n, serves both.  Its
+    tables hold no entry that depends on n, so they are built once and
+    grown in place to the largest n asked so far; it never reads the
+    recurrence.
     """
     if variant not in ("first", "second"):
         raise ValueError("variant must be 'first' or 'second'")
-    # sign[t][k], kcat[j][k] = comb(k, j) C_k and binom[r][k] = comb(r+2k, 2k)
-    sign = [[(-1) ** (t - k) * gbinom(t - 1, t - k) for k in range(t + 1)]
-            for t in range(n + 1)]
-    cat = [catalan_number(k) for k in range(n + 1)]
-    kcat = [[comb(k, j) * cat[k] for k in range(n - j + 1)] for j in range(n // 2 + 1)]
-    binom = [[comb(r + 2 * k, 2 * k) for k in range(n - r + 1)] for r in range(n + 1)]
+    return _prop21(n)
+
+
+# prop21's tables, none of whose entries depends on n: sign[t][k] =
+# (-1)^(t-k) gbinom(t-1, t-k), kcat[j][k] = comb(k, j) C_k and binom[r][k] =
+# comb(r+2k, 2k), for t, r <= n, j <= n/2 and k up to n - j or n - r, where n
+# is the largest size asked so far; a larger n extends them in place
+_prop21_tables: tuple[list[list[int]], ...] = ([], [], [])
+
+
+@lru_cache(maxsize=None)
+def _prop21(n: int) -> Polynomial:
+    sign, kcat, binom = _prop21_tables
+    if n >= len(sign):
+        cat = [catalan_number(k) for k in range(n + 1)]
+        for t in range(len(sign), n + 1):
+            sign.append([(-1) ** (t - k) * gbinom(t - 1, t - k) for k in range(t + 1)])
+            binom.append([])
+        kcat += [[] for _ in range(len(kcat), n // 2 + 1)]
+        for j, row in enumerate(kcat):
+            row += [comb(k, j) * cat[k] for k in range(len(row), n - j + 1)]
+        for r, row in enumerate(binom):
+            row += [comb(r + 2 * k, 2 * k) for k in range(len(row), n - r + 1)]
     terms: dict[tuple[int, int, int], int] = {}
     for j in range(n // 2 + 1):
         for s in range(n - 2 * j + 1):

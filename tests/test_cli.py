@@ -185,6 +185,10 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["count", "--weights", "", "--length", "2"],
         ["count", "--family", "dyck", "--length", "4", "--weights", "1/0,1"],
         ["count", "--nmax", "2", "--weights", "1,1", "--unweighted"],
+        # one value per variable of the weighting: gmotzkin_abc weighs d by c,
+        # schroder_ab has no c
+        ["count", "--family", "gmotzkin", "--length", "3", "--weights", "1,2"],
+        ["count", "--family", "schroder", "--length", "4", "--weights", "1,2,5"],
         ["count", "--length", "2", "--unweighted", "--weighting", "gmotzkin_abc"],
         ["series", "--name", "C", "--order", "-1"],
         # refused before rows 0..24, which are under the cap, are printed
@@ -230,6 +234,16 @@ def test_zero_denominator_in_weights_names_the_value(capsys):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == "error: --weights: zero denominator in '1/0'\n"
+
+
+def test_weights_take_one_value_per_variable_of_the_weighting(capsys):
+    for family, weights, message in (
+        ("gmotzkin", "1,2", "gmotzkin_abc takes a,b,c; got 2 values"),
+        ("schroder", "1,2,5", "schroder_ab takes a,b; got 3 values"),
+        ("dyck", "1", "dyck_peak_ab takes a,b; got 1 value"),
+    ):
+        argv = ["count", "--family", family, "--length", "4", "--weights", weights]
+        assert run(capsys, argv) == (2, "", f"error: --weights: weighting {message}\n")
 
 
 def test_verify_suite_choices_are_the_suites():

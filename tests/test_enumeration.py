@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import pytest
@@ -731,6 +734,33 @@ def test_prop21_both_variants_match_recurrence():
         assert prop21(n, "second") == g[n]
     with pytest.raises(ValueError):
         prop21(3, "third")
+
+
+def test_prop21_does_not_depend_on_the_order_of_calls():
+    # prop21's tables and cache outlive a call, so a fresh interpreter asks
+    # the largest n first and the rest from the top down
+    script = """
+from gpaths.enumeration import guvu_coeffs, prop21
+from gpaths.verification import _second_triple_sum
+top = prop21(60)
+g = guvu_coeffs(60)
+print(top == g[60])
+print([n for n in range(12, -1, -1) if prop21(n) != _second_triple_sum(n)])
+print([n for n in range(60, -1, -1) if prop21(n) != g[n]])
+print(prop21(-1).terms)
+try:
+    prop21(3, "third")
+except ValueError:
+    print("refused")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(enumeration.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.stdout, proc.stderr) == ("True\n[]\n[]\n{}\nrefused\n", "")
 
 
 @pytest.mark.parametrize("variant", ["first", "second"])
