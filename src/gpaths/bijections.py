@@ -89,6 +89,8 @@ from .paths import (
 GMOTZKIN_UVU_UU = GMOTZKIN.avoiding("uvu", "uu")
 GMOTZKIN_UVU_UU_HU = GMOTZKIN.avoiding("uvu", "uu", "hu")
 VARPHI_DOMAIN = PathFamily("bicolored_motzkin", prefixes=("a",))
+VARTHETA_DOMAIN = replace(SCHRODER, prefixes=("ud",))
+VARTHETA_CODOMAIN = replace(SCHRODER, prefixes=("H",))
 VARPHI_THETA_DOMAIN = replace(GMOTZKIN_UVU_UU, prefixes=("h",))
 
 Trace = Optional[list]
@@ -708,7 +710,7 @@ BIJECTIONS: dict[str, BijectionSpec] = {
     for name, fwd, inv, dom, cod in (
         ("sigma", _sigma_fwd, _sigma_inv, GMOTZKIN_UVU, SCHRODER),
         ("phi_peak", _phi_fwd, _phi_inv, COLORED_DYCK, SCHRODER),
-        ("vartheta", _vartheta_fwd, _vartheta_inv, SCHRODER, SCHRODER),
+        ("vartheta", _vartheta_fwd, _vartheta_inv, VARTHETA_DOMAIN, VARTHETA_CODOMAIN),
         ("theta", _theta_fwd, _theta_inv, GMOTZKIN_UVU_UU, BICOLORED_MOTZKIN),
         ("rho", _rho_fwd, _rho_inv, GMOTZKIN_UVU_UU_HU, HSTRING),
         ("varphi", _varphi_fwd, _varphi_inv, VARPHI_DOMAIN, DYCK),

@@ -723,7 +723,9 @@ _catalan_powers = [TruncatedSeries([1], 0), catalan_series(0)]
 @lru_cache(maxsize=None)
 def ballot_coeff(m: int, k: int) -> int:
     """[x^m] C(x)^k, extracted from the Catalan series itself."""
-    if m < 0 or k < 0:
+    if k < 0:
+        raise ValueError(f"ballot numbers [x^m] C^k need k >= 0; got k={k}")
+    if m < 0:
         return 0
     powers = _catalan_powers
     if m > powers[0].order:
@@ -739,8 +741,10 @@ def ballot_coeff(m: int, k: int) -> int:
 
 def ballot_closed_form(m: int, k: int) -> int:
     """k/(2m+k) * binom(2m+k, m); the independent cross-check."""
-    if m == 0 and k == 0:
-        return 1
+    if k < 0:
+        raise ValueError(f"ballot numbers [x^m] C^k need k >= 0; got k={k}")
+    if m <= 0:
+        return int(m == 0)
     num = k * comb(2 * m + k, m)
     if num % (2 * m + k):
         raise ArithmeticError(f"{k} C({2 * m + k},{m}) is not divisible by {2 * m + k}")

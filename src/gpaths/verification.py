@@ -16,13 +16,13 @@ difference, which it keeps as its detail "at ...: got ..., want ...".
 Criterion 3's worked examples are claims too, one case per example.
 
 Criterion 3 is table-driven: `CERTIFICATIONS` gives each map of
-`bijections.BIJECTIONS` its sizes, the x-lengths a size stands for in the
-domain and codomain, optional prefixes that narrow a side's walk and
-filters on its step strings, and its worked examples.  The maps and
-families themselves are read from the registry, so a registered map is
-certified exactly as it is dispatched: the public Path maps apply the
-row's string maps, which certification calls a chunk of domain words at a
-time (`_CHUNK`), and word by word in a chunk that fails, to word each
+`bijections.BIJECTIONS` its sizes and default size, the x-lengths a size
+stands for in the domain and codomain, optional filters on their step
+strings, and its worked examples.  The maps and families themselves are
+read from the registry, so a registered map is certified exactly as it is
+dispatched, on the sets it is declared between: the public Path maps apply
+the row's string maps, which certification calls a chunk of domain words
+at a time (`_CHUNK`), and word by word in a chunk that fails, to word each
 check's first counterexample.  Rows whose domain walks are the same (sigma
 and psi) are certified in one walk, where a `bijections.Composite` runs
 part by part and a part another row also runs is answered by that row's
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, compress, zip_longest
 from math import comb
 from types import MappingProxyType
@@ -318,56 +318,53 @@ class Certification:
     """How criterion 3 certifies one map of `bijections.BIJECTIONS`.
 
     Size n pairs the domain paths of x-length dom_scale*n with the codomain
-    paths of x-length cod_scale*n.  A side with prefixes walks only the
-    paths that open with one of them (one or two letters, in place of the
-    family's own), and a side with a filter keeps only the step strings it
-    accepts; the prefixes cut the walk, the filter tests each word.  Each
-    example is a check name with its (map, input, forward image) cases.
+    paths of x-length cod_scale*n, each side the family its registry row
+    declares; a side with a filter keeps only the step strings it accepts.
+    sizes(n_max) are the sizes certified up to n_max, which is the row's own
+    n_max unless the caller gives one.  Each example is a check name with
+    its (map, input, forward image) cases.
     """
 
-    sizes: Callable[[int, int], range]  # (n_max, theta_n_max) -> sizes
+    sizes: Callable[[int], range]  # n_max -> sizes
     dom_scale: int
     cod_scale: int
     examples: tuple[tuple[str, tuple[tuple[str, str, str], ...]], ...] = ()
-    dom_prefixes: tuple[str, ...] = ()
-    cod_prefixes: tuple[str, ...] = ()
     dom_filter: Callable[[str], bool] | None = None
     cod_filter: Callable[[str], bool] | None = None
+    n_max: int = 8
 
 
 # in verify's check order, which is not the registry's
 CERTIFICATIONS: Mapping[str, Certification] = MappingProxyType({
-    "sigma": Certification(lambda n, t: range(n + 1), 1, 2, (
+    "sigma": Certification(lambda n: range(n + 1), 1, 2, (
         ("sigma reproduces the worked 15-step example",
          (("sigma", FIGURE_SIGMA_IN, FIGURE_SIGMA_OUT),)),
     )),
-    "theta": Certification(lambda n, t: range(t + 1), 1, 1, (
+    "theta": Certification(lambda n: range(n + 1), 1, 1, (
         ("theta reproduces the worked 30-step example",
          (("theta", FIGURE_THETA_IN, FIGURE_THETA_OUT),)),
-    )),
-    "phi_peak": Certification(lambda n, t: range(0, 2 * n + 1, 2), 1, 1, (
+    ), n_max=10),
+    "phi_peak": Certification(lambda n: range(0, 2 * n + 1, 2), 1, 1, (
         ("phi_peak reproduces the worked example",
          (("phi_peak", PHI_EXAMPLE_IN, PHI_EXAMPLE_OUT),)),
     )),
     "vartheta": Certification(
-        lambda n, t: range(1, n + 1), 2, 2,
+        lambda n: range(1, n + 1), 2, 2,
         (("vartheta reproduces the three worked examples", (
             ("vartheta", "udH", "Hud"),
             ("vartheta", "udHH", "HuHd"),
             ("vartheta", "uduuddH", "Huuddud"),
         )),),
-        dom_prefixes=("ud",),
-        cod_prefixes=("H",),
         # has an H on the axis
         dom_filter=lambda p: bij._axis_scan("vartheta", p, 0)[0] >= 0,
         # ends with d, and has no H on the axis after the first letter
         cod_filter=lambda p: p.endswith("d") and bij._axis_scan("vartheta", p, 1)[0] < 0,
     ),
-    "rho": Certification(lambda n, t: range(n + 1), 1, 1, (
+    "rho": Certification(lambda n: range(n + 1), 1, 1, (
         ("rho reproduces the worked examples",
          (("rho", "hh", "aa"), ("rho", "uv", "b"), ("rho", "uhd", "bab"))),
     )),
-    "varphi": Certification(lambda n, t: range(1, n + 1), 1, 2, (
+    "varphi": Certification(lambda n: range(1, n + 1), 1, 2, (
         ("varphi reproduces its base cases and the worked example", (
             ("varphi", "a", "ud"), ("varphi", "aa", "udud"),
             ("varphi", "ab", "uudd"), ("varphi", "aud", "uduudd"),
@@ -377,16 +374,12 @@ CERTIFICATIONS: Mapping[str, Certification] = MappingProxyType({
             ("varphi", FIGURE_PIPE_MID, FIGURE_PIPE_OUT),
         )),
     )),
-    "psi": Certification(lambda n, t: range(1, n + 1), 1, 1, (
+    "psi": Certification(lambda n: range(1, n + 1), 1, 1, (
         ("psi sends the length-1 paths to the two flavored marks",
          (("psi", "h", "a"), ("psi", "uv", "A"))),
     )),
-    "varphi_theta": Certification(lambda n, t: range(1, n + 1), 1, 2),
+    "varphi_theta": Certification(lambda n: range(1, n + 1), 1, 2),
 })
-
-
-def _narrowed(family: PathFamily, prefixes: tuple[str, ...]) -> PathFamily:
-    return replace(family, prefixes=prefixes) if prefixes else family
 
 
 def _round_trip(
@@ -412,8 +405,7 @@ def _walk_of(name: str) -> tuple[PathFamily, int, Callable[[str], bool] | None]:
     family, scale and filter, and so the same weighting, map the same
     words, and _certify certifies them in one walk."""
     cert = CERTIFICATIONS[name]
-    dom = _narrowed(bij.BIJECTIONS[name].domain, cert.dom_prefixes)
-    return dom, cert.dom_scale, cert.dom_filter
+    return bij.BIJECTIONS[name].domain, cert.dom_scale, cert.dom_filter
 
 
 def _apply(memo: dict, f: bij.StringMap, words: list[str]) -> list[str]:
@@ -459,7 +451,7 @@ class _Row:
         spec, cert = bij.BIJECTIONS[name], CERTIFICATIONS[name]
         self.name = name
         self.forward, self.inverse = spec.forward_steps, spec.inverse_steps
-        self.cod = _narrowed(spec.codomain, cert.cod_prefixes)
+        self.cod = spec.codomain
         self.cod_scale, self.keep = cert.cod_scale, cert.cod_filter
         self.round_fault = self.weight_fault = self.image_fault = ""
 
@@ -586,16 +578,15 @@ def _certify(rows: Mapping[str, range]) -> dict[str, list[CheckResult]]:
     return {name: row.results(max(rows[name])) for name, row in state.items()}
 
 
-def check_bijections(n_max: int = 8, theta_n_max: int = 10) -> list[CheckResult]:
-    if n_max < 1 or theta_n_max < 0:
+def check_bijections(n_max: int | None = None) -> list[CheckResult]:
+    if n_max is not None and n_max < 1:
         raise ValueError(
-            f"check_bijections needs n_max >= 1 and theta_n_max >= 0 (vartheta, "
-            f"varphi, psi and varphi_theta start at size 1); got n_max={n_max}, "
-            f"theta_n_max={theta_n_max}"
+            "check_bijections needs n_max >= 1 (vartheta, varphi, psi and "
+            f"varphi_theta start at size 1); got n_max={n_max}"
         )
     walks: dict[tuple, dict[str, range]] = {}
     for name, cert in CERTIFICATIONS.items():
-        walks.setdefault(_walk_of(name), {})[name] = cert.sizes(n_max, theta_n_max)
+        walks.setdefault(_walk_of(name), {})[name] = cert.sizes(n_max or cert.n_max)
     certified: dict[str, list[CheckResult]] = {}
     for rows in walks.values():
         certified.update(_certify(rows))
@@ -760,9 +751,7 @@ def _counts_suite(n_max: int | None) -> list[CheckResult]:
 
 
 def _bijections_suite(n_max: int | None) -> list[CheckResult]:
-    if n_max is None:
-        return check_bijections()
-    return check_bijections(n_max, theta_n_max=n_max)
+    return check_bijections(n_max)
 
 
 def _stats_suite(n_max: int | None) -> list[CheckResult]:

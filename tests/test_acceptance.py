@@ -43,7 +43,7 @@ def test_criterion_2_weighted_counts_by_every_route():
 
 
 def test_criterion_3_bijections_certified_exhaustively():
-    _report(3, check_bijections(n_max=8, theta_n_max=10))
+    _report(3, check_bijections())
 
 
 def test_criterion_4_polynomial_identities():

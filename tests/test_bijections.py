@@ -110,10 +110,9 @@ def test_vartheta_worked_examples():
         ("uduuddH", "Huuddud"),
         ("udHud", "Huudd"),
     ):
-        p = parse(before, SCHRODER)
-        image = vartheta(p)
+        image = vartheta(parse(before, SCHRODER))
         assert image.steps == after
-        assert vartheta_inv(image) == p
+        assert vartheta_inv(image).steps == before
 
 
 def test_rho_worked_examples():
@@ -856,7 +855,7 @@ def test_a_trace_does_not_change_the_image(name, direction):
     # trace a map records no labels, and that must not change what it writes
     spec = BIJECTIONS[name]
     dom, dom_scale, dom_keep = _walk_of(name)
-    for n in CERTIFICATIONS[name].sizes(6, 6):
+    for n in CERTIFICATIONS[name].sizes(6):
         words = iter_step_strings(dom, dom_scale * n)
         for q in words if dom_keep is None else filter(dom_keep, words):
             word = q if direction == "fwd" else spec.forward_steps(q)

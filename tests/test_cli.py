@@ -168,6 +168,13 @@ def test_verify_reports_failures(capsys, monkeypatch):
         ["count", "--family", "schroder", "--length", "2", "--weighting", "motzkin_ab"],
         ["count", "--length", "1", "--weights", "1"],
         ["map", "--bijection", "sigma", "--input", "uvu"],
+        # vartheta's two families open with ud and with H
+        ["map", "--bijection", "vartheta", "--input", "Hud"],
+        ["map", "--bijection", "vartheta", "--direction", "inv", "--input", "udH"],
+        # the maps with no image of the empty path
+        ["map", "--bijection", "psi", "--input", ""],
+        ["map", "--bijection", "varphi", "--direction", "inv", "--input", ""],
+        ["map", "--bijection", "varphi_theta", "--direction", "inv", "--input", ""],
         ["riordan", "--d", "T^2", "--h", "x*S^2"],
         ["table", "--stat", "U", "--method", "all", "--nmax", "-1"],
         ["riordan", "--d", "S", "--h", "x*S^2", "--nmax", "-1"],

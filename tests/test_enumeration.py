@@ -385,6 +385,8 @@ _PAST_THE_SPLIT = {
     "motzkin avoid=h": 12,
     "schroder": 8,
     "schroder no-h-on-axis": 10,
+    "schroder prefix in {H}": 10,
+    "schroder prefix in {ud}": 10,
 }
 
 
@@ -607,7 +609,7 @@ WALK_WEIGHT_CASES = {
     name: (
         BIJECTIONS[name].domain,
         _WEIGHTING_OF[BIJECTIONS[name].domain.base],
-        [cert.dom_scale * n for n in cert.sizes(6, 6)],
+        [cert.dom_scale * n for n in cert.sizes(6)],
     )
     for name, cert in CERTIFICATIONS.items()
 }
@@ -728,10 +730,12 @@ def test_dfs_rejects_three_letter_prefixes():
 
 
 def test_prop21_both_variants_match_recurrence():
+    # prop21 answers both variants with one sum, so the second is read
+    # literally, term by term
     g = guvu_coeffs(40)
     for n in range(41):
         assert prop21(n, "first") == g[n]
-        assert prop21(n, "second") == g[n]
+        assert verification._second_triple_sum(n) == g[n]
     with pytest.raises(ValueError):
         prop21(3, "third")
 
@@ -763,7 +767,10 @@ except ValueError:
     assert (proc.stdout, proc.stderr) == ("True\n[]\n[]\n{}\nrefused\n", "")
 
 
-@pytest.mark.parametrize("variant", ["first", "second"])
+_TRIPLE_SUMS = {"first": prop21, "second": verification._second_triple_sum}
+
+
+@pytest.mark.parametrize("variant", list(_TRIPLE_SUMS))
 @pytest.mark.parametrize(
     "point, seq",
     [
@@ -773,8 +780,10 @@ except ValueError:
     ],
 )
 def test_prop21_at_points_gives_the_frozen_sequences(variant, point, seq):
-    # frozen reference data, not the recurrence: the sum stands on its own
-    assert [prop21(n, variant).eval_at(*point) for n in range(11)] == list(seq[:11])
+    # frozen reference data, not the recurrence: each sum stands on its own,
+    # prop21 and the second sum read literally
+    triple_sum = _TRIPLE_SUMS[variant]
+    assert [triple_sum(n).eval_at(*point) for n in range(11)] == list(seq[:11])
 
 
 def test_catalan_number_values():
@@ -850,9 +859,14 @@ def test_ballot_coeff_against_closed_form():
     assert ballot_coeff(3, 2) == 14
     assert ballot_coeff(0, 0) == 1
     assert ballot_coeff(-1, 2) == 0
-    for m in range(8):
-        for k in range(8):
-            assert ballot_coeff(m, k) == ballot_closed_form(m, k)
+    # one domain: both are 0 below m = 0, and both refuse a negative power
+    for m in range(-2, 13):
+        for k in range(16):
+            assert ballot_coeff(m, k) == ballot_closed_form(m, k), (m, k)
+    for ballot in (ballot_coeff, ballot_closed_form):
+        for m in (-1, 0, 2):
+            with pytest.raises(ValueError, match="need k >= 0; got k=-1$"):
+                ballot(m, -1)
 
 
 def test_size_guard():

@@ -10,7 +10,7 @@ import pytest
 from gpaths import bijections as bij
 from gpaths import verification
 from gpaths.enumeration import _prefix_blocks, count_paths, iter_step_strings, prop21
-from gpaths.paths import GMOTZKIN_UVU
+from gpaths.paths import GMOTZKIN_UVU, parse
 from gpaths.stats import stat_brute, stat_riordan, stat_table
 from gpaths.verification import (
     CATALAN,
@@ -174,7 +174,7 @@ def test_certification_catches_a_broken_registered_map(
     monkeypatch.setattr(verification, "_CHUNK", chunk)
     spec = dataclasses.replace(bij.BIJECTIONS[name], **{field: broken})
     monkeypatch.setitem(bij.BIJECTIONS, name, spec)
-    results = check_bijections(n_max=3, theta_n_max=3)
+    results = check_bijections(n_max=3)
     assert len(results) == 32
     assert {r.name: r.detail for r in results if not r.ok} == failures
 
@@ -201,7 +201,7 @@ def test_certification_catches_a_weight_only_fault(monkeypatch, chunk):
         inverse_steps=_theta_inv_with_colors_swapped,
     )
     monkeypatch.setitem(bij.BIJECTIONS, "theta", spec)
-    results = check_bijections(n_max=3, theta_n_max=3)
+    results = check_bijections(n_max=3)
     assert len(results) == 32
     assert {r.name: r.detail for r in results if not r.ok} == {
         "theta preserves the step weights up to n=3": (
@@ -231,7 +231,7 @@ def test_a_fault_in_the_middle_of_a_chunk_names_its_word(monkeypatch, chunk):
 
     spec = dataclasses.replace(bij.BIJECTIONS["sigma"], forward_steps=sigma_fwd)
     monkeypatch.setitem(bij.BIJECTIONS, "sigma", spec)
-    results = check_bijections(n_max=4, theta_n_max=4)
+    results = check_bijections(n_max=4)
     assert len(results) == 32
     assert {r.name: r.detail for r in results if not r.ok} == {
         "sigma round trip is the identity up to n=4": (
@@ -243,6 +243,22 @@ def test_a_fault_in_the_middle_of_a_chunk_names_its_word(monkeypatch, chunk):
 
 def test_every_registered_bijection_is_certified():
     assert set(CERTIFICATIONS) == set(bij.BIJECTIONS)
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATIONS))
+def test_each_row_maps_its_whole_declared_domain(name):
+    # the families a row declares are the sets certification walks: the
+    # public maps take every path of them that the row's filters keep
+    spec, cert = bij.BIJECTIONS[name], CERTIFICATIONS[name]
+    sides = (
+        (spec.forward, spec.domain, cert.dom_scale, cert.dom_filter),
+        (spec.inverse, spec.codomain, cert.cod_scale, cert.cod_filter),
+    )
+    for n in cert.sizes(4):
+        for path_map, family, scale, keep in sides:
+            for steps in iter_step_strings(family, scale * n):
+                if keep is None or keep(steps):
+                    path_map(parse(steps, family))
 
 
 def test_psi_reuses_sigma_calls_in_the_shared_walk(monkeypatch):
@@ -272,22 +288,22 @@ def test_psi_reuses_sigma_calls_in_the_shared_walk(monkeypatch):
             inverse_steps=bij.Composite(psi.inverse_steps.first, inv),
         ),
     )
-    results = check_bijections(n_max=4, theta_n_max=4)
-    words = sum(count_paths(GMOTZKIN_UVU, n) for n in CERTIFICATIONS["sigma"].sizes(4, 4))
+    results = check_bijections(n_max=4)
+    words = sum(count_paths(GMOTZKIN_UVU, n) for n in CERTIFICATIONS["sigma"].sizes(4))
     assert calls == {bij._sigma_fwd: words, bij._sigma_inv: words}
     assert len(results) == 32
     assert all(r.ok for r in results)
 
 
 def test_shared_walk_gives_the_results_of_one_walk_per_row(monkeypatch):
-    shared = check_bijections(n_max=4, theta_n_max=4)
+    shared = check_bijections(n_max=4)
     certify = verification._certify
 
     def one_walk_per_row(rows):
         return {name: certify({name: sizes})[name] for name, sizes in rows.items()}
 
     monkeypatch.setattr(verification, "_certify", one_walk_per_row)
-    alone = check_bijections(n_max=4, theta_n_max=4)
+    alone = check_bijections(n_max=4)
     assert len(alone) == 32
     assert alone == shared
 
@@ -304,25 +320,25 @@ def test_a_failing_size_is_walked_once(monkeypatch):
     monkeypatch.setattr(verification, "iter_step_strings", recorded)
     rho = dataclasses.replace(bij.BIJECTIONS["rho"], inverse_steps=_corrupt_last_letter)
     monkeypatch.setitem(bij.BIJECTIONS, "rho", rho)
-    assert set(_failures(check_bijections(3, 3))) == {ROUND, IMAGE}
+    assert set(_failures(check_bijections(3))) == {ROUND, IMAGE}
     # vartheta's filtered codomain is still counted through it
     assert walked
     assert rho.domain not in walked
     assert rho.codomain not in walked
 
 
-@pytest.mark.parametrize("n_max, theta_n_max", [(0, 0), (0, 10), (-1, 3), (3, -1)])
-def test_sizes_below_the_smallest_are_one_value_error(n_max, theta_n_max):
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_sizes_below_the_smallest_are_one_value_error(n_max):
     with pytest.raises(ValueError) as raised:
-        check_bijections(n_max, theta_n_max)
+        check_bijections(n_max)
     message = str(raised.value)
     assert "\n" not in message
-    assert "n_max >= 1 and theta_n_max >= 0" in message
-    assert f"got n_max={n_max}, theta_n_max={theta_n_max}" in message
+    assert "n_max >= 1" in message
+    assert f"got n_max={n_max}" in message
 
 
 def test_smallest_sizes_are_certified():
-    results = check_bijections(1, 0)
+    results = check_bijections(1)
     assert len(results) == 32
     assert all(r.ok for r in results)
 
@@ -488,7 +504,7 @@ def test_a_failed_worked_example_names_its_input(monkeypatch):
     monkeypatch.setattr(
         verification, "CERTIFICATIONS", MappingProxyType({**CERTIFICATIONS, "rho": rho})
     )
-    assert _failures(check_bijections(1, 0)) == {
+    assert _failures(check_bijections(1)) == {
         "rho reproduces the worked examples": "at uhd: got bab, want bba",
     }
 
