@@ -43,11 +43,11 @@ measurement (2-vCPU Xeon, CPython 3.11.7): on the 41,586 Schroder words
 of x-length 16 the walk yields 1,578 blocks in about 0.005 s, where
 stopping at x-length 2 gave 33,028 blocks and took 0.027-0.049 s; a split
 of 128 is about as fast but raised criterion 3's tracemalloc peak from
-0.67 to 0.99 MB.  The walk sums each word's packed weight on its stack.
-Asked for a weighting, it also fills each key's tails' packed weights with
-its tails, so criterion 3 (`verification._certify`) weighs a domain word
-with one addition; without one, it reads the rows under the family's
-default weighting and fills no tail weights.  Weighted counting is one
+0.67 to 0.99 MB.  The walk sums each word's packed weight on its stack
+and fills each key's tails' packed weights with its tails, under the
+weighting asked for or the family's default, so criterion 3
+(`verification._certify`) and `verification._enumerated_weight` weigh a
+word with one addition.  Weighted counting is one
 forward pass over the numbers: the prefixes are merged by key, so its cost
 grows with the number of keys, not of paths.  Plain counting
 (`count_paths`) reads the start key's entry of the suffix table and sums
@@ -364,24 +364,24 @@ def _suffix_counts(
 
 def _prefix_blocks(
     family: PathFamily, n: int, weighting: str | None = None
-) -> Iterator[tuple[str, Key, list[str], int, list[int] | None]]:
+) -> Iterator[tuple[str, Key, list[str], int, list[int]]]:
     """The words of iter_step_strings as blocks (word, key, tails, weight,
     tail_weights), in DFS order: every word + tail, tail in tails, is a
-    word of the family.
+    word of the family, and weighs weight + tail_weight.
 
     It reads _key_graph under weighting, or under the family's default
     weighting if there is none.  A key's completion count (_suffix_counts)
     is at least each of its children's, so going through the numbers
     backwards fills the tails of every key with at most COMPLETION_SPLIT
     completions from its children's: move by move in alphabet order, the
-    move's letter followed by each tail of the key it moves to.  The walk
-    proper is an explicit-stack DFS over the keys with more; a key with at
-    most the split ends a block, word is the prefix that reached it and
-    tails its completions, one list per key.  weight is the word's packed
-    weight, summed on the stack.  Under a weighting, tail_weights are the
-    packed weights of the tails after the key's last letter, filled with
-    them, so word + tails[i] weighs weight + tail_weights[i]; without one,
-    tail_weights is None.  It does not check the size cap: its callers do.
+    move's letter followed by each tail of the key it moves to, and each
+    tail's packed weight with it, the move's weight plus the tail's.  The
+    walk proper is an explicit-stack DFS over the keys with more; a key
+    with at most the split ends a block, word is the prefix that reached
+    it and tails its completions, one list per key.  weight is the word's
+    packed weight, summed on the stack, and tail_weights[i] the packed
+    weight of tails[i] after the key's last letter, so one read of the rows
+    weighs every word.  It does not check the size cap: its callers do.
     """
     keys, rows, accepting = _key_graph(
         family, n, weighting or DEFAULT_WEIGHTING[family.base]
@@ -393,17 +393,14 @@ def _prefix_blocks(
     shared: dict[int, int] = {}
     for i in range(len(keys) - 1, -1, -1):
         if counts[i] <= COMPLETION_SPLIT:
-            row = rows[i]
             out = [""] if accepting[i] else []
-            for letter, (j, _) in row.items():
+            sums = [0] if accepting[i] else []
+            for letter, (j, w) in rows[i].items():
                 out.extend([letter + tail for tail in tails[j]])
+                sums.extend([w + s for s in tail_weights[j]])
             tails[i] = out
-            if weighting is not None:
-                sums = [0] if accepting[i] else []
-                for j, w in row.values():
-                    sums.extend([w + s for s in tail_weights[j]])
-                # the tails take few distinct weights: one int object each
-                tail_weights[i] = [shared.setdefault(s, s) for s in sums]
+            # the tails take few distinct weights: one int object each
+            tail_weights[i] = [shared.setdefault(s, s) for s in sums]
     stack = [(0, "", 0)]
     while stack:
         i, word, weight = stack.pop()

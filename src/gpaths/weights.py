@@ -12,11 +12,13 @@ immediately after an up step) are the only position-dependent case.
 
 This module alone decides whether a weighting applies to a family and
 what each step weighs: `step_exponents` raises the weighting faults and
-gives the walks and the counting DP their per-step table; `weight`
-validates through it.  It alone decides the packed encoding of an exponent
-triple as one int (pack_exponents), the keys of the {packed exponents:
-coeff} dicts that the counting DP and the two recurrences of `enumeration`
-sum and multiply before they become Polynomials (Polynomial._from_packed).
+gives the walks and the counting DP their per-step table, which weighs
+every enumerated word; `weight` validates through it, and `packed_weight`,
+one word alone, is the per-word reference the tests check the walk by.
+It alone decides the packed encoding of an exponent triple as one int
+(pack_exponents), the keys of the {packed exponents: coeff} dicts that the
+counting DP and the two recurrences of `enumeration` sum and multiply
+before they become Polynomials (Polynomial._from_packed).
 """
 
 from __future__ import annotations

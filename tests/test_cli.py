@@ -1,5 +1,6 @@
 """The command-line front end, driven through main(argv)."""
 
+import dataclasses
 import json
 import os
 import shlex
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import gpaths.bijections as bij
 import gpaths.cli as cli
 import gpaths.verification as verification
-from gpaths.errors import SizeLimitExceeded
+from gpaths.errors import DomainViolation, SizeLimitExceeded
 from gpaths.stats import StatTable
 from gpaths.verification import SCHRODER_NUMBERS, SUITES, CheckResult
 
@@ -156,6 +158,30 @@ def test_verify_reports_failures(capsys, monkeypatch):
         "PASS good",
         "FAIL bad: boom",
         "FAIL (1 of 2 checks failed)",
+    ]
+
+
+def test_verify_reports_a_worked_example_whose_map_raises(capsys, monkeypatch):
+    # a map that raises on its worked example fails that check: every line
+    # prints, and the exit code is a failed check's, not a usage error's
+    theta = bij.BIJECTIONS["theta"]
+
+    def refuse_the_example(path):
+        if path.steps == verification.FIGURE_THETA_IN:
+            raise DomainViolation("theta refuses the worked example")
+        return theta.forward(path)
+
+    spec = dataclasses.replace(theta, forward=refuse_the_example)
+    monkeypatch.setitem(bij.BIJECTIONS, "theta", spec)
+    code, out, err = run(capsys, ["verify", "--suite", "bijections", "--nmax", "1"])
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert len(lines) == 33 and lines[-1] == "FAIL (1 of 32 checks failed)"
+    assert [line for line in lines if line.startswith("FAIL ")] == [
+        "FAIL theta reproduces the worked 30-step example: "
+        f"at {verification.FIGURE_THETA_IN}: got theta raises DomainViolation: "
+        f"theta refuses the worked example, want {verification.FIGURE_THETA_OUT}",
+        lines[-1],
     ]
 
 

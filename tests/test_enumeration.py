@@ -622,19 +622,18 @@ def test_walk_weights_equal_the_per_word_weights(case):
     for n in lengths:
         plain = list(_prefix_blocks(family, n))
         weighed = list(_prefix_blocks(family, n, weighting))
-        # one walk: the same blocks; without a weighting, no tail weights
-        # and each word weighed under the family's default weighting
+        # one walk: the same blocks; without a weighting, each word and each
+        # tail weighed under the family's default weighting
         assert [b[:3] for b in weighed] == [b[:3] for b in plain]
         default = DEFAULT_WEIGHTING[family.base]
-        for word, _, _, weight, tail_weights in plain:
-            assert tail_weights is None
-            assert weight == packed_weight(word, default, family.base), (word, default)
-        for word, _, tails, weight, tail_weights in weighed:
-            assert len(tail_weights) == len(tails)
-            for tail, tail_weight in zip(tails, tail_weights):
-                steps = word + tail
-                want = packed_weight(steps, weighting, family.base)
-                assert weight + tail_weight == want, (steps, weighting)
+        for blocks, w in ((plain, default), (weighed, weighting)):
+            for word, _, tails, weight, tail_weights in blocks:
+                assert weight == packed_weight(word, w, family.base), (word, w)
+                assert len(tail_weights) == len(tails)
+                for tail, tail_weight in zip(tails, tail_weights):
+                    steps = word + tail
+                    want = packed_weight(steps, w, family.base)
+                    assert weight + tail_weight == want, (steps, w)
 
 
 @pytest.mark.parametrize("family", BIJECTION_FAMILIES, ids=PathFamily.describe)

@@ -8,7 +8,7 @@ from types import MappingProxyType
 import pytest
 
 from gpaths import bijections as bij
-from gpaths import verification
+from gpaths import enumeration, verification
 from gpaths.enumeration import _prefix_blocks, count_paths, iter_step_strings, prop21
 from gpaths.paths import GMOTZKIN_UVU, parse
 from gpaths.stats import stat_brute, stat_riordan, stat_table
@@ -24,7 +24,7 @@ from gpaths.verification import (
     check_weighted_counts,
     run_suite,
 )
-from gpaths.weights import B, Polynomial, packed_weight
+from gpaths.weights import B, Polynomial, pack_exponents, packed_weight
 
 
 def _corrupt_last_letter(s, trace=None):
@@ -65,6 +65,12 @@ def _theta_writing_H_for_a(q, trace=None):
     # H is no letter of theta's codomain, so its inverse refuses the image
     # with a DomainViolation, which certification reports
     return bij._theta_fwd(q, trace).replace("a", "H")
+
+
+def _vartheta_writing_HH_for_udH(q, trace=None):
+    # HH is a Schroder word opening with H, so the codomain's key graph
+    # accepts it; only the codomain's filter refuses it, as it ends with H
+    return "HH" if q == "udH" else bij._vartheta_fwd(q, trace)
 
 
 ROUND = "rho round trip is the identity up to n=3"
@@ -161,6 +167,20 @@ CHUNKS = pytest.mark.parametrize(
                 ),
                 "theta maps onto its codomain up to n=3": (
                     "image not in the codomain at 'h' -> 'H'"
+                ),
+            },
+        ),
+        (
+            "vartheta",
+            "forward_steps",
+            _vartheta_writing_HH_for_udH,
+            {
+                "vartheta round trip is the identity up to n=3": (
+                    "round trip fails at 'udH' -> 'HH': "
+                    "path ends with a horizontal step on the axis"
+                ),
+                "vartheta maps onto its codomain up to n=3": (
+                    "image not in the codomain at 'udH' -> 'HH'"
                 ),
             },
         ),
@@ -422,6 +442,32 @@ def test_criterion_2_names_the_first_differing_size(monkeypatch):
     assert _failures(check_weighted_counts()) == {
         "brute Dyck counts match the Catalan numbers up to n=10": "at 5: got 42, want 41",
         "recurrence at (0,1,1) gives the Catalan numbers": "at 5: got 42, want 41",
+    }
+
+
+def test_enumerated_weight_reads_the_rows_step_weights(monkeypatch):
+    # a v after an h weighs b*c, not b, in the gmotzkin_abc rows of the key
+    # graph, which the walk and the counting DP read: the enumerated weight
+    # polynomial then differs from the recurrence, which reads no rows
+    step_exponents, c = enumeration.step_exponents, pack_exponents((0, 0, 1))
+
+    def v_after_h_weighs_bc(family, weighting):
+        table = step_exponents(family, weighting)
+        if weighting == "gmotzkin_abc":
+            table = {**table, "h": {**table["h"], "v": table["h"]["v"] + c}}
+        return table
+
+    # the classes depend on the step weights: merge the states again under
+    # the broken table, and again once it is gone
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "step_exponents", v_after_h_weighs_bc)
+        enumeration._quotient.cache_clear()
+        failures = _failures(check_weighted_counts())
+    enumeration._quotient.cache_clear()
+    assert failures == {
+        "recurrence equals the enumerated weight polynomial up to n=8": (
+            "at 2: got a*b*c + a^2 + 2*a*b + b^2 + c, want a^2 + 3*a*b + b^2 + c"
+        ),
     }
 
 
