@@ -4,9 +4,10 @@ Ten statistics, each computable by up to three independent routes that the
 acceptance suite plays against each other:
 
   brute    exhaustive enumeration and direct counting,
-  riordan  coefficient extraction from one Riordan array (d(x), h(x)) per
-           statistic, all with h = x S^2, and for column 0 of P and p_r
-           from one axis series,
+  riordan  one Riordan array (d(x), h(x)) per statistic, all with
+           h = x S^2, its triangle filled row by row from the equation
+           h = x (1 + 4h + h^2 - xh), and for column 0 of P and p_r one
+           axis series,
   formula  the explicit alternating double sums (U, H, P only).
 
 Table conventions (i is the level index, columns 0..n per row):
@@ -22,8 +23,8 @@ horizontal step on the axis, with u_r/v_r at the same offsets, h_r counting
 h-steps at level i+1 over x-length n+2, and p_r points over x-length n.
 
 A table is filled from its last row, which checks the brute size cap before
-any path is enumerated and builds each array or axis series the table needs
-once.
+any path is enumerated and builds each triangle or axis series the table
+needs once.
 """
 
 from __future__ import annotations
@@ -35,12 +36,7 @@ from math import comb
 from .enumeration import _check_size, _prefix_blocks, ballot_coeff, catalan_number
 from .errors import DomainViolation
 from .paths import GMOTZKIN_UVU, STEP_GEOMETRY, PathFamily
-from .series import (
-    DEFAULT_ORDER,
-    RiordanArray,
-    TruncatedSeries,
-    parse_series_expr,
-)
+from .series import DEFAULT_ORDER, parse_series_expr
 
 GMOTZKIN_UVU_RESTRICTED = GMOTZKIN_UVU.restricted()
 
@@ -195,8 +191,6 @@ _ARRAY_EXPRS = {
     "p_r": "one_plus_x2*one_over_1px*s^2",
 }
 
-_COLUMN_EXPR = "x*S^2"
-
 # Column 0 of the point statistics, as a sum of product expressions: the
 # start point of every path (S or s), then the axis points after it.  Each
 # of those ends an h-step on the axis or a return, and every return closes
@@ -209,39 +203,59 @@ _AXIS_EXPRS = {
 }
 
 
-def _array(d: str, order: int) -> RiordanArray:
-    return RiordanArray(
-        parse_series_expr(d, order), parse_series_expr(_COLUMN_EXPR, order)
-    )
+def _array(d: str, order: int) -> list[list[int]]:
+    """Rows 0..order of the Riordan array (d, h) with h = x S^2.
+
+    S = 1 + xS + xS^2 gives S (1-x) = 1 + h, so h (1-x)^2 = x (1+h)^2, that
+    is h = x (1 + 4h + h^2 - xh).  Both sides times d h^(k-1), read at x^n:
+
+      T(n, k) = T(n-1, k-1) + 4 T(n-1, k) + T(n-1, k+1) - T(n-2, k)
+
+    for k >= 1, and column 0 is d.  So each entry is a few additions on the
+    two rows above it, and no column is a series product.
+    """
+    column = parse_series_expr(d, order).coeffs
+    rows: list[list[int]] = []
+    above: list[int] = []  # row n-1
+    two_above: list[int] = []  # row n-2
+    for n in range(order + 1):
+        a = above + [0, 0]
+        b = two_above + [0, 0]
+        row = [column[n]]
+        # T(n-1, k-1), T(n-1, k), T(n-1, k+1) and T(n-2, k) for k = 1..n
+        row += [p + 4 * q + r - t for p, q, r, t in zip(a, a[1:], a[2:], b[1:])]
+        rows.append(row)
+        above, two_above = row, above
+    return rows
 
 
-def _axis(terms: tuple[str, ...], order: int) -> TruncatedSeries:
-    return sum(parse_series_expr(term, order) for term in terms)
+def _axis(terms: tuple[str, ...], order: int) -> tuple[int, ...]:
+    return sum(parse_series_expr(term, order) for term in terms).coeffs
 
 
-# One array or axis series per expression, rebuilt only when a row beyond
-# its order is asked for.  Tables are filled from their last row, so each
-# one a table needs is built at most once, at the order of that row, and
-# statistics with the same d (D and U) share it.  Entries are exact
-# coefficients, so they do not depend on the order they are built at.
-_BUILT: dict[str | tuple[str, ...], RiordanArray | TruncatedSeries] = {}
+# One triangle (its rows) or axis series (its coefficients) per expression,
+# rebuilt only when a row beyond it is asked for.  Tables are filled from
+# their last row, so each one a table needs is built at most once, up to
+# that row, and statistics with the same d (D and U) share it.  Entries are
+# exact coefficients, so they do not depend on the row they are built to.
+_BUILT: dict[str | tuple[str, ...], list[list[int]] | tuple[int, ...]] = {}
 
 
 def _built(key: str | tuple[str, ...], n: int, build):
     """build(key, order) for some order >= n, cached under key."""
     value = _BUILT.get(key)
-    if value is None or value.order < n:
+    if value is None or len(value) <= n:
         value = _BUILT[key] = build(key, max(DEFAULT_ORDER, n + 1))
     return value
 
 
 def stat_riordan(stat: str, n: int, i: int) -> int:
     _check_stat(stat)
-    if n < 0 or i < 0:
+    if n < 0 or i < 0 or i > n:
         return 0
     if i == 0 and stat in _AXIS_EXPRS:
-        return _built(_AXIS_EXPRS[stat], n, _axis).coeff(n)
-    return _built(_ARRAY_EXPRS[stat], n, _array).entry(n, i)
+        return _built(_AXIS_EXPRS[stat], n, _axis)[n]
+    return _built(_ARRAY_EXPRS[stat], n, _array)[n][i]
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,20 @@ def test_riordan_spot_values():
     assert stat_riordan("V", 4, 0) == 472
     assert stat_riordan("U", 8, 0) == 385889
     assert stat_riordan("U", -1, 0) == 0
+    assert stat_riordan("U", 2, 5) == 0
+
+
+@pytest.mark.parametrize("d", sorted(stats._ARRAY_EXPRS.values()))
+def test_triangle_equals_the_column_products(d):
+    # the stencil of h's equation against d h^i built column by column
+    h = parse_series_expr("x*S^2", 60)
+    assert stats._array(d, 60) == RiordanArray(parse_series_expr(d, 60), h).matrix(60)
 
 
 @pytest.mark.parametrize("stat", FORMULA_STATS)
 def test_riordan_matches_formula_past_the_default_order(stat):
-    # two independent routes; rows past 24 need a rebuilt, larger array
-    assert stat_table(stat, "riordan", 30).rows == stat_table(stat, "formula", 30).rows
+    # two independent routes; rows past 24 need a rebuilt, larger triangle
+    assert stat_table(stat, "riordan", 60).rows == stat_table(stat, "formula", 60).rows
 
 
 def test_riordan_entries_do_not_depend_on_request_order():
@@ -110,6 +118,14 @@ def test_riordan_entries_do_not_depend_on_request_order():
     assert large_first == small_first
     assert large_first[0] == stat_formula("U", 40, 3)
     assert large_first[len(STAT_IDS)] == GOLDEN["U"][5][2]
+    # row 30 builds every triangle to 31 rows, row 90 must rebuild them
+    stats._BUILT.clear()
+    for n in (30, 90):
+        grown = {s: [stat_riordan(s, n, i) for i in range(n + 1)] for s in STAT_IDS}
+    stats._BUILT.clear()
+    fresh = {s: [stat_riordan(s, 90, i) for i in range(91)] for s in STAT_IDS}
+    assert grown == fresh
+    assert grown["U"][3] == stat_formula("U", 90, 3)
 
 
 def test_formula_entries_do_not_depend_on_request_order():
@@ -128,16 +144,16 @@ U_D = "S^3*one_over_1px"
 
 
 @pytest.fixture
-def built_arrays(monkeypatch):
-    """The order of each RiordanArray stats builds, from an empty cache."""
+def built_triangles(monkeypatch):
+    """The order of each triangle stats builds, from an empty cache."""
     built = []
-    riordan_array = stats.RiordanArray
+    array = stats._array
 
-    def counting(d, h):
-        built.append(d.order)
-        return riordan_array(d, h)
+    def counting(d, order):
+        built.append(order)
+        return array(d, order)
 
-    monkeypatch.setattr(stats, "RiordanArray", counting)
+    monkeypatch.setattr(stats, "_array", counting)
     stats._BUILT.clear()
     return built
 
@@ -156,16 +172,16 @@ def built_arrays(monkeypatch):
         ),
     ],
 )
-def test_a_table_builds_each_riordan_array_once(built_arrays, stat, n_max, orders):
+def test_a_table_builds_each_riordan_array_once(built_triangles, stat, n_max, orders):
     stat_table(stat, "riordan", n_max)
-    assert {key: value.order for key, value in stats._BUILT.items()} == orders
-    assert built_arrays == [n_max + 1]
+    assert {key: len(value) - 1 for key, value in stats._BUILT.items()} == orders
+    assert built_triangles == [n_max + 1]
 
 
-def test_d_reads_the_array_u_built(built_arrays):
+def test_d_reads_the_array_u_built(built_triangles):
     stat_table("U", "riordan", 60)
     stat_table("D", "riordan", 60)
-    assert built_arrays == [61]
+    assert built_triangles == [61]
     assert list(stats._BUILT) == [U_D]
 
 
